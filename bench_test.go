@@ -526,7 +526,9 @@ func BenchmarkPredictAllFlat(b *testing.B) {
 	f, queries := benchPredictForest(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictAll(queries)
+		if _, err := f.PredictAll(queries); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/row")
 }

@@ -113,7 +113,10 @@ func analyzeSplit(frame, train, test *dataset.Frame, predictors []string, cfg Co
 		if err != nil {
 			return nil, err
 		}
-		pred := f.PredictAll(tx)
+		pred, err := f.PredictAll(tx)
+		if err != nil {
+			return nil, err
+		}
 		a.TestMSE = stats.MSE(pred, ty)
 		a.TestR2 = stats.RSquared(pred, ty)
 	}
@@ -197,7 +200,10 @@ func (a *Analysis) PredictFrame(f *dataset.Frame) (pred, actual []float64, err e
 	if err != nil {
 		return nil, nil, err
 	}
-	pred = a.Forest.PredictAll(x)
+	pred, err = a.Forest.PredictAll(x)
+	if err != nil {
+		return nil, nil, err
+	}
 	if f.Has(a.cfg.response()) {
 		actual = append([]float64(nil), f.MustColumn(a.cfg.response())...)
 	}

@@ -328,11 +328,10 @@ func (ps *ProblemScaler) PredictDetailAll(rows []map[string]float64) (times []fl
 	if len(xs) == 0 {
 		return times, counters, errs
 	}
-	preds, err := ps.predictAllSafe(xs)
+	preds, err := ps.Reduced.Forest.PredictAll(xs)
 	if err != nil {
-		// The batch path refused (malformed vector reported as a panic):
-		// fall back to the per-row error path so each row fails or
-		// succeeds on its own.
+		// The batch path refused a malformed vector: fall back to the
+		// per-row error path so each row fails or succeeds on its own.
 		for j, i := range idx {
 			times[i], errs[i] = ps.Reduced.Forest.PredictVector(xs[j])
 		}
@@ -342,17 +341,6 @@ func (ps *ProblemScaler) PredictDetailAll(rows []map[string]float64) (times []fl
 		times[i] = preds[j]
 	}
 	return times, counters, errs
-}
-
-// predictAllSafe runs the forest batch path with its historical
-// panic-on-malformed-row semantics converted to an error.
-func (ps *ProblemScaler) predictAllSafe(xs [][]float64) (out []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("core: batch predict: %v", r)
-		}
-	}()
-	return ps.Reduced.Forest.PredictAll(xs), nil
 }
 
 // CharacteristicScales reports, per problem characteristic, the maximum

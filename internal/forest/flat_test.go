@@ -80,7 +80,7 @@ func TestFlatDifferential(t *testing.T) {
 			queries[i] = q
 		}
 
-		batch := f.PredictAll(queries)
+		batch := predictAll(t, f, queries)
 		for i, q := range queries {
 			oracle := f.PredictPointer(q)
 			flat := f.Predict(q)
@@ -118,7 +118,7 @@ func TestPredictAllWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := f.PredictAll(queries)
+		got := predictAll(t, f, queries)
 		if want == nil {
 			want = got
 			for i, q := range queries {
@@ -201,10 +201,10 @@ func TestImportCrossValidatesFlat(t *testing.T) {
 	}
 }
 
-// TestPredictAllMalformedRowPanics: the historical contract — PredictAll
-// panics on a malformed row — must hold on the flat engine too, and the
-// panic must surface in the caller's goroutine for any batch size.
-func TestPredictAllMalformedRowPanics(t *testing.T) {
+// TestPredictAllMalformedRowErrors: a malformed row fails PredictAll with
+// an error, never a panic, for any batch size — including batches spread
+// over the worker pool.
+func TestPredictAllMalformedRowErrors(t *testing.T) {
 	rng := stats.NewRNG(17)
 	x, y, names := randomProblem(rng, 40, 3)
 	f, err := Fit(x, y, names, Config{NTrees: 4, MinNodeSize: 3, Seed: 4, Workers: 4})
@@ -217,13 +217,18 @@ func TestPredictAllMalformedRowPanics(t *testing.T) {
 			rows[i] = x[i%len(x)]
 		}
 		rows[size-1] = []float64{1} // ragged
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("size %d: malformed row did not panic", size)
-				}
-			}()
-			f.PredictAll(rows)
-		}()
+		if out, err := f.PredictAll(rows); err == nil || out != nil {
+			t.Fatalf("size %d: malformed row returned %d predictions, err %v", size, len(out), err)
+		}
 	}
+}
+
+// predictAll is PredictAll for well-formed rows: an error fails the test.
+func predictAll(t testing.TB, f *Forest, xs [][]float64) []float64 {
+	t.Helper()
+	out, err := f.PredictAll(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -409,26 +409,17 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG) []float64 {
 // on a feature-count mismatch; serving paths should use PredictVector, which
 // returns an error instead.
 func (f *Forest) Predict(x []float64) float64 {
-	if f.flat != nil {
-		v, err := f.flat.Predict(x)
-		if err != nil {
-			panic(err.Error())
-		}
-		return v
+	v, err := f.flat.Predict(x)
+	if err != nil {
+		panic(err.Error())
 	}
-	return f.PredictPointer(x)
+	return v
 }
 
 // PredictVector is Predict with malformed input reported as an error rather
 // than a panic — the serving-path entry point.
 func (f *Forest) PredictVector(x []float64) (float64, error) {
-	if f.flat != nil {
-		return f.flat.Predict(x)
-	}
-	if len(x) != len(f.names) {
-		return 0, fmt.Errorf("forest: predicting with %d features, forest has %d", len(x), len(f.names))
-	}
-	return f.PredictPointer(x), nil
+	return f.flat.Predict(x)
 }
 
 // PredictPointer is the frozen pointer-walking reference implementation:
@@ -449,11 +440,8 @@ func (f *Forest) PredictPointer(x []float64) float64 {
 // Engine names the active prediction engine: "flat" for the compiled
 // contiguous-array engine, with the bundle value encoding appended (e.g.
 // "flat(dict16)") when the forest was decoded from a quantized flat-only
-// bundle, or "pointer" if no flat engine is compiled.
+// bundle.
 func (f *Forest) Engine() string {
-	if f.flat == nil {
-		return "pointer"
-	}
 	if enc := f.flat.Encoding(); enc != "" && len(f.trees) == 0 {
 		return "flat(" + enc + ")"
 	}
@@ -474,15 +462,12 @@ const predictBlockRows = 256
 // tree starts) and large batches are spread block-wise over a worker pool
 // (Config.Workers goroutines, or all CPUs for loaded models); per row, tree
 // contributions accumulate in tree order, so the result is bit-identical to
-// calling Predict per row, for every worker count and block size.
-func (f *Forest) PredictAll(xs [][]float64) []float64 {
+// calling Predict per row, for every worker count and block size. A row
+// with the wrong feature count fails the whole batch with an error.
+func (f *Forest) PredictAll(xs [][]float64) ([]float64, error) {
 	out := make([]float64, len(xs))
 	if len(xs) == 0 {
-		return out
-	}
-	if f.flat == nil {
-		f.predictAllPointer(xs, out)
-		return out
+		return out, nil
 	}
 	workers := f.cfg.Workers
 	if workers <= 0 {
@@ -494,9 +479,9 @@ func (f *Forest) PredictAll(xs [][]float64) []float64 {
 	}
 	if workers <= 1 || len(xs) < predictAllSeqThreshold {
 		if err := f.flat.PredictBatch(xs, out); err != nil {
-			panic(err.Error())
+			return nil, err
 		}
-		return out
+		return out, nil
 	}
 	errs := make([]error, blocks)
 	var next atomic.Int64
@@ -522,46 +507,10 @@ func (f *Forest) PredictAll(xs [][]float64) []float64 {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			// Preserve the historical panic-on-malformed-row semantics, but
-			// panic in the caller's goroutine, never inside a worker.
-			panic(err.Error())
+			return nil, err
 		}
 	}
-	return out
-}
-
-// predictAllPointer is the frozen row-major batch path over the pointer
-// walker, kept for forests without a compiled flat engine.
-func (f *Forest) predictAllPointer(xs [][]float64, out []float64) {
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	if workers <= 1 || len(xs) < predictAllSeqThreshold {
-		for i, x := range xs {
-			out[i] = f.PredictPointer(x)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				out[i] = f.PredictPointer(xs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	return out, nil
 }
 
 // OOBMSE returns the out-of-bag mean squared error.
@@ -580,15 +529,7 @@ func (f *Forest) OOBPredictions() []float64 {
 }
 
 // NumTrees returns the number of trees in the forest.
-func (f *Forest) NumTrees() int {
-	if len(f.trees) > 0 {
-		return len(f.trees)
-	}
-	if f.flat != nil {
-		return f.flat.NumTrees()
-	}
-	return 0
-}
+func (f *Forest) NumTrees() int { return f.flat.NumTrees() }
 
 // Names returns the predictor names.
 func (f *Forest) Names() []string { return append([]string(nil), f.names...) }

@@ -155,7 +155,7 @@ func TestPredictAllAndBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := f.ResponseRange()
-	preds := f.PredictAll(x)
+	preds := predictAll(t, f, x)
 	for _, p := range preds {
 		if p < lo || p > hi {
 			t.Fatalf("prediction %v outside training range [%v, %v]", p, lo, hi)

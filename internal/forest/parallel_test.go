@@ -16,14 +16,14 @@ func TestPredictAllParallelMatchesSequential(t *testing.T) {
 		for i, row := range x {
 			want[i] = f.Predict(row)
 		}
-		got := f.PredictAll(x)
+		got := predictAll(t, f, x)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: row %d: PredictAll %v != Predict %v", workers, i, got[i], want[i])
 			}
 		}
 		// Tiny batches take the sequential path; they must agree too.
-		small := f.PredictAll(x[:2])
+		small := predictAll(t, f, x[:2])
 		for i := range small {
 			if small[i] != want[i] {
 				t.Fatalf("workers=%d: small-batch row %d differs", workers, i)
@@ -45,8 +45,8 @@ func TestLoadedForestPredictAllParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.PredictAll(x)
-	got := loaded.PredictAll(x)
+	want := predictAll(t, f, x)
+	got := predictAll(t, loaded, x)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: loaded forest predicts %v, fitted %v", i, got[i], want[i])

@@ -67,9 +67,6 @@ func (f *Forest) Export() *Exported {
 // smallest lossless encoding, and no per-node trees. A forest imported from
 // it predicts bit-identically but cannot serve as the pointer-walker oracle.
 func (f *Forest) ExportQuantized() (*Exported, error) {
-	if f.flat == nil {
-		return nil, errors.New("forest: no flat engine compiled")
-	}
 	e := f.exportShell()
 	e.Flat = f.flat.Export()
 	return e, nil

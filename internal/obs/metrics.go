@@ -23,7 +23,8 @@ type Label struct {
 // order is preserved in the scrape output, and every registered series —
 // including never-incremented counters and never-observed histograms —
 // emits its zero-value lines, so dashboards see the full series set from
-// the first scrape.
+// the first scrape. Series may be registered at run time, concurrently
+// with scrapes.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -170,9 +171,11 @@ func labelKey(labels []Label) string {
 }
 
 // register returns the series for (name, labels), creating the family
-// and series as needed. It panics when a metric name is reused with a
-// different type — that is a programming error, not a runtime condition.
-func (r *Registry) register(name, help, typ string, labels []Label) (*series, bool) {
+// and series as needed; init fills in a new series' backing value under
+// the lock, so a concurrent scrape never sees it half-built. It panics
+// when a metric name is reused with a different type — that is a
+// programming error, not a runtime condition.
+func (r *Registry) register(name, help, typ string, labels []Label, init func(*series)) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.byName[name]
@@ -185,56 +188,45 @@ func (r *Registry) register(name, help, typ string, labels []Label) (*series, bo
 	}
 	key := labelKey(labels)
 	if s, ok := f.byKey[key]; ok {
-		return s, false
+		return s
 	}
 	s := &series{labels: append([]Label(nil), labels...)}
+	init(s)
 	f.series = append(f.series, s)
 	f.byKey[key] = s
-	return s, true
+	return s
 }
 
 // Counter registers (or fetches, when the same name and labels were
 // registered before) a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s, fresh := r.register(name, help, "counter", labels)
-	if fresh {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, "counter", labels, func(s *series) { s.counter = &Counter{} }).counter
 }
 
 // Gauge registers (or fetches) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s, fresh := r.register(name, help, "gauge", labels)
-	if fresh {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, "gauge", labels, func(s *series) { s.gauge = &Gauge{} }).gauge
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at every
 // scrape — the cheap way to expose an existing stats counter without
-// double accounting.
+// double accounting. Registering a series that exists keeps the first.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s, _ := r.register(name, help, "gauge", labels)
-	s.gauge = nil
-	s.gfn = fn
+	r.register(name, help, "gauge", labels, func(s *series) { s.gfn = fn })
 }
 
 // Histogram registers (or fetches) a histogram series with the given
 // ascending upper bounds (+Inf is implicit; nil selects
 // DefaultLatencyBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s, fresh := r.register(name, help, "histogram", labels)
-	if fresh {
+	return r.register(name, help, "histogram", labels, func(s *series) {
 		if buckets == nil {
 			buckets = DefaultLatencyBuckets
 		}
 		bs := append([]float64(nil), buckets...)
 		sort.Float64s(bs)
 		s.hist = &Histogram{buckets: bs, counts: make([]atomic.Int64, len(bs)+1)}
-	}
-	return s.hist
+	}).hist
 }
 
 // formatLabels renders {a="x",b="y"} (empty string for no labels), with
@@ -262,7 +254,10 @@ func formatLabels(labels []Label, extra ...Label) string {
 // full bucket set.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = family{name: f.name, help: f.help, typ: f.typ, series: append([]*series(nil), f.series...)}
+	}
 	r.mu.Unlock()
 	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -273,5 +275,36 @@ func TestRegistrySameSeriesReturnsSameHandle(t *testing.T) {
 	a.Inc()
 	if b.Value() != 1 {
 		t.Fatal("handles do not share state")
+	}
+}
+
+// TestRegistryRegisterDuringScrape: series may be registered at run time
+// (a new status code, a newly loaded model) while another goroutine
+// scrapes; under -race neither side may touch the other's state unlocked.
+func TestRegistryRegisterDuringScrape(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("bf_requests_total", "Requests.", Label{"code", "200"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			code := Label{"code", fmt.Sprint(300 + i)}
+			r.Counter("bf_requests_total", "Requests.", code).Inc()
+			r.Histogram("bf_latency_seconds", "Latency.", nil, code).Observe(0.01)
+			r.GaugeFunc("bf_up", "Up.", func() float64 { return 1 }, code)
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+			r.WritePrometheus(io.Discard)
+		}
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	if n := strings.Count(buf.String(), "\nbf_requests_total{"); n != 201 {
+		t.Fatalf("scrape has %d request series, want 201", n)
 	}
 }

@@ -26,15 +26,15 @@
 package runcache
 
 import (
-	"container/list"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
+
+	"blackforest/internal/memo"
 )
 
 // Key is a content-addressed cache key: the SHA-256 of the run identity,
@@ -99,29 +99,14 @@ func (s Stats) HitRate() float64 {
 // immutable.
 type Cache[T any] struct {
 	dir    string
-	max    int
 	encode func(T) ([]byte, error)
 	decode func([]byte) (T, error)
 
-	mu      sync.Mutex
-	entries map[Key]*list.Element // -> *memEntry[T]
-	lru     *list.List            // front = most recent
-	flight  map[Key]*call[T]
+	mem    *memo.LRU[Key, T] // nil when the memory layer is disabled
+	flight memo.Group[Key, T]
 
 	memHits, diskHits, misses, coalesced   atomic.Int64
 	writes, writeErrors, evictions, badEnt atomic.Int64
-}
-
-type memEntry[T any] struct {
-	key Key
-	val T
-}
-
-// call is one in-flight computation shared by coalesced Do callers.
-type call[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
 }
 
 // New builds a cache that serializes values with encode and revives them
@@ -142,13 +127,10 @@ func New[T any](cfg Config, encode func(T) ([]byte, error), decode func([]byte) 
 		}
 	}
 	return &Cache[T]{
-		dir:     cfg.Dir,
-		max:     max,
-		encode:  encode,
-		decode:  decode,
-		entries: make(map[Key]*list.Element),
-		lru:     list.New(),
-		flight:  make(map[Key]*call[T]),
+		dir:    cfg.Dir,
+		encode: encode,
+		decode: decode,
+		mem:    memo.NewLRU[Key, T](max),
 	}, nil
 }
 
@@ -192,7 +174,7 @@ func (c *Cache[T]) Get(key Key) (T, bool) {
 // look up without inflating the miss counter a second time.
 func (c *Cache[T]) get(key Key, countMiss bool) (T, bool) {
 	var zero T
-	if v, ok := c.memGet(key); ok {
+	if v, ok := c.mem.Get(key); ok {
 		c.memHits.Add(1)
 		return v, true
 	}
@@ -227,7 +209,8 @@ func (c *Cache[T]) Put(key Key, v T) {
 // Do returns the cached value for key, or computes, stores, and returns
 // it. Concurrent Do calls for the same key share one computation (the
 // followers' results are the leader's, bit for bit). Errors are not
-// cached: every Do after a failed computation retries.
+// cached: every Do after a failed computation retries. A compute that
+// panics fails its followers and releases the key.
 func (c *Cache[T]) Do(key Key, compute func() (T, error)) (T, error) {
 	if c == nil {
 		return compute()
@@ -235,68 +218,30 @@ func (c *Cache[T]) Do(key Key, compute func() (T, error)) (T, error) {
 	if v, ok := c.Get(key); ok {
 		return v, nil
 	}
-	c.mu.Lock()
-	if cl, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-cl.done
-		return cl.val, cl.err
-	}
-	cl := &call[T]{done: make(chan struct{})}
-	c.flight[key] = cl
-	c.mu.Unlock()
-
-	// Re-check under flight ownership: a leader that completed between
-	// our Get and our registration has already populated the cache. The
-	// original Get already counted this lookup's miss.
-	if v, ok := c.get(key, false); ok {
-		cl.val = v
-	} else {
-		cl.val, cl.err = compute()
-		if cl.err == nil {
-			c.Put(key, cl.val)
+	v, shared, err := c.flight.Do(key, func() (T, error) {
+		// Re-check under flight ownership: a leader that completed between
+		// our Get and our registration has already populated the cache. The
+		// original Get already counted this lookup's miss.
+		if v, ok := c.get(key, false); ok {
+			return v, nil
 		}
+		v, err := compute()
+		if err == nil {
+			c.Put(key, v)
+		}
+		return v, err
+	})
+	if shared {
+		c.coalesced.Add(1)
 	}
-	c.mu.Lock()
-	delete(c.flight, key)
-	c.mu.Unlock()
-	close(cl.done)
-	return cl.val, cl.err
+	return v, err
 }
 
 // --- memory layer ---
 
-func (c *Cache[T]) memGet(key Key) (T, bool) {
-	var zero T
-	if c.max < 0 {
-		return zero, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return zero, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*memEntry[T]).val, true
-}
-
+// memPut stores v in the memory layer, counting an LRU eviction.
 func (c *Cache[T]) memPut(key Key, v T) {
-	if c.max < 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*memEntry[T]).val = v
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&memEntry[T]{key: key, val: v})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*memEntry[T]).key)
+	if c.mem.Put(key, v) {
 		c.evictions.Add(1)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // payload is a stand-in for a profile: a map of float64 metrics, the
@@ -210,6 +211,34 @@ func TestDoErrorNotCached(t *testing.T) {
 	v, err := c.Do(k, func() (*payload, error) { return &payload{Name: "ok"}, nil })
 	if err != nil || v.Name != "ok" {
 		t.Fatalf("retry after error should compute: %v %v", v, err)
+	}
+}
+
+// TestDoPanicReleasesKey: a compute that panics must not wedge its key —
+// a later Do for the same key computes afresh instead of blocking forever.
+func TestDoPanicReleasesKey(t *testing.T) {
+	c := newTestCache(t, Config{})
+	k := keyOf("panicky")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compute's panic did not reach the caller")
+			}
+		}()
+		c.Do(k, func() (*payload, error) { panic("boom") })
+	}()
+	done := make(chan *payload, 1)
+	go func() {
+		v, _ := c.Do(k, func() (*payload, error) { return &payload{Name: "ok"}, nil })
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		if v == nil || v.Name != "ok" {
+			t.Fatalf("Do after a panicked compute = %+v, want a fresh computation", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do blocked on the key of a panicked compute")
 	}
 }
 

@@ -1,79 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"math"
 	"strconv"
-	"sync"
 )
-
-// lruCache is a bounded, mutex-protected LRU map from canonical
-// characteristic-vector keys to computed predictions. Predictions are a
-// pure function of the characteristic vector (the forest and counter models
-// are immutable once loaded), so caching cannot serve stale results.
-type lruCache struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used
-	items    map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	val Prediction
-}
-
-// newLRUCache returns a cache holding at most capacity entries, or nil
-// (caching disabled) when capacity <= 0.
-func newLRUCache(capacity int) *lruCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &lruCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element, capacity),
-	}
-}
-
-// get returns the cached prediction for key and marks it most recently used.
-func (c *lruCache) get(key string) (Prediction, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return Prediction{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// put inserts or refreshes a prediction, evicting the least recently used
-// entry when full.
-func (c *lruCache) put(key string, v Prediction) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = v
-		c.order.MoveToFront(el)
-		return
-	}
-	if c.order.Len() >= c.capacity {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.items, oldest.Value.(*lruEntry).key)
-		}
-	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: v})
-}
-
-// size returns the current entry count.
-func (c *lruCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
 
 // vectorKey builds the canonical cache key for a characteristic vector:
 // the exact bit patterns of the values in charNames order. Two vectors map

@@ -1,75 +1,9 @@
 package serve
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
-
-func TestLRUCacheEvictsOldest(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", Prediction{TimeMS: 1})
-	c.put("b", Prediction{TimeMS: 2})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing before capacity reached")
-	}
-	// "a" was just used, so inserting "c" must evict "b".
-	c.put("c", Prediction{TimeMS: 3})
-	if _, ok := c.get("b"); ok {
-		t.Fatal("least recently used entry not evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Fatal("new entry missing")
-	}
-	if c.size() != 2 {
-		t.Fatalf("size %d, want 2", c.size())
-	}
-}
-
-func TestLRUCacheUpdateInPlace(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", Prediction{TimeMS: 1})
-	c.put("a", Prediction{TimeMS: 9})
-	if c.size() != 1 {
-		t.Fatalf("size %d after duplicate put", c.size())
-	}
-	p, _ := c.get("a")
-	if p.TimeMS != 9 {
-		t.Fatalf("stale value %v", p.TimeMS)
-	}
-}
-
-func TestLRUCacheDisabled(t *testing.T) {
-	if newLRUCache(0) != nil || newLRUCache(-5) != nil {
-		t.Fatal("non-positive capacity should disable the cache")
-	}
-}
-
-// TestLRUCacheConcurrent exercises the lock under -race.
-func TestLRUCacheConcurrent(t *testing.T) {
-	c := newLRUCache(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", (g+i)%16)
-				c.put(key, Prediction{TimeMS: float64(i)})
-				c.get(key)
-				c.size()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if c.size() > 8 {
-		t.Fatalf("cache overflowed: %d entries", c.size())
-	}
-}
 
 func TestVectorKey(t *testing.T) {
 	names := []string{"size", "block_size"}

@@ -74,9 +74,7 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 
 	// Everything drained through micro-batches (reaching BatchMaxSize
 	// flushes immediately, so at least one real multi-row batch formed).
-	s.metrics.mu.Lock()
-	batchN, batchSum := s.metrics.batchN, s.metrics.batchSum
-	s.metrics.mu.Unlock()
+	batchN, batchSum := s.batchSize.Count(), int64(s.batchSize.Sum())
 	if batchSum != k {
 		t.Fatalf("batches drained %d rows, want %d", batchSum, k)
 	}

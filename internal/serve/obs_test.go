@@ -132,7 +132,7 @@ func TestMetricsFullScrapeWellFormed(t *testing.T) {
 
 	for fam, typ := range map[string]string{
 		"bfserve_requests_total":           "counter",
-		"bfserve_request_duration_seconds": "summary",
+		"bfserve_request_duration_seconds": "histogram",
 		"bfserve_predictions_total":        "counter",
 		"bfserve_batch_size":               "histogram",
 		"bfserve_build_info":               "gauge",
@@ -154,6 +154,19 @@ func TestMetricsFullScrapeWellFormed(t *testing.T) {
 	}
 	if v := samples[`bfserve_requests_total{path="/v1/predict",code="400"}`]; v != 1 {
 		t.Errorf("predict 400 count = %v, want 1", v)
+	}
+	// The request-latency histogram counts every request before the scrape.
+	if v := samples["bfserve_request_duration_seconds_count"]; v != 3 {
+		t.Errorf("request duration count = %v, want 3", v)
+	}
+	for _, series := range []string{
+		`bfserve_predictions_total{model="default"}`,
+		"bfserve_cache_hits_total",
+		"bfserve_cache_misses_total",
+	} {
+		if _, ok := samples[series]; !ok {
+			t.Errorf("scrape has no %s sample", series)
+		}
 	}
 	// The extra registry's series ride along in the same scrape.
 	if v := samples[`bfserve_runcache_hits_total{layer="mem"}`]; v != 7 {

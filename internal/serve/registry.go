@@ -39,6 +39,8 @@ import (
 	"time"
 
 	"blackforest/internal/core"
+	"blackforest/internal/memo"
+	"blackforest/internal/obs"
 )
 
 // ManifestName is the optional per-directory model manifest file.
@@ -127,10 +129,11 @@ type modelSnapshot struct {
 	loaded  time.Time
 
 	scaler *core.ProblemScaler
-	cache  *lruCache
-
-	flightMu sync.Mutex
-	flight   map[string]*flightCall
+	cache  *memo.LRU[string, Prediction] // nil when caching is disabled
+	flight memo.Group[string, Prediction]
+	// predictions is this name's bfserve_predictions_total series; the
+	// metrics registry hands every version of a name the same counter.
+	predictions *obs.Counter
 
 	coal *coalescer // nil when micro-batch coalescing is disabled
 }
@@ -162,16 +165,24 @@ type Registry struct {
 	onLoad func(*modelSnapshot)
 
 	cacheSize int
-	metrics   *metrics
 	versions  map[string]int // name → last assigned version (guarded by mu)
+
+	// metrics receives a bfserve_predictions_total series per loaded name;
+	// reloads and reloadFailures count Reload outcomes.
+	metrics                 *obs.Registry
+	reloads, reloadFailures *obs.Counter
 }
 
-func newRegistry(cacheSize int, m *metrics) *Registry {
+func newRegistry(cacheSize int, m *obs.Registry) *Registry {
 	r := &Registry{
 		loader:    core.LoadProblemScalerFile,
 		cacheSize: cacheSize,
-		metrics:   m,
 		versions:  make(map[string]int),
+		metrics:   m,
+		reloads: m.Counter("bfserve_reloads_total",
+			"Models successfully (re)loaded by the registry."),
+		reloadFailures: m.Counter("bfserve_reload_failures_total",
+			"Bundle loads that failed during a reload (previous model kept serving)."),
 	}
 	r.view.Store(&registryView{models: map[string]*modelSnapshot{}})
 	return r
@@ -254,8 +265,10 @@ func (r *Registry) newSnapshot(src modelSource, ps *core.ProblemScaler) *modelSn
 		size:    src.size,
 		loaded:  time.Now(),
 		scaler:  ps,
-		cache:   newLRUCache(r.cacheSize),
-		flight:  make(map[string]*flightCall),
+		cache:   memo.NewLRU[string, Prediction](r.cacheSize),
+		predictions: r.metrics.Counter("bfserve_predictions_total",
+			"Characteristic vectors predicted per model (cache hits included).",
+			obs.Label{Name: "model", Value: src.name}),
 	}
 	if r.onLoad != nil {
 		r.onLoad(snap)
@@ -281,7 +294,7 @@ func (r *Registry) Reload() (changed int, errs []error) {
 	if err != nil {
 		// The scan itself failed (directory unreadable, manifest
 		// corrupt): keep the entire previous view serving.
-		r.metrics.addReloadFailure()
+		r.reloadFailures.Inc()
 		return 0, []error{err}
 	}
 	old := r.view.Load()
@@ -294,7 +307,7 @@ func (r *Registry) Reload() (changed int, errs []error) {
 		}
 		ps, err := r.loader(src.path)
 		if err != nil {
-			r.metrics.addReloadFailure()
+			r.reloadFailures.Inc()
 			errs = append(errs, fmt.Errorf("model %s (%s): %w", src.name, src.path, err))
 			if had {
 				next[src.name] = prev // previous version keeps serving
@@ -326,7 +339,7 @@ func (r *Registry) Reload() (changed int, errs []error) {
 		names:       names,
 	})
 	if changed > 0 {
-		r.metrics.addReloads(changed)
+		r.reloads.Add(int64(changed))
 	}
 	return changed, errs
 }

@@ -10,8 +10,8 @@
 //	POST /v1/predict  single {"chars": {...}} or batched {"batch": [...]}
 //	GET  /v1/model    model metadata, importance table, validation stats
 //	GET  /healthz     liveness
-//	GET  /metrics     Prometheus text: request counts, latency quantiles,
-//	                  cache hit rate
+//	GET  /metrics     Prometheus text: request counts, request-latency
+//	                  histogram, cache hit rate
 package serve
 
 import (
@@ -110,7 +110,6 @@ type Server struct {
 	grace    time.Duration
 	maxRows  int
 	maxBody  int64
-	metrics  *metrics
 
 	// batchWindow/batchMax configure micro-batch coalescing of single
 	// predicts; window 0 disables it.
@@ -133,16 +132,18 @@ type Server struct {
 	slowReq   time.Duration
 	nextID    atomic.Uint64
 
-	// obsReg holds the server's own registry-backed series (per-stage
-	// latency histograms); extra is the caller-provided registry merged
-	// into the scrape after it. stageQueue/stageCoalesce/stageInference
-	// split predict latency into pre-compute overhead, coalescer queueing,
-	// and model inference.
-	obsReg         *obs.Registry
-	extra          *obs.Registry
-	stageQueue     *obs.Histogram
-	stageCoalesce  *obs.Histogram
-	stageInference *obs.Histogram
+	// obsReg holds every bfserve_* series except the build-info gauge;
+	// extra is the caller-provided registry merged into the scrape after
+	// it. stageQueue/stageCoalesce/stageInference split predict latency
+	// into pre-compute overhead, coalescer queueing, and model inference.
+	obsReg                    *obs.Registry
+	extra                     *obs.Registry
+	requestDur                *obs.Histogram
+	batchSize                 *obs.Histogram
+	cacheHits, cacheMisses    *obs.Counter
+	shed, injected, panics    *obs.Counter
+	stageQueue, stageCoalesce *obs.Histogram
+	stageInference            *obs.Histogram
 
 	// testHookPredict, when set, runs before each uncached prediction;
 	// tests use it to hold requests in flight across a shutdown.
@@ -199,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 		grace:       cfg.ShutdownGrace,
 		maxRows:     cfg.MaxBatch,
 		maxBody:     cfg.MaxBodyBytes,
-		metrics:     newMetrics(),
 		batchWindow: cfg.BatchWindow,
 		batchMax:    cfg.BatchMaxSize,
 		faults:      cfg.Faults,
@@ -208,18 +208,12 @@ func New(cfg Config) (*Server, error) {
 		obsReg:      obs.NewRegistry(),
 		extra:       cfg.Extra,
 	}
-	const stageHelp = "Predict latency split by stage: queue (pre-compute handler overhead), coalesce_wait (micro-batch queueing), inference (model compute)."
-	s.stageQueue = s.obsReg.Histogram("bfserve_stage_duration_seconds", stageHelp,
-		obs.DefaultLatencyBuckets, obs.Label{Name: "stage", Value: "queue"})
-	s.stageCoalesce = s.obsReg.Histogram("bfserve_stage_duration_seconds", stageHelp,
-		obs.DefaultLatencyBuckets, obs.Label{Name: "stage", Value: "coalesce_wait"})
-	s.stageInference = s.obsReg.Histogram("bfserve_stage_duration_seconds", stageHelp,
-		obs.DefaultLatencyBuckets, obs.Label{Name: "stage", Value: "inference"})
+	s.registerMetrics()
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
 
-	reg := newRegistry(cacheCap, s.metrics)
+	reg := newRegistry(cacheCap, s.obsReg)
 	reg.override = cfg.DefaultModel
 	if cfg.Loader != nil {
 		reg.loader = cfg.Loader
@@ -305,9 +299,9 @@ type ModelInfo struct {
 	CharNames     []string `json:"char_names"`
 	TestR2        float64  `json:"test_r2"`
 	// Engine names the forest inference engine answering predictions:
-	// "flat" for the compiled contiguous-array engine (with the bundle
+	// "flat" for the compiled contiguous-array engine, with the bundle
 	// value encoding appended when loaded from a quantized bundle, e.g.
-	// "flat(dict16)"), "pointer" for the per-tree node walker.
+	// "flat(dict16)".
 	Engine string `json:"engine"`
 }
 
@@ -369,14 +363,6 @@ func (s *Server) modelInfo(snap *modelSnapshot) ModelInfo {
 	}
 }
 
-// flightCall is one in-flight computation waiters coalesce onto; p and err
-// are valid once done is closed.
-type flightCall struct {
-	done chan struct{}
-	p    Prediction
-	err  error
-}
-
 // computeOne runs the model for one characteristic vector, no cache, no
 // coalescing.
 func (s *Server) computeOne(snap *modelSnapshot, chars map[string]float64) (Prediction, error) {
@@ -403,40 +389,18 @@ func (s *Server) predictOne(snap *modelSnapshot, chars map[string]float64) (Pred
 		p, err := s.computeOne(snap, chars)
 		return p, false, err
 	}
-	if snap.cache != nil {
-		if p, ok := snap.cache.get(key); ok {
-			return p, true, nil
+	if p, ok := snap.cache.Get(key); ok {
+		return p, true, nil
+	}
+	// A panic in computeOne fails the coalesced waiters and keeps unwinding
+	// into the recover middleware / batch-worker recovery.
+	return snap.flight.Do(key, func() (Prediction, error) {
+		p, err := s.computeOne(snap, chars)
+		if err == nil {
+			snap.cache.Put(key, p)
 		}
-	}
-	snap.flightMu.Lock()
-	if c, ok := snap.flight[key]; ok {
-		snap.flightMu.Unlock()
-		<-c.done
-		return c.p, true, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	snap.flight[key] = c
-	snap.flightMu.Unlock()
-	completed := false
-	defer func() {
-		if !completed {
-			// The computation panicked out of this frame: fail the waiters
-			// (they must not hang) and let the panic keep unwinding into the
-			// recover middleware / batch-worker recovery.
-			c.err = errors.New("prediction panicked")
-		}
-		snap.flightMu.Lock()
-		delete(snap.flight, key)
-		snap.flightMu.Unlock()
-		close(c.done)
-	}()
-	p, err := s.computeOne(snap, chars)
-	c.p, c.err = p, err
-	completed = true
-	if err == nil && snap.cache != nil {
-		snap.cache.put(key, p)
-	}
-	return p, false, err
+		return p, err
+	})
 }
 
 // predictOneSafe is predictOne with panics converted to a *panicError, for
@@ -458,8 +422,8 @@ func (s *Server) predictOneSafe(snap *modelSnapshot, chars map[string]float64) (
 // coalescing is invisible in the response bytes.
 func (s *Server) predictCoalesced(ctx context.Context, snap *modelSnapshot, chars map[string]float64) (Prediction, bool, error) {
 	key, keyed := vectorKey(snap.scaler.CharNames, chars)
-	if keyed && snap.cache != nil {
-		if p, ok := snap.cache.get(key); ok {
+	if keyed {
+		if p, ok := snap.cache.Get(key); ok {
 			return p, true, nil
 		}
 	}
@@ -485,7 +449,7 @@ func (s *Server) drainBatch(snap *modelSnapshot, reqs []*coalesceReq) {
 	completed := false
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.addPanic()
+			s.panics.Inc()
 			for _, rq := range reqs {
 				if !completed {
 					rq.err = &panicError{v: r}
@@ -501,14 +465,14 @@ func (s *Server) drainBatch(snap *modelSnapshot, reqs []*coalesceReq) {
 	computeStart := time.Now()
 	times, counters, errs := snap.scaler.PredictDetailAll(rows)
 	s.stageInference.Observe(time.Since(computeStart).Seconds())
-	s.metrics.observeBatch(len(reqs))
+	s.batchSize.Observe(float64(len(reqs)))
 	for i, rq := range reqs {
 		if errs[i] != nil {
 			rq.err = errs[i]
 		} else {
 			rq.p = Prediction{TimeMS: times[i], Counters: counters[i]}
-			if rq.keyed && snap.cache != nil {
-				snap.cache.put(rq.key, rq.p)
+			if rq.keyed {
+				snap.cache.Put(rq.key, rq.p)
 			}
 		}
 	}
@@ -597,8 +561,16 @@ func (s *Server) predictRows(ctx context.Context, snap *modelSnapshot, rows []ma
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 	}
-	s.metrics.addPredictions(snap.name, hits, misses)
+	s.countPredictions(snap, hits, misses)
 	return out, nil
+}
+
+// countPredictions records delivered predictions for one model, split by
+// cache outcome.
+func (s *Server) countPredictions(snap *modelSnapshot, hits, misses int64) {
+	snap.predictions.Add(hits + misses)
+	s.cacheHits.Add(hits)
+	s.cacheMisses.Add(misses)
 }
 
 // handlePredict serves POST /v1/predict (default model) and
@@ -625,7 +597,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case s.inflight <- struct{}{}:
 			defer func() { <-s.inflight }()
 		default:
-			s.metrics.addShed()
+			s.shed.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server overloaded, retry later"})
 			return
@@ -634,7 +606,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.faults != nil {
 		id := s.reqID.Add(1)
 		if d := s.faults.ServeDelay(id); d > 0 {
-			s.metrics.addInjected()
+			s.injected.Inc()
 			// Sleep is bounded by the request context so an injected
 			// spike cannot outlive the request's deadline.
 			t := time.NewTimer(d)
@@ -645,7 +617,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if s.faults.ServeError(id) {
-			s.metrics.addInjected()
+			s.injected.Inc()
 			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "injected fault: simulated handler failure"})
 			return
 		}
@@ -665,9 +637,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if cerr == nil {
 			preds = []Prediction{p}
 			if hit {
-				s.metrics.addPredictions(snap.name, 1, 0)
+				s.countPredictions(snap, 1, 0)
 			} else {
-				s.metrics.addPredictions(snap.name, 0, 1)
+				s.countPredictions(snap, 0, 1)
 			}
 		} else if r.Context().Err() == nil {
 			cerr = fmt.Errorf("row 0: %w", cerr)
@@ -691,7 +663,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.Canceled):
 			code = http.StatusServiceUnavailable
 		case errors.As(err, &pe):
-			s.metrics.addPanic()
+			s.panics.Inc()
 			code = http.StatusInternalServerError
 		}
 		writeJSON(w, code, errorResponse{Error: err.Error()})
@@ -805,10 +777,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := ModelsResponse{Default: def, Models: make([]ModelSummary, 0, len(snaps))}
 	for _, snap := range snaps {
 		meta := snap.scaler.Meta()
-		entries := 0
-		if snap.cache != nil {
-			entries = snap.cache.size()
-		}
 		resp.Models = append(resp.Models, ModelSummary{
 			Name:          snap.name,
 			Version:       snap.version,
@@ -821,8 +789,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			TestR2:        meta.TestR2,
 			CounterModels: meta.Counters,
 			Degraded:      meta.Degraded,
-			CacheEntries:  entries,
-			Predictions:   s.metrics.modelPredictions(snap.name),
+			CacheEntries:  snap.cache.Len(),
+			Predictions:   snap.predictions.Value(),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -833,41 +801,77 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics serves GET /metrics: the server's own counters, the
-// build-info gauge, the registry-backed stage histograms, and any extra
-// caller-provided registry, rendered as one Prometheus text scrape.
+// handleMetrics serves GET /metrics: the server's registry, the
+// build-info gauge, and any extra caller-provided registry, rendered as one
+// Prometheus text scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	snaps, def := s.registry.list()
-	size := 0
-	engine := ""
-	names := make([]string, len(snaps))
-	for i, snap := range snaps {
-		names[i] = snap.name
-		if snap.cache != nil {
-			size += snap.cache.size()
-		}
-		if snap.name == def {
-			engine = snap.scaler.Meta().Engine
-		}
-	}
-	s.metrics.writePrometheus(w, scrapeStats{
-		modelNames: names,
-		routes:     serveRoutes[:],
-		cacheSize:  size,
-		cacheCap:   s.cacheN * len(snaps),
-	})
-	writeBuildInfo(w, engine)
 	s.obsReg.WritePrometheus(w)
+	writeBuildInfo(w, s.registry.defaultSnapshot().scaler.Meta().Engine)
 	if s.extra != nil {
 		s.extra.WritePrometheus(w)
 	}
 }
 
+// batchBuckets are the upper bounds of the coalesced micro-batch size
+// histogram.
+var batchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+
+// registerMetrics registers the server's series on obsReg. Every route
+// gets its code="200" request counter up front, so a rate() over any route
+// is well-defined from the first scrape; per-model prediction counters are
+// registered as models load.
+func (s *Server) registerMetrics() {
+	r := s.obsReg
+	for _, route := range serveRoutes {
+		s.requestCounter(route, http.StatusOK)
+	}
+	s.requestDur = r.Histogram("bfserve_request_duration_seconds", "Request latency.", obs.DefaultLatencyBuckets)
+	s.batchSize = r.Histogram("bfserve_batch_size", "Coalesced micro-batch sizes at drain.", batchBuckets)
+	r.GaugeFunc("bfserve_models", "Models currently registered.", func() float64 {
+		return float64(len(s.registry.view.Load().models))
+	})
+	s.cacheHits = r.Counter("bfserve_cache_hits_total", "Prediction cache hits.")
+	s.cacheMisses = r.Counter("bfserve_cache_misses_total", "Prediction cache misses.")
+	s.shed = r.Counter("bfserve_shed_total", "Requests rejected by load shedding.")
+	s.injected = r.Counter("bfserve_injected_faults_total", "Faults injected by the chaos layer.")
+	s.panics = r.Counter("bfserve_panics_total", "Panics recovered into 500 answers.")
+	r.GaugeFunc("bfserve_cache_hit_rate", "Fraction of predictions served from cache.", func() float64 {
+		hits, misses := s.cacheHits.Value(), s.cacheMisses.Value()
+		if hits+misses == 0 {
+			return 0
+		}
+		return float64(hits) / float64(hits+misses)
+	})
+	r.GaugeFunc("bfserve_cache_entries", "Current prediction cache entries.", func() float64 {
+		n := 0
+		for _, snap := range s.registry.view.Load().models {
+			n += snap.cache.Len()
+		}
+		return float64(n)
+	})
+	r.GaugeFunc("bfserve_cache_capacity", "Prediction cache capacity (0 = disabled).", func() float64 {
+		return float64(s.cacheN * len(s.registry.view.Load().models))
+	})
+	const stageHelp = "Predict latency split by stage: queue (pre-compute handler overhead), coalesce_wait (micro-batch queueing), inference (model compute)."
+	stage := func(name string) *obs.Histogram {
+		return r.Histogram("bfserve_stage_duration_seconds", stageHelp, obs.DefaultLatencyBuckets,
+			obs.Label{Name: "stage", Value: name})
+	}
+	s.stageQueue, s.stageCoalesce, s.stageInference = stage("queue"), stage("coalesce_wait"), stage("inference")
+}
+
+// requestCounter returns the bfserve_requests_total series for one route
+// and status code, registering it on first use.
+func (s *Server) requestCounter(path string, code int) *obs.Counter {
+	return s.obsReg.Counter("bfserve_requests_total", "Completed HTTP requests by path and status code.",
+		obs.Label{Name: "path", Value: path}, obs.Label{Name: "code", Value: strconv.Itoa(code)})
+}
+
 // writeBuildInfo emits the constant-1 identity gauge: the binary's version
 // and VCS revision plus the default model's inference engine. The engine
 // label is resolved at scrape time so a hot reload that swaps engines (e.g.
-// pointer → flat(dict16)) shows up on the next scrape.
+// flat → flat(dict16)) shows up on the next scrape.
 func writeBuildInfo(w io.Writer, engine string) {
 	bi := buildinfo.Get("bfserve")
 	fmt.Fprintln(w, "# HELP bfserve_build_info Build and serving identity; the value is always 1.")
@@ -894,6 +898,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 // Only headers change: response bodies stay byte-identical whether or not
 // logging is enabled.
 func (s *Server) instrument(path string, h http.Handler) http.Handler {
+	served := s.requestCounter(path, http.StatusOK)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get("X-Request-ID")
@@ -904,7 +909,12 @@ func (s *Server) instrument(path string, h http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(rec, r)
 		d := time.Since(start)
-		s.metrics.observe(path, rec.code, d)
+		if rec.code == http.StatusOK {
+			served.Inc()
+		} else {
+			s.requestCounter(path, rec.code).Inc()
+		}
+		s.requestDur.Observe(d.Seconds())
 		if s.accessLog != nil {
 			slow := d >= s.slowReq
 			level := slog.LevelInfo
@@ -934,7 +944,7 @@ func (s *Server) recovered(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.addPanic()
+				s.panics.Inc()
 				writeJSON(w, http.StatusInternalServerError,
 					errorResponse{Error: fmt.Sprintf("internal error: %v", p)})
 			}
@@ -944,8 +954,6 @@ func (s *Server) recovered(h http.Handler) http.Handler {
 }
 
 // serveRoutes are the instrumented route labels, in registration order.
-// /metrics emits a zero-valued request counter for any route that has not
-// been hit yet, so dashboards see the full route set from the first scrape.
 var serveRoutes = [...]string{
 	"/v1/predict", "/v1/model", "/v1/models/predict", "/v1/models/model",
 	"/v1/models", "/healthz", "/metrics",
