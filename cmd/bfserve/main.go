@@ -52,7 +52,6 @@ func main() {
 	watch := flag.Duration("watch", 0, "poll bundles for changes at this interval and hot-reload (0 = SIGHUP only)")
 	addr := flag.String("addr", ":8391", "listen address")
 	cache := flag.Int("cache", 1024, "per-model LRU prediction cache entries (negative disables)")
-	workers := flag.Int("workers", 0, "concurrent predictions per batch request (0 = all CPUs)")
 	timeout := flag.Duration("timeout", 15*time.Second, "per-request timeout")
 	batchWindow := flag.Duration("batch-window", 0, "coalesce single predicts into micro-batches, waiting at most this long (0 = off)")
 	batchMax := flag.Int("batch-max", 32, "max coalesced micro-batch size")
@@ -92,7 +91,6 @@ func main() {
 		DefaultModel:   *defaultModel,
 		Loader:         func(path string) (*core.ProblemScaler, error) { return loadScaler(path, injector) },
 		CacheSize:      *cache,
-		Workers:        *workers,
 		RequestTimeout: *timeout,
 		BatchWindow:    *batchWindow,
 		BatchMaxSize:   *batchMax,

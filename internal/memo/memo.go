@@ -1,7 +1,7 @@
-// Package memo holds the two memoization primitives shared by bfserve's
-// per-model prediction cache and the run cache's memory layer: a bounded
-// LRU map and a singleflight group that coalesces concurrent computations
-// of the same key.
+// Package memo holds two memoization primitives: a bounded LRU map, shared
+// by bfserve's per-model prediction cache and the run cache's memory layer,
+// and a singleflight group, behind the run cache's Do, that coalesces
+// concurrent computations of the same key.
 package memo
 
 import (

@@ -229,6 +229,15 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	}).hist
 }
 
+// labelEscaper applies the only escapes the Prometheus text format defines
+// for label values.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// EscapeLabelValue escapes v for a quoted label value in Prometheus text
+// exposition: backslash, double quote and newline are escaped, and every
+// other byte — tabs, non-ASCII, invalid UTF-8 — is written as is.
+func EscapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+
 // formatLabels renders {a="x",b="y"} (empty string for no labels), with
 // extra appended after the fixed labels (used for histogram le).
 func formatLabels(labels []Label, extra ...Label) string {
@@ -242,7 +251,7 @@ func formatLabels(labels []Label, extra ...Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
+		fmt.Fprintf(&b, `%s="%s"`, l.Name, EscapeLabelValue(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()

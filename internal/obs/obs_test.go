@@ -199,6 +199,22 @@ func TestRegistryCounterGaugeExposition(t *testing.T) {
 	}
 }
 
+// TestRegistryLabelValueEscaping: label values come from outside input
+// (model names, bundle file names), so the scrape must use exactly the
+// Prometheus text-format escapes — \\, \" and \n — and write every other
+// byte (tab, non-ASCII, invalid UTF-8) as is, where Go quoting would emit
+// \t or \x.. escapes a scraper rejects.
+func TestRegistryLabelValueEscaping(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("bf_predictions_total", "Predictions.", Label{"model", "a\tb\"c\\d\neé\xff"})
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	want := "bf_predictions_total{model=\"a\tb\\\"c\\\\d\\neé\xff\"} 0\n"
+	if !strings.Contains(buf.String(), "\n"+want) {
+		t.Fatalf("scrape missing line %q\n---\n%s", want, buf.String())
+	}
+}
+
 func TestRegistryHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("bf_lat_seconds", "Latency.", []float64{0.1, 1})

@@ -26,12 +26,12 @@ type fixtureCase struct {
 	Name      string
 	N, P      int
 	DataSeed  uint64
-	Bootstrap bool   // idx drawn with replacement (duplicated rows)
-	StepY     bool   // quantized response: exercises pure-node early exit
-	QuantX    bool   // quantize even-indexed features: cross-row value ties
+	Bootstrap bool // idx drawn with replacement (duplicated rows)
+	StepY     bool // quantized response: exercises pure-node early exit
+	QuantX    bool // quantize even-indexed features: cross-row value ties
 	// with unequal y, forcing the exact per-node sort fallback
-	RNGSeed   uint64 // seeds Params.RNG when MTry > 0
-	Params    Params // RNG field filled in at fit time
+	RNGSeed uint64 // seeds Params.RNG when MTry > 0
+	Params  Params // RNG field filled in at fit time
 }
 
 func fixtureCases() []fixtureCase {

@@ -174,7 +174,6 @@ func TestChaosDeadlineStopsBatchWork(t *testing.T) {
 	var rowsPredicted atomic.Int64
 	s, hs := newTestServer(t, ps, Config{
 		RequestTimeout: 60 * time.Millisecond,
-		Workers:        1,
 		CacheSize:      -1,
 	})
 	s.testHookPredict = func() {

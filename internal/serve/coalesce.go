@@ -1,11 +1,11 @@
 package serve
 
-// Request coalescing: single-vector predicts queue into micro-batches that
-// drain through the forest's tree-major flat batch path (one pass of every
-// tree over the whole batch, cache-hot node arrays) instead of walking the
-// forest once per request. A batch drains when it reaches maxSize or when
-// the oldest queued request has waited window — the classic
-// throughput-for-bounded-latency trade. Because the flat batch path is
+// Request coalescing: single-vector predicts that miss the cache queue into
+// micro-batches that drain through the forest's tree-major flat batch path
+// (one pass of every tree over the whole batch, cache-hot node arrays)
+// instead of walking the forest once per request. A batch drains when it
+// reaches maxSize or when the oldest queued request has waited window — the
+// classic throughput-for-bounded-latency trade. Because the flat batch path is
 // bit-identical to the per-row walk, a coalesced prediction returns exactly
 // the bytes the request would have gotten alone; coalescing changes
 // scheduling, never results.
@@ -15,15 +15,11 @@ import (
 	"time"
 )
 
-// coalesceReq is one queued single predict: its input, its cache identity,
-// and the channel its caller waits on. p and err are valid once done closes.
+// coalesceReq is one queued single predict: its row and the channel its
+// caller waits on. The row's p and err are valid once done closes.
 type coalesceReq struct {
-	chars map[string]float64
-	key   string // canonical vector key; "" when unkeyable
-	keyed bool
-	done  chan struct{}
-	p     Prediction
-	err   error
+	row  *predictRow
+	done chan struct{}
 }
 
 // coalescer accumulates single predicts for one model snapshot and drains

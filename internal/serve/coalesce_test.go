@@ -14,8 +14,8 @@ import (
 
 // TestCoalescedBitIdenticalToSequential is the coalescing acceptance test:
 // K concurrent single predicts queued into one micro-batch must answer with
-// time_ms bit-identical (math.Float64bits) to K sequential predictOne calls
-// on a coalescing-free server. The flat batch path accumulates tree
+// time_ms bit-identical (math.Float64bits) to K sequential per-row
+// PredictDetail calls on a coalescing-free server's model. The flat batch path accumulates tree
 // contributions in the same order as the solo walk, so coalescing changes
 // scheduling, never bits.
 func TestCoalescedBitIdenticalToSequential(t *testing.T) {
@@ -34,11 +34,11 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 	want := make([]uint64, k)
 	refSnap := sref.registry.defaultSnapshot()
 	for i, size := range sizes {
-		p, _, err := sref.predictOne(refSnap, map[string]float64{"size": size})
+		tm, _, err := refSnap.scaler.PredictDetail(map[string]float64{"size": size})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = math.Float64bits(p.TimeMS)
+		want[i] = math.Float64bits(tm)
 	}
 
 	// Coalescing server: a wide window so all K requests join one batch.
@@ -56,12 +56,12 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := s.predictCoalesced(context.Background(), snap, map[string]float64{"size": sizes[i]})
+			preds, err := s.predict(context.Background(), snap, []map[string]float64{{"size": sizes[i]}})
 			if err != nil {
 				t.Errorf("row %d: %v", i, err)
 				return
 			}
-			got[i] = math.Float64bits(p.TimeMS)
+			got[i] = math.Float64bits(preds[0].TimeMS)
 		}(i)
 	}
 	wg.Wait()
@@ -175,14 +175,16 @@ func TestCoalescedBadRowFailsAlone(t *testing.T) {
 		err error
 	}
 	results := make(chan res, 2)
-	go func() {
-		p, _, err := s.predictCoalesced(context.Background(), snap, map[string]float64{"size": 512})
+	predictOne := func(chars map[string]float64) {
+		preds, err := s.predict(context.Background(), snap, []map[string]float64{chars})
+		var p Prediction
+		if err == nil {
+			p = preds[0]
+		}
 		results <- res{p, err}
-	}()
-	go func() {
-		p, _, err := s.predictCoalesced(context.Background(), snap, map[string]float64{"wrong_char": 1})
-		results <- res{p, err}
-	}()
+	}
+	go predictOne(map[string]float64{"size": 512})
+	go predictOne(map[string]float64{"wrong_char": 1})
 	var okCount, errCount int
 	for i := 0; i < 2; i++ {
 		select {

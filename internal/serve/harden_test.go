@@ -1,13 +1,15 @@
 package serve
 
 // Serving-path hardening tests: panics answered as 500s (the server
-// survives), singleflight coalescing of concurrent identical predictions,
-// and delivered-only prediction metrics.
+// survives), the one predict path over mixed cached/uncached batches, and
+// delivered-only prediction metrics.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -71,14 +73,13 @@ func TestPanicOnSingleRequestAnswers500(t *testing.T) {
 	}
 }
 
-// TestPanicInBatchWorkerAnswers500: a panic inside a parallel batch worker
-// goroutine cannot be caught by HTTP middleware — predictOneSafe must convert
-// it to an error that handlePredict maps to 500, and the process must
-// survive.
+// TestPanicInBatchWorkerAnswers500: a panic while computing a batch's rows
+// must be converted to an error that handlePredict maps to 500, and the
+// process must survive.
 func TestPanicInBatchWorkerAnswers500(t *testing.T) {
 	ps := testScaler(t, 3)
 	var calls atomic.Int64
-	s, hs := newTestServer(t, ps, Config{Workers: 4})
+	s, hs := newTestServer(t, ps, Config{})
 	s.testHookPredict = func() {
 		if calls.Add(1) == 1 {
 			panic("worker boom")
@@ -105,118 +106,6 @@ func TestPanicInBatchWorkerAnswers500(t *testing.T) {
 	}
 }
 
-// TestSingleflightCoalescesStampede: N concurrent identical cold requests
-// must trigger exactly one model computation. The first computation blocks in
-// the hook while the rest arrive; without coalescing each of them would miss
-// the cache and compute independently (the stampede). The count is
-// deterministic: the leader's cache put happens before its flight entry is
-// removed, so every other request either coalesces or hits the cache.
-func TestSingleflightCoalescesStampede(t *testing.T) {
-	ps := testScaler(t, 3)
-	var computations atomic.Int64
-	release := make(chan struct{})
-	s, hs := newTestServer(t, ps, Config{CacheSize: 16})
-	s.testHookPredict = func() {
-		computations.Add(1)
-		<-release
-	}
-
-	const n = 8
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	bodies := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(hs.URL+"/v1/predict", "application/json",
-				strings.NewReader(`{"chars":{"size":896}}`))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			codes[i] = resp.StatusCode
-			bodies[i], _ = io.ReadAll(resp.Body)
-		}(i)
-	}
-	// Let the requests pile up behind the blocked leader, then release it.
-	deadline := time.After(5 * time.Second)
-	for computations.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("no request reached the predictor")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := computations.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical requests computed %d times, want 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if codes[i] != codes[0] || !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("request %d answered differently: %d %s vs %d %s",
-				i, codes[i], bodies[i], codes[0], bodies[0])
-		}
-	}
-	if codes[0] != http.StatusOK {
-		t.Fatalf("status %d: %s", codes[0], bodies[0])
-	}
-}
-
-// TestSingleflightFollowerNeverHangs: if the in-flight leader panics, any
-// goroutine coalesced onto it must be released promptly (with an error or a
-// freshly computed answer), never hang on the abandoned call.
-func TestSingleflightFollowerNeverHangs(t *testing.T) {
-	ps := testScaler(t, 3)
-	var calls atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s, err := New(Config{Scaler: ps, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.testHookPredict = func() {
-		if calls.Add(1) == 1 {
-			close(entered)
-			<-release
-			panic("leader boom")
-		}
-	}
-
-	snap := s.registry.defaultSnapshot()
-	chars := map[string]float64{"size": 448}
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := s.predictOneSafe(snap, chars)
-		leaderDone <- err
-	}()
-	<-entered
-	followerDone := make(chan struct{})
-	go func() {
-		defer close(followerDone)
-		s.predictOneSafe(snap, chars)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-
-	select {
-	case err := <-leaderDone:
-		if _, ok := err.(*panicError); !ok {
-			t.Fatalf("leader returned %v, want *panicError", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader never returned")
-	}
-	select {
-	case <-followerDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("follower hung on the panicked leader's flight call")
-	}
-}
-
 // TestMetricsCountOnlyDeliveredPredictions: a batch abandoned on context
 // expiry returns nothing to the client, so none of its rows may count in
 // bfserve_predictions_total (or the cache hit/miss counters).
@@ -224,7 +113,7 @@ func TestMetricsCountOnlyDeliveredPredictions(t *testing.T) {
 	ps := testScaler(t, 3)
 	release := make(chan struct{})
 	var once sync.Once
-	s, hs := newTestServer(t, ps, Config{Workers: 1, RequestTimeout: 100 * time.Millisecond})
+	s, hs := newTestServer(t, ps, Config{RequestTimeout: 100 * time.Millisecond})
 	s.testHookPredict = func() {
 		once.Do(func() { <-release })
 	}
@@ -255,6 +144,77 @@ func TestMetricsCountOnlyDeliveredPredictions(t *testing.T) {
 	}
 	if text := scrapeMetrics(t, hs.URL); !strings.Contains(text, `bfserve_predictions_total{model="default"} 1`) {
 		t.Fatalf("delivered prediction not counted:\n%s", text)
+	}
+}
+
+// TestBatchMixedCachedUncachedDuplicate: one batch holding cached rows,
+// uncached rows and an uncached row twice — spanning more than one compute
+// block — must answer every row in order, bit-identical to a per-row
+// PredictDetail, computing only the misses. Both copies of the duplicated
+// row miss: rows are looked up before any of them is computed.
+func TestBatchMixedCachedUncachedDuplicate(t *testing.T) {
+	ps := testScaler(t, 3)
+	var computed atomic.Int64
+	s, hs := newTestServer(t, ps, Config{CacheSize: 256})
+	s.testHookPredict = func() { computed.Add(1) }
+
+	cached := []float64{128, 640, 1536}
+	for _, size := range cached {
+		if resp, raw := postPredict(t, hs.URL, fmt.Sprintf(`{"chars":{"size":%g}}`, size)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up status %d: %s", resp.StatusCode, raw)
+		}
+	}
+	hits0, misses0, computed0 := s.cacheHits.Value(), s.cacheMisses.Value(), computed.Load()
+
+	var sizes []float64
+	for i := 0; i < predictBlockRows+6; i++ {
+		sizes = append(sizes, float64(1000+i))
+	}
+	sizes = append(sizes, 1000) // the duplicated uncached row
+	sizes = append(sizes[:5], append(cached, sizes[5:]...)...)
+	batch := make([]string, len(sizes))
+	for i, size := range sizes {
+		batch[i] = fmt.Sprintf(`{"size":%g}`, size)
+	}
+	resp, raw := postPredict(t, hs.URL, `{"batch":[`+strings.Join(batch, ",")+`]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	var pr PredictResponse
+	if err := json.Unmarshal(raw, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Predictions) != len(sizes) {
+		t.Fatalf("%d predictions for %d rows", len(pr.Predictions), len(sizes))
+	}
+	for i, size := range sizes {
+		tm, counters, err := ps.PredictDetail(map[string]float64{"size": size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pr.Predictions[i]
+		if math.Float64bits(got.TimeMS) != math.Float64bits(tm) {
+			t.Fatalf("row %d (size %g): time_ms %v, want %v", i, size, got.TimeMS, tm)
+		}
+		if len(got.Counters) != len(counters) {
+			t.Fatalf("row %d: %d counters, want %d", i, len(got.Counters), len(counters))
+		}
+		for name, v := range counters {
+			if math.Float64bits(got.Counters[name]) != math.Float64bits(v) {
+				t.Fatalf("row %d: counter %s = %v, want %v", i, name, got.Counters[name], v)
+			}
+		}
+	}
+
+	wantHits, wantMisses := int64(len(cached)), int64(len(sizes)-len(cached))
+	if d := s.cacheHits.Value() - hits0; d != wantHits {
+		t.Errorf("cache hits grew by %d, want %d", d, wantHits)
+	}
+	if d := s.cacheMisses.Value() - misses0; d != wantMisses {
+		t.Errorf("cache misses grew by %d, want %d", d, wantMisses)
+	}
+	if d := computed.Load() - computed0; d != wantMisses {
+		t.Errorf("computed %d rows, want %d (one per miss)", d, wantMisses)
 	}
 }
 

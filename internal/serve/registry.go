@@ -6,8 +6,7 @@ package serve
 // snapshot once and use it for the whole request, so a concurrent reload
 // never changes a model under an in-flight prediction — old requests finish
 // on the old snapshot, new requests see the new one. Per-model LRU caches
-// and singleflight tables live inside the snapshot, so a swap naturally
-// invalidates them.
+// live inside the snapshot, so a swap naturally invalidates them.
 //
 // Models come from one of three sources:
 //
@@ -117,9 +116,9 @@ type modelSource struct {
 }
 
 // modelSnapshot is the immutable serving state of one loaded model version.
-// Everything a request needs — scaler, cache, singleflight table, coalescer
-// — hangs off the snapshot, so requests that resolved it before a swap keep
-// a fully consistent model until they finish.
+// Everything a request needs — scaler, cache, coalescer — hangs off the
+// snapshot, so requests that resolved it before a swap keep a fully
+// consistent model until they finish.
 type modelSnapshot struct {
 	name    string
 	version int // bumps on every successful (re)load of this name
@@ -130,7 +129,6 @@ type modelSnapshot struct {
 
 	scaler *core.ProblemScaler
 	cache  *memo.LRU[string, Prediction] // nil when caching is disabled
-	flight memo.Group[string, Prediction]
 	// predictions is this name's bfserve_predictions_total series; the
 	// metrics registry hands every version of a name the same counter.
 	predictions *obs.Counter

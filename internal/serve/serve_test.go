@@ -127,7 +127,7 @@ func TestPredictSingleMatchesDirect(t *testing.T) {
 // every answer against the direct computation.
 func TestPredictConcurrentMixed(t *testing.T) {
 	ps := testScaler(t, 3)
-	_, hs := newTestServer(t, ps, Config{Workers: 4, CacheSize: 8})
+	_, hs := newTestServer(t, ps, Config{CacheSize: 8})
 
 	sizes := []float64{64, 128, 256, 512, 1024, 2048, 4096, 100, 300, 999}
 	want := make(map[float64]float64, len(sizes))

@@ -23,9 +23,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,9 +66,6 @@ type Config struct {
 	// CacheSize bounds the LRU prediction cache in entries
 	// (0 = default 1024, negative = caching disabled).
 	CacheSize int
-	// Workers bounds concurrent per-row prediction inside one batch
-	// request (0 = all CPUs).
-	Workers int
 	// RequestTimeout caps each request's handling time (0 = 15s).
 	RequestTimeout time.Duration
 	// ShutdownGrace is how long Serve waits for in-flight requests after
@@ -81,8 +76,8 @@ type Config struct {
 	// MaxBodyBytes caps the request body (0 = 8 MiB).
 	MaxBodyBytes int64
 	// MaxInFlight bounds concurrently handled predict requests; excess
-	// requests are shed immediately with 503 instead of queuing behind
-	// the worker pool (0 = default 256, negative = no shedding).
+	// requests are shed immediately with 503 instead of queuing for CPU
+	// (0 = default 256, negative = no shedding).
 	MaxInFlight int
 	// Faults optionally injects latency spikes and handler errors for
 	// chaos testing; nil serves faithfully.
@@ -105,7 +100,6 @@ type Config struct {
 type Server struct {
 	registry *Registry
 	cacheN   int
-	workers  int
 	timeout  time.Duration
 	grace    time.Duration
 	maxRows  int
@@ -165,9 +159,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 1024
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 15 * time.Second
 	}
@@ -195,7 +186,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cacheN:      cacheCap,
-		workers:     cfg.Workers,
 		timeout:     cfg.RequestTimeout,
 		grace:       cfg.ShutdownGrace,
 		maxRows:     cfg.MaxBatch,
@@ -363,120 +353,155 @@ func (s *Server) modelInfo(snap *modelSnapshot) ModelInfo {
 	}
 }
 
-// computeOne runs the model for one characteristic vector, no cache, no
-// coalescing.
-func (s *Server) computeOne(snap *modelSnapshot, chars map[string]float64) (Prediction, error) {
-	if s.testHookPredict != nil {
-		s.testHookPredict()
-	}
-	t, counters, err := snap.scaler.PredictDetail(chars)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return Prediction{TimeMS: t, Counters: counters}, nil
+// predictBlockRows is how many uncached rows one PredictDetailAll call
+// computes. The request context is checked between blocks, so a timed-out
+// batch stops within one block's work.
+const predictBlockRows = 64
+
+// predictRow is one vector of a predict: its input, its cache identity, and
+// its outcome.
+type predictRow struct {
+	chars map[string]float64
+	key   string // canonical vector key; valid when keyed
+	keyed bool
+	p     Prediction
+	err   error
 }
 
-// predictOne answers one characteristic vector on one model snapshot,
-// consulting the snapshot's cache and coalescing concurrent identical
-// computations (singleflight keyed on the canonical vector key). It returns
-// the prediction and whether it was served without computing (cache hit or
-// coalesced onto another request's result).
-func (s *Server) predictOne(snap *modelSnapshot, chars map[string]float64) (Prediction, bool, error) {
-	key, keyed := vectorKey(snap.scaler.CharNames, chars)
-	if !keyed {
-		// Vector misses model characteristics: uncacheable, and the model
-		// will report the precise missing name.
-		p, err := s.computeOne(snap, chars)
-		return p, false, err
-	}
-	if p, ok := snap.cache.Get(key); ok {
-		return p, true, nil
-	}
-	// A panic in computeOne fails the coalesced waiters and keeps unwinding
-	// into the recover middleware / batch-worker recovery.
-	return snap.flight.Do(key, func() (Prediction, error) {
-		p, err := s.computeOne(snap, chars)
-		if err == nil {
-			snap.cache.Put(key, p)
+// predict answers every /v1/predict, single or batch, on one model
+// snapshot: each row is looked up in the snapshot's cache, and the misses
+// are computed together by computeRows — or, when coalescing is on and the
+// request is one uncached row, queued into the coalescer, whose drain
+// computes them the same way. Rows come back in order. The request context
+// is observed between row blocks: once its deadline passes
+// (http.TimeoutHandler sets one), the remaining rows are abandoned and the
+// context error returned, so a timed-out request stops burning CPU.
+//
+// Prediction/cache metrics count only delivered work: a request that times
+// out, is canceled, or fails on any row returns nothing to the client, so
+// its hits and misses are not recorded (bfserve_predictions_total is a
+// counter of answers served, not of internal model evaluations).
+func (s *Server) predict(ctx context.Context, snap *modelSnapshot, batch []map[string]float64) ([]Prediction, error) {
+	start := time.Now()
+	rows := make([]predictRow, len(batch))
+	var miss []*predictRow
+	for i, chars := range batch {
+		r := &rows[i]
+		r.chars = chars
+		// A vector missing model characteristics is unkeyable: it is
+		// computed uncached, and the model reports the missing name.
+		r.key, r.keyed = vectorKey(snap.scaler.CharNames, chars)
+		hit := false
+		if r.keyed {
+			r.p, hit = snap.cache.Get(r.key)
 		}
-		return p, err
-	})
+		if !hit {
+			miss = append(miss, r)
+		}
+	}
+	var err error
+	if len(rows) == 1 && len(miss) == 1 && snap.coal != nil {
+		err = s.coalesce(ctx, snap, miss[0])
+	} else {
+		if len(miss) > 0 {
+			err = s.computeRows(ctx, snap, miss)
+		}
+		s.stageInference.Observe(time.Since(start).Seconds())
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Prediction, len(rows))
+	for i := range rows {
+		if rows[i].err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, rows[i].err)
+		}
+		out[i] = rows[i].p
+	}
+	misses := int64(len(miss))
+	hits := int64(len(rows)) - misses
+	snap.predictions.Add(hits + misses)
+	s.cacheHits.Add(hits)
+	s.cacheMisses.Add(misses)
+	return out, nil
 }
 
-// predictOneSafe is predictOne with panics converted to a *panicError, for
-// batch workers: a panic inside a worker goroutine would bypass the HTTP
-// recover middleware and kill the whole process.
-func (s *Server) predictOneSafe(snap *modelSnapshot, chars map[string]float64) (p Prediction, hit bool, err error) {
+// computeRows runs the model on rows through the tree-major
+// PredictDetailAll, predictBlockRows rows at a time, and caches every
+// success. Rows fail independently, each in its own err. ctx is checked
+// before each block; a panic in the model returns a *panicError, so neither
+// a handler nor the coalescer's goroutine can crash the process.
+func (s *Server) computeRows(ctx context.Context, snap *modelSnapshot, rows []*predictRow) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{v: r}
 		}
 	}()
-	return s.predictOne(snap, chars)
-}
-
-// predictCoalesced answers one single-vector predict through the snapshot's
-// micro-batch coalescer: cache first, then enqueue and wait for the batch
-// drain. The drained result is bit-identical to a solo predictOne — the
-// flat batch path accumulates tree contributions in the same order — so
-// coalescing is invisible in the response bytes.
-func (s *Server) predictCoalesced(ctx context.Context, snap *modelSnapshot, chars map[string]float64) (Prediction, bool, error) {
-	key, keyed := vectorKey(snap.scaler.CharNames, chars)
-	if keyed {
-		if p, ok := snap.cache.Get(key); ok {
-			return p, true, nil
+	chars := make([]map[string]float64, 0, min(len(rows), predictBlockRows))
+	for len(rows) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		block := rows[:min(len(rows), predictBlockRows)]
+		rows = rows[len(block):]
+		chars = chars[:0]
+		for _, r := range block {
+			if s.testHookPredict != nil {
+				s.testHookPredict()
+			}
+			chars = append(chars, r.chars)
+		}
+		times, counters, errs := snap.scaler.PredictDetailAll(chars)
+		for j, r := range block {
+			r.p, r.err = Prediction{TimeMS: times[j], Counters: counters[j]}, errs[j]
+			if r.err == nil && r.keyed {
+				snap.cache.Put(r.key, r.p)
+			}
 		}
 	}
-	req := &coalesceReq{chars: chars, key: key, keyed: keyed, done: make(chan struct{})}
+	return nil
+}
+
+// coalesce queues one uncached row into the snapshot's micro-batch
+// coalescer and waits for the batch drain to fill it in. The drained result
+// is bit-identical to a solo computation — the flat batch path accumulates
+// tree contributions in the same order — so coalescing is invisible in the
+// response bytes.
+func (s *Server) coalesce(ctx context.Context, snap *modelSnapshot, row *predictRow) error {
+	req := &coalesceReq{row: row, done: make(chan struct{})}
 	queued := time.Now()
 	snap.coal.enqueue(req)
 	select {
 	case <-req.done:
 		s.stageCoalesce.Observe(time.Since(queued).Seconds())
-		return req.p, false, req.err
+		return nil
 	case <-ctx.Done():
 		// The request's deadline fired while queued; the batch still
 		// drains and warms the cache, but this caller stops waiting.
-		return Prediction{}, false, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// drainBatch computes one coalesced micro-batch through the tree-major flat
-// batch path and completes every queued request. Rows fail independently;
-// a panic anywhere fails the whole batch with an error (never a crash —
-// this runs on the coalescer's timer goroutine, outside any HTTP frame).
+// drainBatch computes one coalesced micro-batch through computeRows and
+// completes every queued request. Rows fail independently; a panic fails
+// the whole batch with a *panicError (never a crash — this runs on the
+// coalescer's timer goroutine, outside any HTTP frame).
 func (s *Server) drainBatch(snap *modelSnapshot, reqs []*coalesceReq) {
-	completed := false
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			for _, rq := range reqs {
-				if !completed {
-					rq.err = &panicError{v: r}
-					close(rq.done)
-				}
-			}
-		}
-	}()
-	rows := make([]map[string]float64, len(reqs))
+	rows := make([]*predictRow, len(reqs))
 	for i, rq := range reqs {
-		rows[i] = rq.chars
+		rows[i] = rq.row
 	}
 	computeStart := time.Now()
-	times, counters, errs := snap.scaler.PredictDetailAll(rows)
-	s.stageInference.Observe(time.Since(computeStart).Seconds())
-	s.batchSize.Observe(float64(len(reqs)))
-	for i, rq := range reqs {
-		if errs[i] != nil {
-			rq.err = errs[i]
-		} else {
-			rq.p = Prediction{TimeMS: times[i], Counters: counters[i]}
-			if rq.keyed {
-				snap.cache.Put(rq.key, rq.p)
-			}
+	if err := s.computeRows(context.Background(), snap, rows); err != nil {
+		for _, r := range rows {
+			r.err = err
 		}
 	}
-	completed = true
+	s.stageInference.Observe(time.Since(computeStart).Seconds())
+	s.batchSize.Observe(float64(len(reqs)))
 	for _, rq := range reqs {
 		close(rq.done)
 	}
@@ -486,92 +511,6 @@ func (s *Server) drainBatch(snap *modelSnapshot, reqs []*coalesceReq) {
 type panicError struct{ v any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("prediction panicked: %v", e.v) }
-
-// predictRows answers a batch over the worker pool. Row order is preserved
-// and results are identical for every worker count. The request context is
-// observed between rows: once its deadline passes (http.TimeoutHandler
-// sets one), remaining rows are abandoned and the context error returned,
-// so a timed-out request stops burning CPU.
-//
-// Prediction/cache metrics count only delivered work: a batch that times
-// out, is canceled, or fails on any row returns nothing to the client, so
-// its partial hits and misses are not recorded (bfserve_predictions_total is
-// a counter of answers served, not of internal model evaluations).
-func (s *Server) predictRows(ctx context.Context, snap *modelSnapshot, rows []map[string]float64) ([]Prediction, error) {
-	defer func(t0 time.Time) { s.stageInference.Observe(time.Since(t0).Seconds()) }(time.Now())
-	out := make([]Prediction, len(rows))
-	errs := make([]error, len(rows))
-	var hits, misses int64
-
-	workers := s.workers
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for i, row := range rows {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, hit, err := s.predictOne(snap, row)
-			out[i], errs[i] = p, err
-			if err == nil {
-				if hit {
-					hits++
-				} else {
-					misses++
-				}
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var ahits, amisses atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(rows) {
-						return
-					}
-					p, hit, err := s.predictOneSafe(snap, rows[i])
-					out[i], errs[i] = p, err
-					if err == nil {
-						if hit {
-							ahits.Add(1)
-						} else {
-							amisses.Add(1)
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		hits, misses = ahits.Load(), amisses.Load()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	s.countPredictions(snap, hits, misses)
-	return out, nil
-}
-
-// countPredictions records delivered predictions for one model, split by
-// cache outcome.
-func (s *Server) countPredictions(snap *modelSnapshot, hits, misses int64) {
-	snap.predictions.Add(hits + misses)
-	s.cacheHits.Add(hits)
-	s.cacheMisses.Add(misses)
-}
 
 // handlePredict serves POST /v1/predict (default model) and
 // POST /v1/models/{name}/predict (routed by model name). The snapshot is
@@ -590,8 +529,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Load shedding: if MaxInFlight requests are already being handled,
-	// answer 503 immediately instead of queuing behind the worker pool —
-	// an overloaded predictor should degrade crisply, not stall everyone.
+	// answer 503 immediately instead of queuing for CPU — an overloaded
+	// predictor should degrade crisply, not stall everyone.
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
@@ -630,28 +569,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Everything up to here — routing, shedding, chaos, decoding — is the
 	// request's queue stage; compute starts now.
 	s.stageQueue.Observe(time.Since(start).Seconds())
-	var preds []Prediction
-	if req.Chars != nil && snap.coal != nil {
-		// Single predicts coalesce into micro-batches when enabled.
-		p, hit, cerr := s.predictCoalesced(r.Context(), snap, req.Chars)
-		if cerr == nil {
-			preds = []Prediction{p}
-			if hit {
-				s.countPredictions(snap, 1, 0)
-			} else {
-				s.countPredictions(snap, 0, 1)
-			}
-		} else if r.Context().Err() == nil {
-			cerr = fmt.Errorf("row 0: %w", cerr)
-		}
-		err = cerr
-	} else {
-		rows := req.Batch
-		if req.Chars != nil {
-			rows = []map[string]float64{req.Chars}
-		}
-		preds, err = s.predictRows(r.Context(), snap, rows)
+	rows := req.Batch
+	if req.Chars != nil {
+		rows = []map[string]float64{req.Chars}
 	}
+	preds, err := s.predict(r.Context(), snap, rows)
 	if err != nil {
 		var pe *panicError
 		code := http.StatusBadRequest
@@ -876,8 +798,9 @@ func writeBuildInfo(w io.Writer, engine string) {
 	bi := buildinfo.Get("bfserve")
 	fmt.Fprintln(w, "# HELP bfserve_build_info Build and serving identity; the value is always 1.")
 	fmt.Fprintln(w, "# TYPE bfserve_build_info gauge")
-	fmt.Fprintf(w, "bfserve_build_info{version=%q,revision=%q,go=%q,engine=%q} 1\n",
-		bi.Version, bi.ShortRevision(), bi.GoVersion, engine)
+	esc := obs.EscapeLabelValue
+	fmt.Fprintf(w, "bfserve_build_info{version=\"%s\",revision=\"%s\",go=\"%s\",engine=\"%s\"} 1\n",
+		esc(bi.Version), esc(bi.ShortRevision()), esc(bi.GoVersion), esc(engine))
 }
 
 // statusRecorder captures the response code for metrics.
@@ -938,8 +861,6 @@ func (s *Server) instrument(path string, h http.Handler) http.Handler {
 // anywhere in request handling (http.TimeoutHandler re-raises its inner
 // goroutine's panics in this frame) answers a JSON 500 instead of tearing
 // down the connection — one bad predict can never take the server down.
-// Batch workers carry their own recovery (predictOneSafe): a panic in a
-// worker goroutine would bypass any middleware and kill the process.
 func (s *Server) recovered(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
