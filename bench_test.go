@@ -508,17 +508,6 @@ func BenchmarkForestPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkForestPredictPointer walks the frozen pointer-linked reference —
-// the baseline the flat engine's ns/op is compared against.
-func BenchmarkForestPredictPointer(b *testing.B) {
-	f, queries := benchPredictForest(b)
-	probe := queries[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictPointer(probe)
-	}
-}
-
 // BenchmarkPredictAllFlat runs the tree-major batched mode over 1024 rows
 // per iteration (single-threaded, so the metric tracks the engine, not the
 // worker pool).

@@ -7,21 +7,24 @@
 //	bfbench -exp fig2,fig3,fig4      # the §5 reduction analyses
 //	bfbench -exp all -cache-dir .cache -warm
 //
-// Output is the text/chart rendering of each table or figure; -csvdir
-// additionally writes the underlying series as CSV files for replotting.
+// Stdout carries only the text/chart rendering of each table or figure,
+// separated by blank lines, so identical flags give byte-identical stdout;
+// every diagnostic goes to stderr, ending with one run-cache summary line.
+// -csvdir additionally writes the underlying series as CSV files for
+// replotting.
 //
 // All experiments in one invocation share a run cache and a global
 // simulation worker pool: a workload run collected by several experiments
 // simulates once, and -cache-dir persists profiles across invocations so
 // a warm rerun skips simulation entirely. Cached profiles are
 // bit-identical to recomputed ones, so every rendering is unchanged.
-// -warm times a second in-process pass over the same experiments and
-// verifies its output is byte-identical to the cold pass.
+// -warm reruns the experiments in-process against the warm cache and
+// fails unless that output is byte-identical to the cold pass.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,78 +33,60 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
-	"time"
 
 	"blackforest/internal/buildinfo"
 	"blackforest/internal/experiments"
 	"blackforest/internal/obs"
 	"blackforest/internal/report"
-	"blackforest/internal/runcache"
 )
 
-// laneExpBase is the trace-lane offset for experiment spans: profiling
-// worker lanes are 0..workers-1, so experiment slots live far above them.
-const laneExpBase = 1000
+// laneExp is the trace lane of experiment spans: profiling worker lanes
+// are 0..workers-1, so the experiment lane lives far above them.
+const laneExp = 1000
 
-// benchReport is the machine-readable run record written by -json: one
-// wall-clock entry per experiment, so CI can archive regeneration timings
-// (BENCH.json) next to the rendered output and track drift across commits.
-// New fields only ever extend the schema; existing consumers keep working.
-type benchReport struct {
-	GeneratedUnix int64             `json:"generated_unix"`
-	GoVersion     string            `json:"go_version"`
-	GOOS          string            `json:"goos"`
-	GOARCH        string            `json:"goarch"`
-	Scale         string            `json:"scale"`
-	Seed          uint64            `json:"seed"`
-	Workers       int               `json:"workers"`
-	ExpWorkers    int               `json:"exp_workers,omitempty"`
-	Experiments   []benchExperiment `json:"experiments"`
-	TotalMS       float64           `json:"total_ms"`
-	// ColdMS/WarmMS are the totals of the two -warm passes; without
-	// -warm only TotalMS is meaningful (and ColdMS mirrors it).
-	ColdMS float64 `json:"cold_ms,omitempty"`
-	WarmMS float64 `json:"warm_ms,omitempty"`
-	// Cache snapshots the shared run cache's counters at exit; CI
-	// asserts a fully warm invocation reports zero misses.
-	Cache    *runcache.Stats `json:"cache,omitempty"`
-	CacheDir string          `json:"cache_dir,omitempty"`
-}
-
-type benchExperiment struct {
-	Name string  `json:"name"`
-	MS   float64 `json:"ms"`
-	// WarmMS is the experiment's wall time in the -warm pass.
-	WarmMS float64 `json:"warm_ms,omitempty"`
-	// AllocsPerOp/BytesPerOp are the heap allocations attributed to one
-	// execution of the experiment, sampled with runtime.MemStats. Only
-	// recorded when experiments run one at a time (-expworkers 1);
-	// concurrent experiments would attribute each other's allocations.
-	AllocsPerOp uint64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  uint64 `json:"bytes_per_op,omitempty"`
-}
+// errUsage marks a command-line error, which exits with status 2.
+var errUsage = errors.New("usage")
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table1,table2,fig2..fig8, power, ladder, transpose, histogram, optimize, predict, or all")
-	scale := flag.String("scale", "full", "experiment scale: quick or full")
-	seed := flag.Uint64("seed", 1, "random seed")
-	csvdir := flag.String("csvdir", "", "directory for CSV series output (optional)")
-	workers := flag.Int("workers", 0, "size of the shared simulation worker pool (0 = all CPUs)")
-	expWorkers := flag.Int("expworkers", 1, "experiments run concurrently (their profiling runs always share one pool)")
-	cacheDir := flag.String("cache-dir", "", "persist the run cache on disk in this directory (\"\" = in-memory only)")
-	cacheMem := flag.Int("cache-mem", 0, "max in-memory cache entries (0 = default)")
-	warm := flag.Bool("warm", false, "rerun all experiments against the warm cache and record cold/warm timings")
-	jsonPath := flag.String("json", "", "write per-experiment timings as JSON to this file (e.g. BENCH.json)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	tracePath := flag.String("trace", "", "write the run's span tree as Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
-	version := flag.Bool("version", false, "print version and build info, then exit")
-	flag.Parse()
+	err := bfbench(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// bfbench is the whole command: it parses args, writes the renderings to
+// stdout and diagnostics to stderr, and returns the first error. It is the
+// only exit point, so deferred profile flushes run on failure too.
+func bfbench(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiments: table1,table2,fig2..fig8, power, ladder, transpose, histogram, optimize, or all")
+	scale := fs.String("scale", "full", "experiment scale: quick or full")
+	seed := fs.Uint64("seed", 1, "random seed")
+	csvdir := fs.String("csvdir", "", "directory for CSV series output (optional)")
+	workers := fs.Int("workers", 0, "size of the shared simulation worker pool (0 = all CPUs)")
+	cacheDir := fs.String("cache-dir", "", "persist the run cache on disk in this directory (\"\" = in-memory only)")
+	cacheMem := fs.Int("cache-mem", 0, "max in-memory cache entries (0 = default)")
+	warm := fs.Bool("warm", false, "rerun all experiments against the warm cache and check the output is byte-identical")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	tracePath := fs.String("trace", "", "write the run's span tree as Chrome trace-event JSON to this file (open in Perfetto or chrome://tracing)")
+	version := fs.Bool("version", false, "print version and build info, then exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	if *version {
-		buildinfo.Get("bfbench").Print(os.Stdout)
-		return
+		buildinfo.Get("bfbench").Print(stdout)
+		return nil
 	}
 
 	var tracer *obs.Tracer
@@ -116,8 +101,8 @@ func main() {
 	case "full":
 		opts.Scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "bfbench: unknown scale %q (want quick or full)\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "bfbench: unknown scale %q (want quick or full)\n", *scale)
+		return errUsage
 	}
 	engine, err := experiments.NewEngine(experiments.EngineConfig{
 		CacheDir:      *cacheDir,
@@ -126,14 +111,13 @@ func main() {
 		Tracer:        tracer,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bfbench: opening run cache: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("opening run cache: %w", err)
 	}
 	opts.Engine = engine
 
 	var names []string
 	if *exp == "all" {
-		names = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "power", "ladder", "transpose", "histogram", "optimize", "predict"}
+		names = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "power", "ladder", "transpose", "histogram", "optimize"}
 	} else {
 		names = strings.Split(*exp, ",")
 		for i := range names {
@@ -142,177 +126,92 @@ func main() {
 	}
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
-			os.Exit(1)
+		f, ferr := os.Create(*cpuProfile)
+		if ferr != nil {
+			return ferr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: starting CPU profile: %v\n", err)
-			os.Exit(1)
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return fmt.Errorf("starting CPU profile: %w", perr)
 		}
-		defer pprof.StopCPUProfile()
-		defer f.Close()
-	}
-
-	rep := benchReport{
-		GeneratedUnix: time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		Scale:         *scale,
-		Seed:          *seed,
-		Workers:       *workers,
-		ExpWorkers:    *expWorkers,
-		CacheDir:      *cacheDir,
-	}
-
-	cold, err := runPass(names, opts, *csvdir, *expWorkers, os.Stdout, tracer, "cold")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
-		os.Exit(1)
-	}
-	for _, r := range cold {
-		rep.Experiments = append(rep.Experiments, benchExperiment{
-			Name: r.name, MS: r.ms, AllocsPerOp: r.allocs, BytesPerOp: r.bytes,
-		})
-		rep.TotalMS += r.ms
-	}
-	rep.ColdMS = rep.TotalMS
-
-	if *warm {
-		warmRes, err := runPass(names, opts, "", *expWorkers, io.Discard, tracer, "warm")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: warm pass: %v\n", err)
-			os.Exit(1)
-		}
-		for i, r := range warmRes {
-			if !bytes.Equal(r.output, cold[i].output) {
-				fmt.Fprintf(os.Stderr, "bfbench: warm pass of %s rendered different output than cold pass — cache is not bit-identical\n", r.name)
-				os.Exit(1)
+		defer func() {
+			// Stopping flushes the profile, so it must precede the Close.
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			rep.Experiments[i].WarmMS = r.ms
-			rep.WarmMS += r.ms
-		}
-		fmt.Printf("[warm pass: %.0f ms vs cold %.0f ms, output byte-identical]\n", rep.WarmMS, rep.ColdMS)
+		}()
 	}
 
-	stats := engine.Stats()
-	rep.Cache = &stats
-	if tracer.Enabled() {
-		if err := tracer.WriteChromeTraceFile(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[trace: %d events written to %s]\n", tracer.Len(), *tracePath)
-	}
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath, &rep); err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "bfbench: writing heap profile: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-}
-
-// expResult is one experiment's execution record within a pass.
-type expResult struct {
-	name   string
-	output []byte
-	ms     float64
-	allocs uint64
-	bytes  uint64
-	err    error
-}
-
-// runPass executes the experiments — up to expWorkers concurrently, each
-// rendering into its own buffer — and streams the rendered output to w in
-// input order. Per-experiment allocation figures are only sampled when
-// experiments run sequentially; concurrent experiments share the heap, so
-// attribution would be noise.
-func runPass(names []string, opts experiments.Options, csvdir string, expWorkers int, w io.Writer, tracer *obs.Tracer, pass string) ([]*expResult, error) {
-	if expWorkers < 1 {
-		expWorkers = 1
-	}
-	measureAllocs := expWorkers == 1
-	// Experiment slots carry ids so each maps to a stable trace lane,
-	// mirroring the profiler's gate.
-	sem := make(chan int, expWorkers)
-	for s := 0; s < expWorkers; s++ {
-		sem <- s
-		tracer.SetLaneName(laneExpBase+s, fmt.Sprintf("experiment-%d", s))
-	}
-	results := make([]*expResult, len(names))
-	done := make([]chan struct{}, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		done[i] = make(chan struct{})
-		results[i] = &expResult{name: name}
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			defer close(done[i])
-			slot := <-sem
-			defer func() { sem <- slot }()
-			sp := tracer.Begin(laneExpBase+slot, "exp "+name).Arg("pass", pass)
-			defer sp.End()
-			r := results[i]
-			var m0, m1 runtime.MemStats
-			if measureAllocs {
-				runtime.ReadMemStats(&m0)
-			}
-			var buf bytes.Buffer
-			start := time.Now()
-			r.err = run(name, opts, csvdir, &buf)
-			r.ms = float64(time.Since(start).Microseconds()) / 1e3
-			if measureAllocs {
-				runtime.ReadMemStats(&m1)
-				r.allocs = m1.Mallocs - m0.Mallocs
-				r.bytes = m1.TotalAlloc - m0.TotalAlloc
-			}
-			r.output = buf.Bytes()
-		}(i, name)
-	}
-	var firstErr error
-	for i := range names {
-		<-done[i]
-		r := results[i]
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", r.name, r.err)
-			}
-			continue
-		}
-		if firstErr == nil {
-			w.Write(r.output)
-			fmt.Fprintf(w, "\n[%s completed in %.0f ms]\n\n", r.name, r.ms)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
-func writeBenchJSON(path string, rep *benchReport) error {
-	out, err := json.MarshalIndent(rep, "", "  ")
+	tracer.SetLaneName(laneExp, "experiments")
+	cold, err := runPass(names, opts, *csvdir, stdout, tracer, "cold")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	if *warm {
+		warmOut, err := runPass(names, opts, "", io.Discard, tracer, "warm")
+		if err != nil {
+			return fmt.Errorf("warm pass: %w", err)
+		}
+		for i, out := range warmOut {
+			if !bytes.Equal(out, cold[i]) {
+				return fmt.Errorf("warm pass of %s rendered different output than cold pass — cache is not bit-identical", names[i])
+			}
+		}
+		fmt.Fprintln(stderr, "[warm pass: output byte-identical to cold pass]")
+	}
+
+	if tracer.Enabled() {
+		if err := tracer.WriteChromeTraceFile(*tracePath); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+		fmt.Fprintf(stderr, "[trace: %d events written to %s]\n", tracer.Len(), *tracePath)
+	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			return fmt.Errorf("writing heap profile: %w", err)
+		}
+	}
+	cacheName := engine.CacheDir()
+	if cacheName == "" {
+		cacheName = "(in-memory)"
+	}
+	fmt.Fprintf(stderr, "run cache %s: %s\n", cacheName, engine.Stats())
+	return nil
+}
+
+// runPass runs the experiments in order, each rendering into its own
+// buffer, and writes each rendering to w followed by two newlines. It
+// returns the renderings, or the first experiment's error.
+func runPass(names []string, opts experiments.Options, csvdir string, w io.Writer, tracer *obs.Tracer, pass string) ([][]byte, error) {
+	outputs := make([][]byte, len(names))
+	for i, name := range names {
+		var buf bytes.Buffer
+		sp := tracer.Begin(laneExp, "exp "+name).Arg("pass", pass)
+		err := run(name, opts, csvdir, &buf)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		outputs[i] = buf.Bytes()
+		if _, err := fmt.Fprintf(w, "%s\n\n", outputs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return outputs, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 func run(name string, opts experiments.Options, csvdir string, w io.Writer) error {
@@ -427,12 +326,6 @@ func run(name string, opts experiments.Options, csvdir string, w io.Writer) erro
 			fmt.Fprintln(w)
 		}
 		return nil
-	case "predict":
-		res, err := experiments.RunPredictBench(opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(w)
 	case "histogram":
 		for v := 0; v <= 1; v++ {
 			res, err := experiments.RunHistogramAnalysis(v, opts)

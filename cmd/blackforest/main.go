@@ -148,9 +148,7 @@ func main() {
 			fatal(err)
 		}
 		if copt.Cache != nil {
-			s := copt.Cache.Stats()
-			fmt.Printf("run cache %s: %d hits, %d misses (%.0f%% hit rate)\n",
-				*cacheDir, s.Hits(), s.Misses, 100*s.HitRate())
+			fmt.Printf("run cache %s: %s\n", *cacheDir, copt.Cache.Stats())
 		}
 		if degradation != nil {
 			fmt.Printf("warning: partial collection — %s\n", degradation)
@@ -376,9 +374,7 @@ func optimizeKernel(a optimizeArgs) error {
 		return err
 	}
 	if cfg.Cache != nil {
-		s := cfg.Cache.Stats()
-		fmt.Printf("\nrun cache %s: %d hits, %d misses (%.0f%% hit rate)\n",
-			a.cacheDir, s.Hits(), s.Misses, 100*s.HitRate())
+		fmt.Printf("\nrun cache %s: %s\n", a.cacheDir, cfg.Cache.Stats())
 	}
 	if a.logPath != "" {
 		f, err := os.Create(a.logPath)

@@ -50,8 +50,8 @@ func DefaultConfig() Config {
 // Prediction runs on a flat compiled engine: after Fit (or Import) all trees
 // are compiled into one contiguous node array (rtree.FlatForest) and
 // Predict/PredictAll route through it. The pointer-linked trees are retained
-// as the frozen reference implementation (PredictPointer), the differential
-// oracle the flat engine is tested against.
+// for out-of-bag error, permutation importance and partial dependence; the
+// tests also walk them as the differential oracle of the flat engine.
 type Forest struct {
 	trees    []*rtree.Tree
 	flat     *rtree.FlatForest
@@ -420,21 +420,6 @@ func (f *Forest) Predict(x []float64) float64 {
 // than a panic — the serving-path entry point.
 func (f *Forest) PredictVector(x []float64) (float64, error) {
 	return f.flat.Predict(x)
-}
-
-// PredictPointer is the frozen pointer-walking reference implementation:
-// the per-tree node-by-node walk the flat engine is differentially tested
-// against (bit-identical output). It is unavailable on a forest loaded from
-// a flat-only quantized bundle, which carries no per-tree nodes.
-func (f *Forest) PredictPointer(x []float64) float64 {
-	if len(f.trees) == 0 {
-		panic("forest: pointer engine unavailable (loaded from a flat-only bundle)")
-	}
-	var s float64
-	for _, t := range f.trees {
-		s += t.Predict(x)
-	}
-	return s / float64(len(f.trees))
 }
 
 // Engine names the active prediction engine: "flat" for the compiled

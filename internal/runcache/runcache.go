@@ -93,6 +93,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits()) / float64(total)
 }
 
+// String is the one-line summary the CLIs print:
+// "H hits, M misses (P% hit rate), W writes".
+func (s Stats) String() string {
+	return fmt.Sprintf("%d hits, %d misses (%.0f%% hit rate), %d writes",
+		s.Hits(), s.Misses, 100*s.HitRate(), s.Writes)
+}
+
 // Cache is a two-layer content-addressed store of T values. It is safe
 // for concurrent use. Values handed out by Get/Do may be shared between
 // callers and with the memory layer: callers must treat them as

@@ -297,6 +297,17 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
+func TestStatsString(t *testing.T) {
+	s := Stats{MemHits: 3, DiskHits: 1, Misses: 4, Writes: 2}
+	if got, want := s.String(), "4 hits, 4 misses (50% hit rate), 2 writes"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	warm := Stats{DiskHits: 7}
+	if got, want := warm.String(), "7 hits, 0 misses (100% hit rate), 0 writes"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestDiskWriteFailureDegradesGracefully(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCache(t, Config{Dir: dir})
