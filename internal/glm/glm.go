@@ -68,6 +68,11 @@ func Fit(x [][]float64, y []float64, names []string, family Family) (*Model, err
 	if len(y) != n {
 		return nil, fmt.Errorf("glm: %d rows but %d responses", n, len(y))
 	}
+	for i, row := range x {
+		if len(row) != p {
+			return nil, fmt.Errorf("glm: row %d has %d values, want %d", i, len(row), p)
+		}
+	}
 	if len(names) != p {
 		return nil, fmt.Errorf("glm: %d names for %d predictors", len(names), p)
 	}

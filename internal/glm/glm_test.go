@@ -2,6 +2,7 @@ package glm
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"blackforest/internal/stats"
@@ -130,6 +131,19 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(x, []float64{1, 2, 3}, []string{"a"}, Family(99)); err == nil {
 		t.Fatal("unknown family accepted")
+	}
+}
+
+// TestFitRejectsRaggedRows: a training row shorter or longer than the
+// first is an error that names the row, not a panic or a silent fit.
+func TestFitRejectsRaggedRows(t *testing.T) {
+	for name, bad := range map[string][]float64{"short": {4}, "long": {4, 5, 6}} {
+		x := [][]float64{{1, 2}, {2, 1}, {3, 3}, bad, {5, 4}, {6, 6}}
+		y := []float64{1, 2, 3, 4, 5, 6}
+		_, err := Fit(x, y, []string{"a", "b"}, Gaussian)
+		if err == nil || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("%s row: error %v, want one naming row 3", name, err)
+		}
 	}
 }
 

@@ -100,16 +100,44 @@ type Model struct {
 
 // Fit fits a MARS model of y on x (rows are observations).
 func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Model, error) {
+	return fit(x, y, names, cfg, nil)
+}
+
+// fit is Fit with a probe on every candidate fit of the two passes.
+func fit(x [][]float64, y []float64, names []string, cfg Config, probe probe) (*Model, error) {
+	cfg, err := prepare(x, y, names, cfg)
+	if err != nil {
+		return nil, err
+	}
+	knots := candidateKnots(x, cfg.MaxKnots)
+	terms := forwardPass(x, y, knots, cfg, probe)
+	terms = backwardPass(x, y, terms, cfg, probe)
+
+	s := newSolver(y)
+	rss, err := s.fit(columns(x, terms))
+	if err != nil {
+		return nil, err
+	}
+	return newModel(names, terms, append([]float64(nil), s.coef...), rss, y, cfg), nil
+}
+
+// prepare validates the training set and fills in cfg's defaults.
+func prepare(x [][]float64, y []float64, names []string, cfg Config) (Config, error) {
 	n := len(x)
 	if n == 0 {
-		return nil, errors.New("mars: empty training set")
+		return cfg, errors.New("mars: empty training set")
 	}
 	p := len(x[0])
 	if len(y) != n {
-		return nil, fmt.Errorf("mars: %d rows but %d responses", n, len(y))
+		return cfg, fmt.Errorf("mars: %d rows but %d responses", n, len(y))
+	}
+	for i, row := range x {
+		if len(row) != p {
+			return cfg, fmt.Errorf("mars: row %d has %d values, want %d", i, len(row), p)
+		}
 	}
 	if len(names) != p {
-		return nil, fmt.Errorf("mars: %d names for %d predictors", len(names), p)
+		return cfg, fmt.Errorf("mars: %d names for %d predictors", len(names), p)
 	}
 	if cfg.MaxTerms <= 0 {
 		// earth's default: min(200, max(20, 2p)) + 1.
@@ -135,27 +163,22 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Model, error)
 			cfg.Penalty = 2
 		}
 	}
+	return cfg, nil
+}
 
-	knots := candidateKnots(x, cfg.MaxKnots)
-	terms := forwardPass(x, y, knots, cfg)
-	terms = backwardPass(x, y, terms, cfg)
-
-	coef, rss, err := fitCoefficients(x, y, terms)
-	if err != nil {
-		return nil, err
-	}
+// newModel assembles the fitted model from its final basis and fit.
+func newModel(names []string, terms []term, coef []float64, rss float64, y []float64, cfg Config) *Model {
 	m := &Model{
 		Names: append([]string(nil), names...),
 		terms: terms,
 		Coef:  coef,
 		RSS:   rss,
-		GCV:   gcv(rss, n, len(terms), cfg.Penalty),
+		GCV:   gcv(rss, len(y), len(terms), cfg.Penalty),
 	}
-	tss := stats.SumSquaredDev(y)
-	if tss > 0 {
+	if tss := stats.SumSquaredDev(y); tss > 0 {
 		m.TrainR2 = 1 - rss/tss
 	}
-	return m, nil
+	return m
 }
 
 // candidateKnots returns quantile-spaced knot candidates per feature,
@@ -194,14 +217,28 @@ func candidateKnots(x [][]float64, maxKnots int) [][]float64 {
 	return out
 }
 
+// A probe observes every candidate fit of the forward and backward passes:
+// the trial basis, and its RSS or the error that ruled it out. Fit passes
+// nil; the differential tests check each candidate against a full refit.
+type probe func(trial []term, rss float64, err error)
+
 // forwardPass greedily adds mirror hinge pairs minimizing RSS.
-func forwardPass(x [][]float64, y []float64, knots [][]float64, cfg Config) []term {
+//
+// Every candidate of a step shares the current basis as its first T
+// columns, so each step factors those once (on the candidate's own row
+// count) and a candidate only pushes its two hinge columns.
+func forwardPass(x [][]float64, y []float64, knots [][]float64, cfg Config, probe probe) []term {
 	terms := []term{{}} // intercept
-	_, bestRSS, err := fitCoefficients(x, y, terms)
+	cols := columns(x, terms)
+	s := newSolver(y)
+	bestRSS, err := s.fit(cols)
 	if err != nil {
 		return terms
 	}
 
+	n := len(x)
+	pos, neg := make([]float64, n), make([]float64, n)
+	var trial [][]float64
 	for len(terms)+1 < cfg.MaxTerms {
 		type candidate struct {
 			parent int
@@ -211,6 +248,13 @@ func forwardPass(x [][]float64, y []float64, knots [][]float64, cfg Config) []te
 		bestGain := 0.0
 		found := false
 
+		nt := len(terms)
+		s.reset(nt + 2)
+		for _, c := range cols {
+			s.push(c)
+		}
+		s.commit()
+		trial = append(append(trial[:0], cols...), pos, neg)
 		for pi, parent := range terms {
 			if len(parent.factors) >= cfg.MaxDegree {
 				continue
@@ -220,17 +264,23 @@ func forwardPass(x [][]float64, y []float64, knots [][]float64, cfg Config) []te
 					continue
 				}
 				for _, k := range ks {
-					trial := append(terms,
-						extend(parent, hinge{feature: j, knot: k, pos: true}),
-						extend(parent, hinge{feature: j, knot: k, pos: false}),
-					)
-					_, rss, err := fitCoefficients(x, y, trial)
+					hp := hinge{feature: j, knot: k, pos: true}
+					hn := hinge{feature: j, knot: k, pos: false}
+					childColumn(pos, cols[pi], x, hp)
+					childColumn(neg, cols[pi], x, hn)
+					s.qr.Truncate(nt)
+					s.push(pos)
+					s.push(neg)
+					rss, err := s.solve(trial)
+					if probe != nil {
+						probe(append(terms[:nt:nt], extend(parent, hp), extend(parent, hn)), rss, err)
+					}
 					if err != nil {
 						continue
 					}
 					if gain := bestRSS - rss; gain > bestGain {
 						bestGain = gain
-						best = candidate{parent: pi, h: hinge{feature: j, knot: k, pos: true}}
+						best = candidate{parent: pi, h: hp}
 						found = true
 					}
 				}
@@ -241,10 +291,9 @@ func forwardPass(x [][]float64, y []float64, knots [][]float64, cfg Config) []te
 			break
 		}
 		parent := terms[best.parent]
-		terms = append(terms,
-			extend(parent, best.h),
-			extend(parent, hinge{feature: best.h.feature, knot: best.h.knot, pos: false}),
-		)
+		hn := hinge{feature: best.h.feature, knot: best.h.knot, pos: false}
+		terms = append(terms, extend(parent, best.h), extend(parent, hn))
+		cols = append(cols, columns(x, terms[nt:])...)
 		bestRSS -= bestGain
 		if bestRSS <= 1e-12 {
 			break
@@ -260,38 +309,85 @@ func extend(parent term, h hinge) term {
 	return term{factors: f}
 }
 
+// columns evaluates every term on every row: the design matrix, by column.
+func columns(x [][]float64, terms []term) [][]float64 {
+	cols := make([][]float64, len(terms))
+	for j, t := range terms {
+		cols[j] = make([]float64, len(x))
+		for i, row := range x {
+			cols[j][i] = t.eval(row)
+		}
+	}
+	return cols
+}
+
+// childColumn writes into dst the column of extend(parent, h) from the
+// parent's column, with the same product and the same early exit to +0 as
+// term.eval.
+func childColumn(dst, parent []float64, x [][]float64, h hinge) {
+	for i, p := range parent {
+		v := 0.0
+		if p != 0 {
+			if v = p * h.eval(x[i]); v == 0 {
+				v = 0
+			}
+		}
+		dst[i] = v
+	}
+}
+
 // backwardPass prunes terms one at a time, keeping the subset with the best
 // (lowest) GCV seen. The intercept is never removed.
-func backwardPass(x [][]float64, y []float64, terms []term, cfg Config) []term {
+//
+// The trial that drops term i shares its first i columns with the trials
+// that drop a later term, so a step factors them once and each trial only
+// re-pushes the columns after i, shifted one position left.
+func backwardPass(x [][]float64, y []float64, terms []term, cfg Config, probe probe) []term {
 	n := len(x)
 	best := append([]term(nil), terms...)
-	_, rss, err := fitCoefficients(x, y, terms)
+	cols := columns(x, terms)
+	s := newSolver(y)
+	rss, err := s.fit(cols)
 	if err != nil {
 		return best
 	}
 	bestGCV := gcv(rss, n, len(terms), cfg.Penalty)
 
 	current := append([]term(nil), terms...)
+	var trial [][]float64
 	for len(current) > 1 {
 		removeIdx := -1
 		removeGCV := math.Inf(1)
-		for i := 1; i < len(current); i++ { // skip intercept at 0
-			trial := make([]term, 0, len(current)-1)
-			trial = append(trial, current[:i]...)
-			trial = append(trial, current[i+1:]...)
-			_, rss, err := fitCoefficients(x, y, trial)
-			if err != nil {
-				continue
+		nt := len(current)
+		s.reset(nt - 1)
+		s.push(cols[0])
+		s.commit()
+		for i := 1; i < nt; i++ { // skip intercept at 0
+			for _, c := range cols[i+1:] {
+				s.push(c)
 			}
-			if g := gcv(rss, n, len(trial), cfg.Penalty); g < removeGCV {
-				removeGCV = g
-				removeIdx = i
+			trial = append(append(trial[:0], cols[:i]...), cols[i+1:]...)
+			rss, err := s.solve(trial)
+			if probe != nil {
+				probe(append(append([]term(nil), current[:i]...), current[i+1:]...), rss, err)
+			}
+			if err == nil {
+				if g := gcv(rss, n, nt-1, cfg.Penalty); g < removeGCV {
+					removeGCV = g
+					removeIdx = i
+				}
+			}
+			if i+1 < nt {
+				s.qr.Truncate(i)
+				s.push(cols[i])
+				s.commit()
 			}
 		}
 		if removeIdx < 0 {
 			break
 		}
 		current = append(current[:removeIdx], current[removeIdx+1:]...)
+		cols = append(cols[:removeIdx], cols[removeIdx+1:]...)
 		if removeGCV < bestGCV {
 			bestGCV = removeGCV
 			best = append([]term(nil), current...)
@@ -300,30 +396,103 @@ func backwardPass(x [][]float64, y []float64, terms []term, cfg Config) []term {
 	return best
 }
 
-// fitCoefficients solves least squares for the given basis and returns the
-// coefficients and RSS.
-func fitCoefficients(x [][]float64, y []float64, terms []term) ([]float64, float64, error) {
-	n := len(x)
-	design := mat.New(n, len(terms))
-	for i, row := range x {
-		for j, t := range terms {
-			design.Set(i, j, t.eval(row))
-		}
+// ridge is the penalty λ of every MARS least-squares fit.
+const ridge = 1e-10
+
+// solver fits y on a basis of evaluated term columns by least squares with
+// ridge penalty λ: a column-incremental QR of the augmented system
+// [B; √λ·I]·c ≈ [y; 0]. A fit of n columns has m+n rows and column j
+// carries √λ in row m+j, so it factors exactly the matrix mat.SolveRidge
+// builds for the design matrix B, column for column, and its coefficients
+// and RSS are bit-identical to SolveRidge followed by B·c. Columns before
+// the last commit are a prefix shared by every solve until the next reset
+// or truncation below it.
+type solver struct {
+	y    []float64
+	sq   float64 // √λ
+	qr   mat.QR
+	col  []float64 // scratch augmented column
+	qty  []float64 // [y; 0] with the committed reflectors applied
+	done int       // committed columns
+	ok   bool      // the committed columns are full rank
+	rhs  []float64 // scratch right-hand side of a solve
+	coef []float64 // coefficients of the last successful solve
+}
+
+func newSolver(y []float64) *solver {
+	return &solver{y: y, sq: math.Sqrt(ridge)}
+}
+
+// reset starts an empty factorization for a basis of n columns.
+func (s *solver) reset(n int) {
+	rows := len(s.y) + n
+	s.qr.Reset(rows)
+	s.col = resize(s.col, rows)
+	s.rhs = resize(s.rhs, rows)
+	s.qty = resize(s.qty, rows)
+	copy(s.qty, s.y)
+	clear(s.qty[len(s.y):])
+	s.done, s.ok = 0, true
+}
+
+// push appends basis column c (one value per training row) as the next
+// column j, with √λ in row m+j.
+func (s *solver) push(c []float64) {
+	m := len(s.y)
+	copy(s.col, c)
+	clear(s.col[m:])
+	s.col[m+s.qr.Cols()] = s.sq
+	s.qr.Push(s.col)
+}
+
+// commit makes the columns pushed since the last commit part of the shared
+// prefix: it checks their rank once and applies their reflectors to qty.
+func (s *solver) commit() {
+	s.ok = s.ok && s.qr.FullRankFrom(s.done)
+	s.qr.ApplyQT(s.qty, s.done)
+	s.done = s.qr.Cols()
+}
+
+// solve finishes the fit of the pushed basis, whose evaluated columns are
+// cols, leaving the coefficients in s.coef and returning the RSS. The RSS
+// sums the same products in the same order as the design matrix's MulVec.
+func (s *solver) solve(cols [][]float64) (float64, error) {
+	if !s.ok {
+		return 0, mat.ErrRankDeficient
 	}
-	coef, err := mat.SolveRidge(design, y, 1e-10)
-	if err != nil {
-		return nil, 0, err
-	}
-	pred, err := design.MulVec(coef)
-	if err != nil {
-		return nil, 0, err
+	s.coef = resize(s.coef, len(cols))
+	copy(s.rhs, s.qty)
+	if err := s.qr.SolveFrom(s.rhs, s.done, s.coef); err != nil {
+		return 0, err
 	}
 	var rss float64
-	for i := range y {
-		d := y[i] - pred[i]
+	for i, yi := range s.y {
+		var p float64
+		for j, c := range cols {
+			p += c[i] * s.coef[j]
+		}
+		d := yi - p
 		rss += d * d
 	}
-	return coef, rss, nil
+	return rss, nil
+}
+
+// fit factors and solves the basis cols from scratch.
+func (s *solver) fit(cols [][]float64) (float64, error) {
+	s.reset(len(cols))
+	for _, c := range cols {
+		s.push(c)
+	}
+	s.commit()
+	return s.solve(cols)
+}
+
+// resize returns b with length n, reusing its storage when it fits.
+func resize(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
 }
 
 // gcv is Friedman's generalized cross-validation criterion.
