@@ -112,6 +112,24 @@ func coalesce(buf []uint64, mask Mask, addrs *[WarpSize]uint64, accessBytes uint
 	return segs
 }
 
+// spanCount returns the number of distinct 128-byte spans holding the
+// 32-byte segments segs (as coalesce returns them) — what coalescing the
+// same access at 128 bytes would count, since a span is touched exactly
+// when one of its segments is.
+func spanCount(segs []uint64) int {
+	n := 0
+next:
+	for i, s := range segs {
+		for _, p := range segs[:i] {
+			if p>>7 == s>>7 {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
+}
+
 // bankConflictDegree returns the maximum number of distinct 4-byte words
 // mapped to the same shared-memory bank among active lanes — the number of
 // serialized passes the access needs. Lanes reading the same word broadcast

@@ -1,6 +1,9 @@
 package gpusim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Mask is a 32-bit active-lane mask: bit i set means lane i executes the
 // instruction. It is the explicit form of SIMT control-flow divergence.
@@ -205,9 +208,9 @@ func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint3
 	c.LdstThreadOps += uint64(active)
 	c.RequestedGstBytes += uint64(active) * uint64(accessBytes)
 
-	nLines := len(coalesce(b.segScratch[:0], mask, addrs, accessBytes, 128))
-	c.GlobalStoreTransaction += uint64(nLines)
 	segs := coalesce(b.segScratch[:0], mask, addrs, accessBytes, 32)
+	nLines := spanCount(segs)
+	c.GlobalStoreTransaction += uint64(nLines)
 	for _, seg := range segs {
 		// Write-allocate in L2; modeled as write-through for DRAM traffic.
 		b.l2.access(seg)
@@ -224,32 +227,69 @@ func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint3
 // conflicts serialize the access into degree passes, each extra pass being
 // a replay.
 func (w *Warp) SharedLoad(mask Mask, offsets *[WarpSize]uint32) {
-	if mask == 0 {
-		return
-	}
-	c := w.blk.counters
-	c.InstExecuted++
-	c.SharedLoad++
-	c.ThreadInstExecuted += uint64(mask.Count())
-	c.LdstThreadOps += uint64(mask.Count())
-	degree := bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks)
-	c.SharedLoadReplay += uint64(degree - 1)
-	c.InstIssued += uint64(degree)
+	w.chargeShared(mask, bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks), false)
 }
 
 // SharedStore records one warp shared-memory store (4-byte words), with
 // the same bank-conflict serialization as SharedLoad.
 func (w *Warp) SharedStore(mask Mask, offsets *[WarpSize]uint32) {
+	w.chargeShared(mask, bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks), true)
+}
+
+// SharedAccess is a warp shared-memory access whose mask and offsets are
+// known before the launch — they depend only on the lane, the warp and
+// the loop step, never on the block. Its bank-conflict degree is a
+// static property of that pattern, so NewSharedAccess computes it once
+// and SharedLoadAt/SharedStoreAt charge exactly what SharedLoad and
+// SharedStore would for the same mask and offsets. Accesses whose
+// offsets depend on data or on the block keep the per-call form.
+type SharedAccess struct {
+	mask   Mask
+	banks  int // the SharedBanks of the device the degree was computed for
+	degree int
+}
+
+// NewSharedAccess precomputes the access of the active lanes in mask to
+// the given byte offsets on dev's shared-memory banks.
+func NewSharedAccess(dev *Device, mask Mask, offsets *[WarpSize]uint32) SharedAccess {
+	var s bankScratch
+	return SharedAccess{mask: mask, banks: dev.SharedBanks, degree: bankConflictDegree(&s, mask, offsets, dev.SharedBanks)}
+}
+
+// degreeOn returns a's conflict degree on dev. A degree computed for
+// another bank count would be wrong there, so that panics — which the
+// warp scheduler turns into a launch error.
+func (a SharedAccess) degreeOn(dev *Device) int {
+	if a.banks != dev.SharedBanks {
+		panic(fmt.Sprintf("gpusim: shared access built for %d banks charged on %s (%d banks)",
+			a.banks, dev.Name, dev.SharedBanks))
+	}
+	return a.degree
+}
+
+// SharedLoadAt records the load a, exactly as SharedLoad would.
+func (w *Warp) SharedLoadAt(a SharedAccess) { w.chargeShared(a.mask, a.degreeOn(w.blk.dev), false) }
+
+// SharedStoreAt records the store a, exactly as SharedStore would.
+func (w *Warp) SharedStoreAt(a SharedAccess) { w.chargeShared(a.mask, a.degreeOn(w.blk.dev), true) }
+
+// chargeShared is the one accounting path of a warp shared-memory load or
+// store that serializes into degree passes. An empty mask issues nothing.
+func (w *Warp) chargeShared(mask Mask, degree int, store bool) {
 	if mask == 0 {
 		return
 	}
 	c := w.blk.counters
 	c.InstExecuted++
-	c.SharedStore++
 	c.ThreadInstExecuted += uint64(mask.Count())
 	c.LdstThreadOps += uint64(mask.Count())
-	degree := bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks)
-	c.SharedStoreReplay += uint64(degree - 1)
+	if store {
+		c.SharedStore++
+		c.SharedStoreReplay += uint64(degree - 1)
+	} else {
+		c.SharedLoad++
+		c.SharedLoadReplay += uint64(degree - 1)
+	}
 	c.InstIssued += uint64(degree)
 }
 

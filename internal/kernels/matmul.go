@@ -164,79 +164,107 @@ func (m *MatMul) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	return []profiler.Launch{{
 		Label:  "matrixMul",
 		Config: cfg,
-		Kernel: m.kernel(),
+		Kernel: m.kernel(m.planWarps(dev)),
 	}}, nil
 }
 
-// kernel is the tiled multiply. With blockDim (b, b), each warp covers
-// 32/b consecutive tile rows; lane → (tx, ty) via the linear thread index.
-func (m *MatMul) kernel() gpusim.KernelFunc {
+// matmulWarp is one warp's plan for the tiled multiply: everything that
+// depends only on the warp's index within the block, never on the block.
+type matmulWarp struct {
+	// rel[l] = ty·n + tx: lane l's element offset from the block's corner
+	// in A, B and C. tile[l] = ty·b + tx is its As/Bs word; rowBase[l] =
+	// ty·b starts its As row.
+	rel, tile, rowBase, tx [gpusim.WarpSize]int
+	store                  gpusim.SharedAccess   // As[ty][tx], Bs[ty][tx]
+	loadA, loadB           []gpusim.SharedAccess // per k: As[ty][k], Bs[k][tx]
+}
+
+// planWarps builds the per-warp plans of a b×b block on dev. With
+// blockDim (b, b), each warp covers 32/b consecutive tile rows; lane →
+// (tx, ty) via the linear thread index. b² is a multiple of 32, so every
+// lane of every warp is live.
+func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
+	n, b := m.N, m.Tile
+	full := gpusim.FullMask()
+	warps := make([]matmulWarp, b*b/gpusim.WarpSize)
+	for id := range warps {
+		p := &warps[id]
+		var ty [gpusim.WarpSize]int
+		for l := range ty {
+			t := id*gpusim.WarpSize + l
+			p.tx[l], ty[l] = t%b, t/b
+			p.rel[l] = ty[l]*n + p.tx[l]
+			p.tile[l] = ty[l]*b + p.tx[l]
+			p.rowBase[l] = ty[l] * b
+		}
+		p.store = sharedAt(dev, full, func(l int) int { return p.tile[l] })
+		p.loadA = make([]gpusim.SharedAccess, b)
+		p.loadB = make([]gpusim.SharedAccess, b)
+		for k := 0; k < b; k++ {
+			p.loadA[k] = sharedAt(dev, full, func(l int) int { return p.rowBase[l] + k })
+			p.loadB[k] = sharedAt(dev, full, func(l int) int { return k*b + p.tx[l] })
+		}
+	}
+	return warps
+}
+
+// kernel is the tiled multiply. Only the global addresses (block corner
+// plus the warp's lane offsets) and the arithmetic depend on the block.
+func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
 	a, bm, c := m.a, m.b, m.c
 	return func(w *gpusim.Warp) {
 		bx, by := w.BlockIdx()
+		p := &warps[w.WarpID()]
 		full := w.ValidMask() // b² is a multiple of 32, so always full
-
-		var tx, ty, row, col [gpusim.WarpSize]int
-		for l := 0; l < gpusim.WarpSize; l++ {
-			t := w.LinearTID(l)
-			tx[l] = t % b
-			ty[l] = t / b
-			row[l] = by*b + ty[l]
-			col[l] = bx*b + tx[l]
-		}
-		w.IntOps(full, 4) // index arithmetic for row/col
+		w.IntOps(full, 4)     // index arithmetic for row/col
 
 		as := w.SharedF32(matmulAsSlot, b*b)
 		bs := w.SharedF32(matmulBsSlot, b*b)
 		var acc [gpusim.WarpSize]float32
+		var aAddrs, bAddrs [gpusim.WarpSize]uint64
 
 		tiles := n / b
 		for t := 0; t < tiles; t++ {
 			// As[ty][tx] = A[row][t*b+tx]; Bs[ty][tx] = B[t*b+ty][col]
-			aIdx := laneInts(func(l int) int { return row[l]*n + t*b + tx[l] })
-			bIdx := laneInts(func(l int) int { return (t*b+ty[l])*n + col[l] })
-			aAddrs := addrs4(baseA, &aIdx)
-			bAddrs := addrs4(baseB, &bIdx)
+			aStart := by*b*n + t*b // A[by*b][t*b]
+			bStart := t*b*n + bx*b // B[t*b][bx*b]
+			addrsFrom(&aAddrs, baseA, aStart, &p.rel)
+			addrsFrom(&bAddrs, baseB, bStart, &p.rel)
 			w.IntOps(full, 4)
 			w.GlobalLoad(full, &aAddrs, 4)
 			w.GlobalLoad(full, &bAddrs, 4)
-			sIdx := laneInts(func(l int) int { return ty[l]*b + tx[l] })
-			sOffs := offs4(&sIdx)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				as[sIdx[l]] = a[aIdx[l]]
-				bs[sIdx[l]] = bm[bIdx[l]]
+			for l, s := range p.tile {
+				as[s] = a[aStart+p.rel[l]]
+				bs[s] = bm[bStart+p.rel[l]]
 			}
-			w.SharedStore(full, &sOffs)
-			w.SharedStore(full, &sOffs)
+			w.SharedStoreAt(p.store)
+			w.SharedStoreAt(p.store)
 			w.Sync()
 
 			for k := 0; k < b; k++ {
 				if unroll > 0 && unroll < b && k%unroll == 0 {
 					w.IntOps(full, 1) // loop counter + branch per unroll group
 				}
-				aOff := laneInts(func(l int) int { return ty[l]*b + k })
-				bOff := laneInts(func(l int) int { return k*b + tx[l] })
-				ao := offs4(&aOff)
-				bo := offs4(&bOff)
-				w.SharedLoad(full, &ao)
-				w.SharedLoad(full, &bo)
+				w.SharedLoadAt(p.loadA[k])
+				w.SharedLoadAt(p.loadB[k])
 				w.FloatOps(full, 1) // fused multiply-add
-				for l := 0; l < gpusim.WarpSize; l++ {
-					acc[l] += as[aOff[l]] * bs[bOff[l]]
+				for l := range acc {
+					acc[l] += as[p.rowBase[l]+k] * bs[k*b+p.tx[l]]
 				}
 			}
 			w.Sync()
 		}
 
-		cIdx := laneInts(func(l int) int { return row[l]*n + col[l] })
-		cAddrs := addrs4(baseC, &cIdx)
+		cStart := by*b*n + bx*b // C[by*b][bx*b]
+		var cAddrs [gpusim.WarpSize]uint64
+		addrsFrom(&cAddrs, baseC, cStart, &p.rel)
 		w.IntOps(full, 2)
 		w.GlobalStore(full, &cAddrs, 4)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			c[cIdx[l]] = acc[l]
+		for l, v := range acc {
+			c[cStart+p.rel[l]] = v
 		}
 	}
 }

@@ -122,6 +122,7 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	}
 
 	blockWidth := n / nwBlock
+	plan := newNWPlan(dev, cols)
 	var launches []profiler.Launch
 	mk := func(label string, strip int, blocks int, topLeft bool) profiler.Launch {
 		return profiler.Launch{
@@ -133,7 +134,7 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 				// temp[17][17] + ref[16][16] ints.
 				SharedMemPerBlock: 4 * ((nwBlock+1)*(nwBlock+1) + nwBlock*nwBlock),
 			},
-			Kernel: nw.kernel(strip, blockWidth, topLeft),
+			Kernel: nw.kernel(plan, strip, blockWidth, topLeft),
 		}
 	}
 	for i := 1; i <= blockWidth; i++ {
@@ -145,12 +146,102 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	return launches, nil
 }
 
+// nwPlan holds everything in a needle tile's instruction stream that
+// depends only on the lane and the wavefront step, never on the block:
+// the shared-memory accesses, with their bank-conflict degrees computed
+// once per Plan, the functional DP's per-cell indices, and the lane
+// offsets of the global accesses. Every block is one 16-thread warp
+// (lanes 0–15), so every block runs the same plan.
+type nwPlan struct {
+	active, lane0 gpusim.Mask
+	// lanes[l] = l and column[l] = cols·l: a lane's global-index offset
+	// along a score-matrix row and down a column.
+	lanes, column [gpusim.WarpSize]int
+
+	corner    gpusim.SharedAccess          // temp[0][0] = input[index_nw]
+	refFill   [nwBlock]gpusim.SharedAccess // ref_s[ty][tid] = reference[…]
+	westFill  gpusim.SharedAccess          // temp[tid+1][0] = input[…]
+	northFill gpusim.SharedAccess          // temp[0][tid+1] = input[index_n]
+	steps     [2*nwBlock - 1]nwStep        // forward, then backward wavefront
+	writeBack [nwBlock]gpusim.SharedAccess // input[…] = temp[ty+1][tid+1]
+}
+
+// nwStep is one anti-diagonal step of the tile's wavefront: the lanes
+// whose cell lies on it, the five shared accesses of the DP update, and
+// each active lane's temp/ref_s word indices.
+type nwStep struct {
+	mask                         gpusim.Mask
+	diag, ref, west, north, self gpusim.SharedAccess
+	cells                        []nwCell
+}
+
+type nwCell struct{ diag, ref, west, north, self int }
+
+func newNWPlan(dev *gpusim.Device, cols int) *nwPlan {
+	const tw = nwBlock + 1
+	p := &nwPlan{active: gpusim.MaskFirstN(nwBlock)}
+	p.lane0 = p.active & gpusim.MaskFirstN(1)
+	for l := range p.lanes {
+		p.lanes[l] = l
+		p.column[l] = cols * l
+	}
+	p.corner = sharedAt(dev, p.lane0, func(int) int { return 0 })
+	for ty := 0; ty < nwBlock; ty++ {
+		p.refFill[ty] = sharedAt(dev, p.active, func(l int) int { return ty*nwBlock + l })
+		p.writeBack[ty] = sharedAt(dev, p.active, func(l int) int { return (ty+1)*tw + l + 1 })
+	}
+	p.westFill = sharedAt(dev, p.active, func(l int) int { return (l + 1) * tw })
+	p.northFill = sharedAt(dev, p.active, func(l int) int { return l + 1 })
+	for m := 0; m < nwBlock; m++ {
+		p.steps[m] = newNWStep(dev, p.active, m, func(l int) (x, y int) { return l + 1, m - l + 1 })
+	}
+	for m := nwBlock - 2; m >= 0; m-- {
+		p.steps[2*nwBlock-2-m] = newNWStep(dev, p.active, m, func(l int) (x, y int) { return l + nwBlock - m, nwBlock - l })
+	}
+	return p
+}
+
+// newNWStep plans the step of diagonal m, where lane l (if l ≤ m) updates
+// cell(l) = (t_x, t_y) of temp. Lane 0 is on every diagonal, so no step
+// is empty.
+func newNWStep(dev *gpusim.Device, active gpusim.Mask, m int, cell func(l int) (x, y int)) nwStep {
+	const tw = nwBlock + 1
+	s := nwStep{mask: active & gpusim.MaskWhere(func(l int) bool { return l <= m })}
+	var byLane [gpusim.WarpSize]nwCell
+	for l := range byLane {
+		if !s.mask.Active(l) {
+			continue
+		}
+		x, y := cell(l)
+		byLane[l] = nwCell{
+			diag:  (y-1)*tw + (x - 1),
+			ref:   (y-1)*nwBlock + (x - 1),
+			west:  y*tw + (x - 1),
+			north: (y-1)*tw + x,
+			self:  y*tw + x,
+		}
+		s.cells = append(s.cells, byLane[l])
+	}
+	at := func(word func(c nwCell) int) gpusim.SharedAccess {
+		return sharedAt(dev, s.mask, func(l int) int { return word(byLane[l]) })
+	}
+	s.diag = at(func(c nwCell) int { return c.diag })
+	s.ref = at(func(c nwCell) int { return c.ref })
+	s.west = at(func(c nwCell) int { return c.west })
+	s.north = at(func(c nwCell) int { return c.north })
+	s.self = at(func(c nwCell) int { return c.self })
+	return s
+}
+
 // kernel processes one 16×16 tile per block along anti-diagonal strip i.
-// Each block runs a single 16-thread (half-empty) warp.
-func (nw *NeedlemanWunsch) kernel(strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
+// Each block runs a single 16-thread (half-empty) warp; only its global
+// addresses and the functional DP depend on the block.
+func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
+	const tw = nwBlock + 1
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
 	score := nw.score
+	active := p.active
 	return func(w *gpusim.Warp) {
 		bx, _ := w.BlockIdx()
 		var bIdxX, bIdxY int
@@ -162,151 +253,81 @@ func (nw *NeedlemanWunsch) kernel(strip, blockWidth int, topLeft bool) gpusim.Ke
 			bIdxY = blockWidth - bx - 1
 		}
 
-		active := w.ValidMask() // lanes 0–15
-		tid := laneInts(w.LinearTID)
-
-		// Cell indices as in Rodinia.
+		// Cell indices as in Rodinia: index_nw = base, index_w = base +
+		// cols, index_n = base + 1 + tid, index = base + cols + 1 + tid.
 		base := cols*nwBlock*bIdxY + nwBlock*bIdxX
-		indexNW := base
-		indexN := laneInts(func(l int) int { return base + tid[l] + 1 })
-		indexW := base + cols
-		index := laneInts(func(l int) int { return base + cols + 1 + tid[l] })
+		index := base + cols + 1
 
 		// temp[17][17] and ref[16][16] in shared memory.
-		temp := w.SharedI32(nwTempSlot, (nwBlock+1)*(nwBlock+1))
+		temp := w.SharedI32(nwTempSlot, tw*tw)
 		refS := w.SharedI32(nwRefSlot, nwBlock*nwBlock)
 		w.IntOps(active, 6) // index arithmetic
 
 		// temp[0][0] = input[index_nw] (lane 0 only).
-		lane0 := active & gpusim.MaskFirstN(1)
-		w.Branch(active, lane0)
-		nwIdx := laneInts(func(int) int { return indexNW })
-		nwAddrs := addrs4(baseScore, &nwIdx)
-		w.GlobalLoad(lane0, &nwAddrs, 4)
-		temp[0] = score[indexNW]
-		var zeroOffs [gpusim.WarpSize]uint32
-		w.SharedStore(lane0, &zeroOffs)
+		w.Branch(active, p.lane0)
+		var addrs [gpusim.WarpSize]uint64
+		addrsFrom(&addrs, baseScore, base, &p.lanes)
+		w.GlobalLoad(p.lane0, &addrs, 4)
+		temp[0] = score[base]
+		w.SharedStoreAt(p.corner)
 
 		// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
+		row, col := bIdxY*nwBlock+1, bIdxX*nwBlock+1 // matrix cell of ref_s[0][0]
 		for ty := 0; ty < nwBlock; ty++ {
-			rIdx := laneInts(func(l int) int { return index[l] + cols*ty })
-			rAddrs := addrs4(baseRef, &rIdx)
-			w.GlobalLoad(active, &rAddrs, 4)
-			sIdx := laneInts(func(l int) int { return ty*nwBlock + tid[l] })
-			sOffs := offs4(&sIdx)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if active.Active(l) {
-					// Matrix cell (row, col) of this lane's ref entry.
-					row := bIdxY*nwBlock + ty + 1
-					col := bIdxX*nwBlock + tid[l] + 1
-					refS[sIdx[l]] = nw.ref(row, col)
-				}
+			addrsFrom(&addrs, baseRef, index+cols*ty, &p.lanes)
+			w.GlobalLoad(active, &addrs, 4)
+			for l := 0; l < nwBlock; l++ {
+				refS[ty*nwBlock+l] = nw.ref(row+ty, col+l)
 			}
-			w.SharedStore(active, &sOffs)
+			w.SharedStoreAt(p.refFill[ty])
 		}
 		w.Sync()
 
 		// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
-		wIdx := laneInts(func(l int) int { return indexW + cols*tid[l] })
-		wAddrs := addrs4(baseScore, &wIdx)
-		w.GlobalLoad(active, &wAddrs, 4)
-		wOff := laneInts(func(l int) int { return (tid[l] + 1) * (nwBlock + 1) })
-		wOffs := offs4(&wOff)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			if active.Active(l) {
-				temp[wOff[l]] = score[wIdx[l]]
-			}
+		addrsFrom(&addrs, baseScore, base+cols, &p.column)
+		w.GlobalLoad(active, &addrs, 4)
+		for l := 0; l < nwBlock; l++ {
+			temp[(l+1)*tw] = score[base+cols+p.column[l]]
 		}
-		w.SharedStore(active, &wOffs)
+		w.SharedStoreAt(p.westFill)
 		w.Sync()
 
 		// temp[0][tid+1] = input[index_n]: coalesced north row.
-		nAddrs := addrs4(baseScore, &indexN)
-		w.GlobalLoad(active, &nAddrs, 4)
-		nOff := laneInts(func(l int) int { return tid[l] + 1 })
-		nOffs := offs4(&nOff)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			if active.Active(l) {
-				temp[nOff[l]] = score[indexN[l]]
-			}
-		}
-		w.SharedStore(active, &nOffs)
+		addrsFrom(&addrs, baseScore, base+1, &p.lanes)
+		w.GlobalLoad(active, &addrs, 4)
+		copy(temp[1:nwBlock+1], score[base+1:])
+		w.SharedStoreAt(p.northFill)
 		w.Sync()
 
-		// Forward wavefront over the tile's anti-diagonals.
-		for m := 0; m < nwBlock; m++ {
-			step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
-			nw.dpStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
-				return tid[l] + 1, m - tid[l] + 1
-			}, penalty)
-			w.Sync()
-		}
-		// Backward wavefront.
-		for m := nwBlock - 2; m >= 0; m-- {
-			step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
-			nw.dpStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
-				return tid[l] + nwBlock - m, nwBlock - tid[l]
-			}, penalty)
+		// Forward, then backward wavefront over the tile's anti-diagonals:
+		// cell (t_y, t_x) gets max(diag+ref, west−penalty, north−penalty).
+		for i := range p.steps {
+			s := &p.steps[i]
+			w.IntOps(active, 2) // diagonal index arithmetic
+			w.Branch(active, s.mask)
+			w.SharedLoadAt(s.diag)
+			w.SharedLoadAt(s.ref)
+			w.SharedLoadAt(s.west)
+			w.SharedLoadAt(s.north)
+			w.IntOps(s.mask, 4) // two subtractions, two max ops
+			for _, c := range s.cells {
+				temp[c.self] = max3(
+					temp[c.diag]+refS[c.ref],
+					temp[c.west]-penalty,
+					temp[c.north]-penalty,
+				)
+			}
+			w.SharedStoreAt(s.self)
 			w.Sync()
 		}
 
 		// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
 		for ty := 0; ty < nwBlock; ty++ {
-			oIdx := laneInts(func(l int) int { return index[l] + cols*ty })
-			oAddrs := addrs4(baseScore, &oIdx)
-			tOff := laneInts(func(l int) int { return (ty+1)*(nwBlock+1) + tid[l] + 1 })
-			tOffs := offs4(&tOff)
-			w.SharedLoad(active, &tOffs)
-			w.GlobalStore(active, &oAddrs, 4)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if active.Active(l) {
-					score[oIdx[l]] = temp[tOff[l]]
-				}
-			}
+			out := index + cols*ty
+			addrsFrom(&addrs, baseScore, out, &p.lanes)
+			w.SharedLoadAt(p.writeBack[ty])
+			w.GlobalStore(active, &addrs, 4)
+			copy(score[out:out+nwBlock], temp[(ty+1)*tw+1:])
 		}
 	}
-}
-
-// dpStep performs one anti-diagonal step: for each active lane, cell
-// (t_y, t_x) gets max(diag+ref, west−penalty, north−penalty).
-func (nw *NeedlemanWunsch) dpStep(w *gpusim.Warp, temp, refS []int32, active, step gpusim.Mask,
-	tid [gpusim.WarpSize]int, cell func(l int) (x, y int), penalty int32) {
-	w.IntOps(active, 2) // diagonal index arithmetic
-	w.Branch(active, step)
-	if step == 0 {
-		return
-	}
-	const tw = nwBlock + 1
-	var diag, west, north, self, refOff [gpusim.WarpSize]int
-	for l := 0; l < gpusim.WarpSize; l++ {
-		if !step.Active(l) {
-			continue
-		}
-		x, y := cell(l)
-		diag[l] = (y-1)*tw + (x - 1)
-		west[l] = y*tw + (x - 1)
-		north[l] = (y-1)*tw + x
-		self[l] = y*tw + x
-		refOff[l] = (y-1)*nwBlock + (x - 1)
-	}
-	dOffs := offs4(&diag)
-	wOffs := offs4(&west)
-	nOffs := offs4(&north)
-	sOffs := offs4(&self)
-	rOffs := offs4(&refOff)
-	w.SharedLoad(step, &dOffs)
-	w.SharedLoad(step, &rOffs)
-	w.SharedLoad(step, &wOffs)
-	w.SharedLoad(step, &nOffs)
-	w.IntOps(step, 4) // two subtractions, two max ops
-	for l := 0; l < gpusim.WarpSize; l++ {
-		if step.Active(l) {
-			temp[self[l]] = max3(
-				temp[diag[l]]+refS[refOff[l]],
-				temp[west[l]]-penalty,
-				temp[north[l]]-penalty,
-			)
-		}
-	}
-	w.SharedStore(step, &sOffs)
 }
