@@ -401,9 +401,9 @@ func BenchmarkBaselineComparison(b *testing.B) {
 }
 
 // BenchmarkCollectParallel measures the bounded worker pool on the Fig-6
-// NW sweep (64 runs): "seq" collects with Workers=1, "par" with the
-// default worker count. Both produce bit-identical frames (verified by
-// TestCollectWorkersBitIdentical); the ratio of their ns/op is the
+// NW sweep (64 runs): "seq" collects through a one-slot gate, "par"
+// through the default gate. Both produce bit-identical frames (verified
+// by TestCollectWorkersBitIdentical); the ratio of their ns/op is the
 // parallel speedup.
 func BenchmarkCollectParallel(b *testing.B) {
 	dev, err := blackforest.LookupDevice("GTX580")
@@ -420,14 +420,14 @@ func BenchmarkCollectParallel(b *testing.B) {
 		runs = append(runs, &blackforest.NeedlemanWunsch{SeqLen: n, Seed: seed})
 	}
 	for _, c := range []struct {
-		name    string
-		workers int
+		name string
+		gate blackforest.Gate
 	}{
-		{"seq", 1}, {"par", 0},
+		{"seq", blackforest.NewGate(1)}, {"par", nil},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := blackforest.CollectOptions{MaxSimBlocks: 8, Workers: c.workers}
+				opt := blackforest.CollectOptions{MaxSimBlocks: 8, Gate: c.gate}
 				if _, err := blackforest.Collect(dev, runs, opt); err != nil {
 					b.Fatal(err)
 				}

@@ -29,6 +29,7 @@
 package blackforest
 
 import (
+	"fmt"
 	"io"
 
 	"blackforest/internal/core"
@@ -64,6 +65,9 @@ type (
 	ProfilerOptions = profiler.Options
 	// Profiler collects counters from workloads on one device.
 	Profiler = profiler.Profiler
+	// Gate bounds how many profiling runs simulate concurrently (see
+	// NewGate, CollectOptions.Gate and ProfilerOptions.Gate).
+	Gate = profiler.Gate
 	// Releaser is the optional Workload interface for dropping large
 	// per-run buffers once a run finishes.
 	Releaser = profiler.Releaser
@@ -150,12 +154,20 @@ func DeviceNames() []string { return gpusim.DeviceNames() }
 // NewProfiler builds an nvprof-style profiler for a device.
 func NewProfiler(dev *Device, opt ProfilerOptions) *Profiler { return profiler.New(dev, opt) }
 
+// NewGate builds a gate admitting n concurrent profiling runs (n <= 0
+// selects all CPUs).
+func NewGate(n int) Gate { return profiler.NewGate(n) }
+
 // FrameFromProfiles tabulates profiles (from the GPU or CPU profiler) into
-// a modeling frame, dropping zero-variance counters.
+// a modeling frame, dropping zero-variance counters. A batch with counters
+// lost to dropout is an error; Collect repairs and reports those.
 func FrameFromProfiles(profiles []*Profile) (*Frame, error) {
-	f, err := profiler.ToFrame(profiles)
+	f, deg, err := core.Tabulate(profiles, 0)
 	if err != nil {
 		return nil, err
+	}
+	if deg != nil {
+		return nil, fmt.Errorf("blackforest: %s", deg)
 	}
 	return f.DropConstantColumns(ResponseColumn, PowerColumn), nil
 }

@@ -123,3 +123,27 @@ func TestInjectMachineCharacteristicsFacade(t *testing.T) {
 		t.Fatalf("freq %v, want 1.4", col[0])
 	}
 }
+
+// TestFrameFromProfilesRejectsDegradedBatch: FrameFromProfiles has no way
+// to report a Degradation, so a batch with counters lost to dropout is an
+// error rather than a silently repaired frame.
+func TestFrameFromProfilesRejectsDegradedBatch(t *testing.T) {
+	var profiles []*blackforest.Profile
+	for i := 1; i <= 5; i++ {
+		x := float64(i)
+		profiles = append(profiles, &blackforest.Profile{
+			Device:          "GTX580",
+			Characteristics: map[string]float64{"size": x},
+			Metrics:         map[string]float64{"a": x, "b": x * x},
+			TimeMS:          x,
+		})
+	}
+	if _, err := blackforest.FrameFromProfiles(profiles); err != nil {
+		t.Fatalf("complete batch rejected: %v", err)
+	}
+	delete(profiles[0].Metrics, "b")
+	profiles[0].Dropped = []string{"b"}
+	if _, err := blackforest.FrameFromProfiles(profiles); err == nil {
+		t.Fatal("degraded batch accepted")
+	}
+}

@@ -94,7 +94,7 @@ func bfbench(args []string, stdout, stderr io.Writer) (err error) {
 		tracer = obs.NewTracer(nil)
 	}
 
-	opts := experiments.Options{Seed: *seed, Workers: *workers}
+	opts := experiments.Options{Seed: *seed}
 	switch *scale {
 	case "quick":
 		opts.Scale = experiments.Quick

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"blackforest/internal/core"
 	"blackforest/internal/gpusim"
 	"blackforest/internal/kernels"
 	"blackforest/internal/profiler"
@@ -36,7 +37,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p := profiler.New(dev, profiler.Options{MaxSimBlocks: *maxBlocks, Seed: *seed})
+	p := profiler.New(dev, profiler.Options{MaxSimBlocks: *maxBlocks, Seed: *seed, Gate: profiler.NewGate(*workers)})
 
 	if *sweep != "" {
 		lo, hi, step, err := parseSweep(*sweep)
@@ -51,13 +52,16 @@ func main() {
 			}
 			runs = append(runs, w)
 		}
-		profiles, err := p.RunAll(runs, *workers)
+		profiles, err := p.RunAll(runs)
 		if err != nil {
 			fatal(err)
 		}
-		frame, err := profiler.ToFrame(profiles)
+		frame, deg, err := core.Tabulate(profiles, 0)
 		if err != nil {
 			fatal(err)
+		}
+		if deg != nil {
+			fatal(fmt.Errorf("%s", deg))
 		}
 		if err := frame.WriteCSV(os.Stdout); err != nil {
 			fatal(err)

@@ -131,7 +131,7 @@ func main() {
 		copt := core.CollectOptions{
 			MaxSimBlocks:    *simBlocks,
 			Seed:            *seed,
-			Workers:         *workers,
+			Gate:            profiler.NewGate(*workers),
 			Faults:          injector,
 			Retries:         *retries,
 			RetryBackoff:    10 * time.Millisecond,

@@ -10,6 +10,7 @@ import (
 
 	"blackforest/internal/faults"
 	"blackforest/internal/gpusim"
+	"blackforest/internal/profiler"
 )
 
 func chaosDevice(t testing.TB) *gpusim.Device {
@@ -47,7 +48,7 @@ func TestChaosCollectRetryMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := CollectOptions{
-		MaxSimBlocks: 8, Seed: 3, Workers: 4,
+		MaxSimBlocks: 8, Seed: 3, Gate: profiler.NewGate(4),
 		Faults:  faults.New(faults.Config{Seed: 21, RunFailure: 0.5}),
 		Retries: 16,
 	}
@@ -83,7 +84,7 @@ func TestChaosCollectDropoutDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := CollectOptions{
-		MaxSimBlocks: 8, Seed: 3, Workers: 4,
+		MaxSimBlocks: 8, Seed: 3, Gate: profiler.NewGate(4),
 		Faults:          faults.New(faults.Config{Seed: 8, CounterDropout: 0.25}),
 		MinCompleteness: 0.8,
 	}

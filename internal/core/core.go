@@ -79,11 +79,6 @@ type CollectOptions struct {
 	NoiseSigma float64
 	// Seed seeds the profiler noise.
 	Seed uint64
-	// Workers bounds how many runs are profiled concurrently: 0 selects
-	// runtime.NumCPU(), 1 collects sequentially. Every worker count
-	// produces the same frame bit for bit — per-run noise derives from
-	// the workload identity, not from sweep position.
-	Workers int
 	// Faults optionally injects simulated collection failures; nil (the
 	// default) leaves collection bit-identical to historic behavior.
 	Faults *faults.Injector
@@ -102,9 +97,12 @@ type CollectOptions struct {
 	// identity (see profiler.RunKey). Hits are bit-identical to
 	// recomputes; identical in-flight runs coalesce. Nil disables.
 	Cache *runcache.Cache[*profiler.Profile]
-	// Gate optionally shares one simulation worker pool across
-	// concurrent collections (overrides Workers when set), so a suite of
-	// experiments drains through one global scheduler.
+	// Gate bounds how many runs simulate concurrently; sharing one gate
+	// across concurrent collections drains a suite of experiments through
+	// one global scheduler. Nil gives the collection its own gate of
+	// min(NumCPU, len(runs)) slots. Every gate size produces the same
+	// frame bit for bit — per-run noise derives from the workload
+	// identity, not from sweep position.
 	Gate profiler.Gate
 	// Tracer optionally records profiling spans (run → attempt →
 	// simulate, one lane per worker slot) and cache-hit instants. Nil
@@ -116,8 +114,8 @@ type CollectOptions struct {
 // modeling frame: one row per run with problem characteristics, all
 // counters available on the device's architecture, and the response
 // column time_ms. Constant (zero-variance) counters are dropped — they
-// cannot inform the forest. Runs are profiled concurrently per
-// CollectOptions.Workers; rows keep input order regardless.
+// cannot inform the forest. Runs are profiled concurrently through
+// CollectOptions.Gate; rows keep input order regardless.
 func Collect(dev *gpusim.Device, runs []profiler.Workload, opt CollectOptions) (*dataset.Frame, error) {
 	frame, _, err := CollectWithReport(dev, runs, opt)
 	return frame, err
@@ -143,11 +141,11 @@ func CollectWithReport(dev *gpusim.Device, runs []profiler.Workload, opt Collect
 		Gate:         opt.Gate,
 		Tracer:       opt.Tracer,
 	})
-	profiles, err := p.RunAll(runs, opt.Workers)
+	profiles, err := p.RunAll(runs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: collecting: %w", err)
 	}
-	frame, deg, err := assembleFrame(profiles, opt.MinCompleteness)
+	frame, deg, err := Tabulate(profiles, opt.MinCompleteness)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,12 +3,17 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"blackforest/internal/dataset"
 	"blackforest/internal/forest"
 	"blackforest/internal/gpusim"
 	"blackforest/internal/kernels"
+	"blackforest/internal/obs"
 	"blackforest/internal/profiler"
 	"blackforest/internal/stats"
 )
@@ -311,18 +316,19 @@ func TestCollectWorkersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := CollectOptions{MaxSimBlocks: 8, Seed: 3, Workers: 1}
+	opt := CollectOptions{MaxSimBlocks: 8, Seed: 3, Gate: profiler.NewGate(1)}
 	ref, err := Collect(dev, collectRuns(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 4, 16} {
-		opt.Workers = workers
+	// A nil gate lets the collection size its own; size 0 selects NumCPU.
+	for _, gate := range []profiler.Gate{nil, profiler.NewGate(0), profiler.NewGate(2), profiler.NewGate(4), profiler.NewGate(16)} {
+		opt.Gate = gate
 		frame, err := Collect(dev, collectRuns(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireFramesEqual(t, fmt.Sprintf("Workers=%d vs Workers=1", workers), ref, frame)
+		requireFramesEqual(t, fmt.Sprintf("gate size %d vs 1", gate.Size()), ref, frame)
 	}
 }
 
@@ -331,7 +337,7 @@ func TestCollectOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := CollectOptions{MaxSimBlocks: 8, Seed: 3, Workers: 4}
+	opt := CollectOptions{MaxSimBlocks: 8, Seed: 3, Gate: profiler.NewGate(4)}
 	forward, err := Collect(dev, collectRuns(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -392,6 +398,66 @@ func TestCollectPairMatchesSequential(t *testing.T) {
 
 	if _, _, err := CollectPair(devA, nil, optA, devB, collectRuns(), optB); err == nil {
 		t.Fatal("empty device-A run list accepted")
+	}
+}
+
+// TestCollectPairSharesOneGate: without gates, CollectPair drains both
+// devices' runs through one shared gate — no slot is ever held by two
+// runs at once, across either side — and each frame still matches a
+// standalone Collect.
+func TestCollectPairSharesOneGate(t *testing.T) {
+	devA, err := gpusim.LookupDevice("GTX580")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devB, err := gpusim.LookupDevice("K20m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A logical clock orders each slot holder's span end before the next
+	// holder's start, so overlap on a lane means two concurrent holders.
+	var tick atomic.Int64
+	tracer := obs.NewTracer(func() int64 { return tick.Add(1) })
+	optA := CollectOptions{MaxSimBlocks: 8, Seed: 5, Tracer: tracer}
+	optB := CollectOptions{MaxSimBlocks: 8, Seed: 6, Tracer: tracer}
+	pairA, pairB, err := CollectPair(devA, collectRuns(), optA, devB, collectRuns(), optB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optA.Tracer, optB.Tracer = nil, nil
+	soloA, err := Collect(devA, collectRuns(), optA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloB, err := Collect(devB, collectRuns(), optB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFramesEqual(t, "device A", soloA, pairA)
+	requireFramesEqual(t, "device B", soloB, pairB)
+
+	byLane := map[int][]obs.Event{}
+	runs := 0
+	for _, ev := range tracer.Events() {
+		if ev.Phase != 'X' || !strings.HasPrefix(ev.Name, "run ") {
+			continue
+		}
+		if ev.Lane < 0 || ev.Lane >= runtime.NumCPU() {
+			t.Fatalf("run on lane %d, outside a NumCPU gate", ev.Lane)
+		}
+		byLane[ev.Lane] = append(byLane[ev.Lane], ev)
+		runs++
+	}
+	if runs != 2*len(collectRuns()) {
+		t.Fatalf("traced %d runs, want %d", runs, 2*len(collectRuns()))
+	}
+	for lane, evs := range byLane {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].StartNS < evs[j].StartNS })
+		for i := 1; i < len(evs); i++ {
+			if evs[i].StartNS < evs[i-1].StartNS+evs[i-1].DurNS {
+				t.Fatalf("slot %d held by %s and %s at once", lane, evs[i-1].Name, evs[i].Name)
+			}
+		}
 	}
 }
 

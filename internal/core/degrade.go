@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -102,45 +103,39 @@ func validateDegradation(d *Degradation) error {
 	return nil
 }
 
-// assembleFrame tabulates profiles into a modeling frame, tolerating
-// counters missing from some runs (injected dropout, or real multi-pass
-// collection loss). When every profile is complete it defers to
-// profiler.ToFrame, taking the exact historic code path so fault-free
-// collections stay bit-identical. Otherwise it assembles the union of
-// counters, drops columns observed in fewer than minCompleteness of the
-// runs, mean-imputes the rest, and reports the decisions.
-func assembleFrame(profiles []*profiler.Profile, minCompleteness float64) (*dataset.Frame, *Degradation, error) {
-	degradedAny := false
-	for _, p := range profiles {
-		if len(p.Dropped) > 0 {
-			degradedAny = true
-			break
-		}
-	}
-	if !degradedAny {
-		f, err := profiler.ToFrame(profiles)
-		return f, nil, err
+// Tabulate is the one code path that turns profiles into a modeling
+// frame: one row per profile with its problem characteristics, its
+// counters and the response columns time_ms and power_w, every column
+// name sorted together. Every batch gets the same checks: profiles must
+// share a device and the first profile's characteristic set, and a
+// profile may lack one of the batch's counters only if it lists it in
+// Dropped. Counters lost that way are repaired per minCompleteness
+// (0 selects DefaultMinCompleteness): columns observed in fewer than that
+// fraction of runs are dropped, the rest mean-imputed, and the decisions
+// are returned as a Degradation — nil when every column is complete.
+func Tabulate(profiles []*profiler.Profile, minCompleteness float64) (*dataset.Frame, *Degradation, error) {
+	if len(profiles) == 0 {
+		return nil, nil, fmt.Errorf("core: no profiles to tabulate")
 	}
 	if minCompleteness <= 0 {
 		minCompleteness = DefaultMinCompleteness
 	}
-	if len(profiles) == 0 {
-		return nil, nil, fmt.Errorf("profiler: no profiles to tabulate")
-	}
-
 	first := profiles[0]
-	charNames := make([]string, 0, len(first.Characteristics))
-	for n := range first.Characteristics {
-		charNames = append(charNames, n)
-	}
-	sort.Strings(charNames)
 
 	// The counter vocabulary is the union of everything any run reported
 	// or lost — so a counter dropped from every run is still recorded.
+	names := []string{ResponseColumn, PowerColumn}
+	for n := range first.Characteristics {
+		names = append(names, n)
+	}
 	metricSet := make(map[string]bool)
-	for _, p := range profiles {
+	for i, p := range profiles {
 		if p.Device != first.Device {
-			return nil, nil, fmt.Errorf("profiler: mixed devices %s and %s in one frame", first.Device, p.Device)
+			return nil, nil, fmt.Errorf("core: mixed devices %s and %s in one frame", first.Device, p.Device)
+		}
+		if len(p.Characteristics) != len(first.Characteristics) {
+			return nil, nil, fmt.Errorf("core: profile %d has %d characteristics, profile 0 has %d",
+				i, len(p.Characteristics), len(first.Characteristics))
 		}
 		for n := range p.Metrics {
 			metricSet[n] = true
@@ -149,98 +144,93 @@ func assembleFrame(profiles []*profiler.Profile, minCompleteness float64) (*data
 			metricSet[n] = true
 		}
 	}
-	metricNames := make([]string, 0, len(metricSet))
 	for n := range metricSet {
-		metricNames = append(metricNames, n)
+		names = append(names, n)
 	}
-	sort.Strings(metricNames)
+	sort.Strings(names)
 
 	rows := len(profiles)
 	deg := &Degradation{MinCompleteness: minCompleteness, Rows: rows}
 	f := dataset.New()
-
-	// Column order matches profiler.ToFrame: AppendRow adopts sorted row
-	// keys, so the historic layout is every column name sorted together.
-	allNames := make([]string, 0, len(charNames)+len(metricNames)+2)
-	allNames = append(allNames, charNames...)
-	allNames = append(allNames, metricNames...)
-	allNames = append(allNames, ResponseColumn, PowerColumn)
-	sort.Strings(allNames)
-
-	for _, name := range allNames {
-		switch name {
-		case ResponseColumn:
-			col := make([]float64, rows)
+	for _, name := range names {
+		col := make([]float64, rows)
+		_, isChar := first.Characteristics[name]
+		switch {
+		case name == ResponseColumn:
 			for i, p := range profiles {
 				col[i] = p.TimeMS
 			}
-			if err := f.AddColumn(name, col); err != nil {
-				return nil, nil, err
-			}
-			continue
-		case PowerColumn:
-			col := make([]float64, rows)
+		case name == PowerColumn:
 			for i, p := range profiles {
 				col[i] = p.PowerW
 			}
-			if err := f.AddColumn(name, col); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if _, isChar := first.Characteristics[name]; isChar {
-			col := make([]float64, rows)
+		case isChar:
 			for i, p := range profiles {
 				v, ok := p.Characteristics[name]
 				if !ok {
-					return nil, nil, fmt.Errorf("profiler: profile missing characteristic %q", name)
+					return nil, nil, fmt.Errorf("core: profile %d missing characteristic %q", i, name)
 				}
 				col[i] = v
 			}
-			if err := f.AddColumn(name, col); err != nil {
+		default:
+			keep, err := metricColumn(col, profiles, name, minCompleteness, deg)
+			if err != nil {
 				return nil, nil, err
 			}
-			continue
-		}
-
-		col := make([]float64, rows)
-		present := make([]bool, rows)
-		n, sum := 0, 0.0
-		for i, p := range profiles {
-			if v, ok := p.Metrics[name]; ok {
-				col[i], present[i] = v, true
-				n++
-				sum += v
-			}
-		}
-		completeness := float64(n) / float64(rows)
-		if completeness >= 1 {
-			if err := f.AddColumn(name, col); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if completeness < minCompleteness {
-			deg.Columns = append(deg.Columns, DegradedColumn{
-				Name: name, Completeness: completeness, Action: "dropped",
-			})
-			continue
-		}
-		mean := sum / float64(n)
-		if math.IsNaN(mean) || math.IsInf(mean, 0) {
-			return nil, nil, fmt.Errorf("core: column %q mean is not finite; cannot impute", name)
-		}
-		for i := range col {
-			if !present[i] {
-				col[i] = mean
+			if !keep {
+				continue
 			}
 		}
 		if err := f.AddColumn(name, col); err != nil {
 			return nil, nil, err
 		}
-		deg.Columns = append(deg.Columns, DegradedColumn{
-			Name: name, Completeness: completeness, Action: "imputed", ImputedValue: mean,
-		})
+	}
+	if len(deg.Columns) == 0 {
+		deg = nil
 	}
 	return f, deg, nil
+}
+
+// metricColumn fills col with one counter's values, mean-imputing cells
+// lost to dropout, and reports whether to keep the column: too few runs
+// reported it otherwise. Either repair is recorded in deg. A cell missing
+// from a profile that does not list the counter in Dropped is an error.
+func metricColumn(col []float64, profiles []*profiler.Profile, name string, minCompleteness float64, deg *Degradation) (bool, error) {
+	present := make([]bool, len(profiles))
+	n, sum := 0, 0.0
+	for i, p := range profiles {
+		v, ok := p.Metrics[name]
+		if !ok {
+			if !slices.Contains(p.Dropped, name) {
+				return false, fmt.Errorf("core: profile %d missing metric %q", i, name)
+			}
+			continue
+		}
+		col[i], present[i] = v, true
+		n++
+		sum += v
+	}
+	if n == len(profiles) {
+		return true, nil
+	}
+	completeness := float64(n) / float64(len(profiles))
+	if completeness < minCompleteness {
+		deg.Columns = append(deg.Columns, DegradedColumn{
+			Name: name, Completeness: completeness, Action: "dropped",
+		})
+		return false, nil
+	}
+	mean := sum / float64(n)
+	if math.IsNaN(mean) || math.IsInf(mean, 0) {
+		return false, fmt.Errorf("core: column %q mean is not finite; cannot impute", name)
+	}
+	for i := range col {
+		if !present[i] {
+			col[i] = mean
+		}
+	}
+	deg.Columns = append(deg.Columns, DegradedColumn{
+		Name: name, Completeness: completeness, Action: "imputed", ImputedValue: mean,
+	})
+	return true, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -15,22 +14,17 @@ import (
 // CollectPair profiles two devices' sweeps concurrently — the §6.2
 // hardware-scaling experiments profile the same workload sweep on both
 // GPUs, and the two collections are fully independent. When neither
-// option sets Workers, the CPU budget is split between the devices so the
-// pair does not oversubscribe the host; explicit Workers values are
-// honored per side. Each frame is bit-for-bit what a standalone Collect
-// with the same options would produce.
+// option sets a Gate, both sides share one gate of NumCPU slots, so the
+// pair saturates the host without oversubscribing it. Each frame is
+// bit-for-bit what a standalone Collect with the same options would
+// produce.
 func CollectPair(
 	devA *gpusim.Device, runsA []profiler.Workload, optA CollectOptions,
 	devB *gpusim.Device, runsB []profiler.Workload, optB CollectOptions,
 ) (*dataset.Frame, *dataset.Frame, error) {
-	// With a shared gate, the global pool already bounds simulation work
-	// across both sides; splitting the CPU budget would only starve it.
-	if optA.Gate == nil && optB.Gate == nil && optA.Workers <= 0 && optB.Workers <= 0 {
-		half := runtime.NumCPU() / 2
-		if half < 1 {
-			half = 1
-		}
-		optA.Workers, optB.Workers = half, half
+	if optA.Gate == nil && optB.Gate == nil {
+		optA.Gate = profiler.NewGate(0)
+		optB.Gate = optA.Gate
 	}
 	var (
 		frameA, frameB *dataset.Frame

@@ -99,7 +99,7 @@ type Workload interface {
 }
 
 // Profiler profiles CPU workloads into the same Profile records the GPU
-// profiler produces, so profiler.ToFrame and the whole pipeline apply.
+// profiler produces, so core.Tabulate and the whole pipeline apply.
 type Profiler struct {
 	cpu *CPU
 	rng *stats.RNG

@@ -94,7 +94,7 @@ func TestBlackForestOnCPU(t *testing.T) {
 			profiles = append(profiles, prof)
 		}
 	}
-	frame, err := profiler.ToFrame(profiles)
+	frame, _, err := core.Tabulate(profiles, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

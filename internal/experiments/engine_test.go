@@ -11,7 +11,7 @@ import (
 // served entirely from the cache, and every rendering must be
 // byte-identical to an engine-less run.
 func TestEngineDedupAcrossExperiments(t *testing.T) {
-	o := Options{Scale: Quick, Seed: 1, Workers: 2}
+	o := Options{Scale: Quick, Seed: 1}
 
 	base, err := RunMatMulPrediction(o)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestEngineDistinguishesSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects two devices' sweeps")
 	}
-	o := Options{Scale: Quick, Seed: 1, Workers: 2}
+	o := Options{Scale: Quick, Seed: 1}
 	eng, err := NewEngine(EngineConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

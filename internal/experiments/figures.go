@@ -32,7 +32,6 @@ func (o Options) collectOptions() core.CollectOptions {
 	copt := core.CollectOptions{
 		MaxSimBlocks: o.maxSimBlocks(),
 		Seed:         o.Seed,
-		Workers:      o.Workers,
 	}
 	if o.Engine != nil {
 		copt.Cache = o.Engine.cache

@@ -25,10 +25,6 @@ const (
 type Options struct {
 	Scale Scale
 	Seed  uint64
-	// Workers bounds concurrent profiling runs during data collection
-	// (0 = all CPUs, 1 = sequential). Collected frames are identical for
-	// every value. Ignored when Engine is set — its global pool governs.
-	Workers int
 	// Engine optionally shares a run cache and simulation worker pool
 	// across experiments (see Engine). Nil runs the experiment
 	// standalone; results are bit-identical either way.

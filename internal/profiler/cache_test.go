@@ -70,7 +70,9 @@ func profilesBitIdentical(t *testing.T, a, b []*profiler.Profile) {
 func TestCachedCollectionBitIdentical(t *testing.T) {
 	dev := testDevice(t)
 	opt := profiler.Options{MaxSimBlocks: 4, Seed: 9}
-	baseline, err := profiler.New(dev, opt).RunAll(cacheSweep(100), 1)
+	sequential := opt
+	sequential.Gate = profiler.NewGate(1)
+	baseline, err := profiler.New(dev, sequential).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +84,11 @@ func TestCachedCollectionBitIdentical(t *testing.T) {
 	}
 	optC := opt
 	optC.Cache = cache
+	optC.Gate = profiler.NewGate(4)
 	p := profiler.New(dev, optC)
 
 	// Cold pass: all misses, all simulated.
-	cold, err := p.RunAll(cacheSweep(100), 4)
+	cold, err := p.RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestCachedCollectionBitIdentical(t *testing.T) {
 	}
 
 	// Warm pass in the same process: pure memory hits.
-	warm, err := p.RunAll(cacheSweep(100), 4)
+	warm, err := p.RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,8 @@ func TestCachedCollectionBitIdentical(t *testing.T) {
 	}
 	optC2 := opt
 	optC2.Cache = cache2
-	disk, err := profiler.New(dev, optC2).RunAll(cacheSweep(100), 4)
+	optC2.Gate = profiler.NewGate(4)
+	disk, err := profiler.New(dev, optC2).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,9 @@ func TestRunKeySensitivity(t *testing.T) {
 func TestSharedGateAcrossCollections(t *testing.T) {
 	dev := testDevice(t)
 	opt := profiler.Options{MaxSimBlocks: 4, Seed: 9}
-	baseline, err := profiler.New(dev, opt).RunAll(cacheSweep(100), 1)
+	sequential := opt
+	sequential.Gate = profiler.NewGate(1)
+	baseline, err := profiler.New(dev, sequential).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +218,7 @@ func TestSharedGateAcrossCollections(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = p.RunAll(cacheSweep(100), 0) // workers ignored: gate governs
+			results[i], errs[i] = p.RunAll(cacheSweep(100))
 		}(i)
 	}
 	wg.Wait()
@@ -241,16 +247,16 @@ func TestCacheWithFaultsKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := profiler.Options{MaxSimBlocks: 4, Seed: 9, Cache: cache}
+	clean := profiler.Options{MaxSimBlocks: 4, Seed: 9, Cache: cache, Gate: profiler.NewGate(2)}
 	faulty := clean
 	faulty.Faults = faults.New(faults.Config{Seed: 3, CounterDropout: 0.3})
 	faulty.Retries = 2
 
-	cleanProfiles, err := profiler.New(dev, clean).RunAll(cacheSweep(100), 2)
+	cleanProfiles, err := profiler.New(dev, clean).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultyProfiles, err := profiler.New(dev, faulty).RunAll(cacheSweep(100), 2)
+	faultyProfiles, err := profiler.New(dev, faulty).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +276,7 @@ func TestCacheWithFaultsKeyed(t *testing.T) {
 		}
 	}
 	// Warm faulty pass: bit-identical degraded profiles from cache.
-	again, err := profiler.New(dev, faulty).RunAll(cacheSweep(100), 2)
+	again, err := profiler.New(dev, faulty).RunAll(cacheSweep(100))
 	if err != nil {
 		t.Fatal(err)
 	}

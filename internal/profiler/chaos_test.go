@@ -49,13 +49,13 @@ func TestChaosRunFailureDeterministic(t *testing.T) {
 }
 
 func TestChaosRetryRecoversAndMatchesFaultFree(t *testing.T) {
-	clean, err := New(device(t), Options{Seed: 4}).RunAll(chaosBatch(), 4)
+	clean, err := New(device(t), Options{Seed: 4, Gate: NewGate(4)}).RunAll(chaosBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.New(faults.Config{Seed: 21, RunFailure: 0.5})
-	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 12})
-	got, err := p.RunAll(chaosBatch(), 4)
+	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 12, Gate: NewGate(4)})
+	got, err := p.RunAll(chaosBatch())
 	if err != nil {
 		t.Fatalf("RunAll with retries did not recover: %v", err)
 	}
@@ -68,8 +68,8 @@ func TestChaosRetryRecoversAndMatchesFaultFree(t *testing.T) {
 
 func TestChaosRetriesExhausted(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 1, RunFailure: 1})
-	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 3})
-	_, err := p.RunAll(chaosBatch(), 2)
+	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 3, Gate: NewGate(2)})
+	_, err := p.RunAll(chaosBatch())
 	if err == nil {
 		t.Fatal("runfail=1 succeeded")
 	}
@@ -81,8 +81,8 @@ func TestChaosRetriesExhausted(t *testing.T) {
 func TestChaosRetriesReleaseEveryAttempt(t *testing.T) {
 	w := &trackedWorkload{fakeWorkload: fakeWorkload{name: "fail", launches: 1, ops: 20, size: 1}}
 	inj := faults.New(faults.Config{Seed: 1, RunFailure: 1})
-	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 2})
-	if _, err := p.RunAll([]Workload{w}, 1); err == nil {
+	p := New(device(t), Options{Seed: 4, Faults: inj, Retries: 2, Gate: NewGate(1)})
+	if _, err := p.RunAll([]Workload{w}); err == nil {
 		t.Fatal("runfail=1 succeeded")
 	}
 	if w.released != 3 {
@@ -128,14 +128,14 @@ func TestChaosDropoutRecorded(t *testing.T) {
 }
 
 func TestChaosFaultsOffBitIdentical(t *testing.T) {
-	base, err := New(device(t), Options{Seed: 4}).RunAll(chaosBatch(), 4)
+	base, err := New(device(t), Options{Seed: 4, Gate: NewGate(4)}).RunAll(chaosBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A disabled config yields a nil injector; threading it through must
 	// not perturb anything.
 	inj := faults.New(faults.Config{Seed: 999})
-	got, err := New(device(t), Options{Seed: 4, Faults: inj, Retries: 5}).RunAll(chaosBatch(), 4)
+	got, err := New(device(t), Options{Seed: 4, Faults: inj, Retries: 5, Gate: NewGate(4)}).RunAll(chaosBatch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,51 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"blackforest/internal/dataset"
 )
-
-// ToFrame converts a batch of profiles into the modeling data frame: one
-// row per profile with problem characteristics, counter metrics, and the
-// response columns "time_ms" and "power_w". Profiles must share a device
-// (and hence a metric vocabulary); a missing characteristic or metric is an
-// error so schema bugs surface early.
-func ToFrame(profiles []*Profile) (*dataset.Frame, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("profiler: no profiles to tabulate")
-	}
-	first := profiles[0]
-	charNames := sortedKeys(first.Characteristics)
-	metricNames := sortedKeys(first.Metrics)
-
-	f := dataset.New()
-	for _, p := range profiles {
-		if p.Device != first.Device {
-			return nil, fmt.Errorf("profiler: mixed devices %s and %s in one frame", first.Device, p.Device)
-		}
-		row := make(map[string]float64, len(charNames)+len(metricNames)+1)
-		for _, n := range charNames {
-			v, ok := p.Characteristics[n]
-			if !ok {
-				return nil, fmt.Errorf("profiler: profile missing characteristic %q", n)
-			}
-			row[n] = v
-		}
-		for _, n := range metricNames {
-			v, ok := p.Metrics[n]
-			if !ok {
-				return nil, fmt.Errorf("profiler: profile missing metric %q", n)
-			}
-			row[n] = v
-		}
-		row["time_ms"] = p.TimeMS
-		row["power_w"] = p.PowerW
-		if err := f.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
 
 // WriteNvprofCSV writes the profile in an nvprof --csv like layout:
 // one "metric,value" row per counter, preceded by identification rows.

@@ -85,8 +85,8 @@ type Options struct {
 	// Retries is the number of additional attempts RunAll makes when a
 	// run fails (0 = fail fast, matching historic behavior).
 	Retries int
-	// RetryBackoff is the base delay between attempts; attempt k sleeps
-	// RetryBackoff << k. Zero retries immediately.
+	// RetryBackoff is the base delay between attempts; attempt k (k ≥ 1)
+	// sleeps RetryBackoff << (k-1). Zero retries immediately.
 	RetryBackoff time.Duration
 	// Cache optionally memoizes completed runs, content-addressed by
 	// RunKey. A hit is bit-identical to a recompute; concurrent requests
@@ -95,10 +95,11 @@ type Options struct {
 	// caching (bit-identical to historic behavior — trivially, since a
 	// cold cache computes exactly what no cache computes).
 	Cache *runcache.Cache[*Profile]
-	// Gate optionally shares one simulation worker pool across
-	// collections: when set, RunAll draws slots from it instead of
-	// building a per-call pool, so concurrent sweeps (or whole experiment
-	// suites) saturate the machine together without oversubscribing it.
+	// Gate bounds concurrent simulations: every run holds one of its
+	// slots while it simulates. Sharing one gate across collections lets
+	// concurrent sweeps (or whole experiment suites) saturate the machine
+	// together without oversubscribing it. Nil leaves Run ungated and
+	// gives each RunAll its own gate of min(NumCPU, len(runs)) slots.
 	Gate Gate
 	// Tracer optionally records run → attempt → simulate spans, one lane
 	// per gate slot, plus cache-hit instants. Nil (the default) disables
@@ -215,28 +216,10 @@ func (p *Profiler) noiseSeed(w Workload) uint64 {
 // when one is configured and drawing a slot from Options.Gate (if set)
 // for the simulation itself. With fault injection configured, a run that
 // the injector fails reports an error wrapping faults.ErrInjected; Run
-// is always "attempt 0" (RunAll drives later attempts).
+// is always "attempt 0" and never releases the workload (RunAll drives
+// later attempts and releases).
 func (p *Profiler) Run(w Workload) (*Profile, error) {
-	computed := false
-	compute := func() (*Profile, error) {
-		computed = true
-		lane := 0
-		if g := p.opt.Gate; g != nil {
-			lane = g.enter()
-			defer g.leave(lane)
-		}
-		sp := p.opt.Tracer.Begin(lane, "run "+w.Name())
-		defer sp.End()
-		return p.run(w, 0, lane)
-	}
-	if p.opt.Cache == nil {
-		return compute()
-	}
-	prof, err := p.opt.Cache.Do(p.RunKey(w), compute)
-	if !computed && err == nil {
-		p.opt.Tracer.Instant(LaneCache, "cache-hit", obs.Arg{Key: "workload", Value: w.Name()})
-	}
-	return prof, err
+	return p.scheduled(w, p.opt.Gate, false)
 }
 
 func (p *Profiler) run(w Workload, attempt, lane int) (*Profile, error) {
@@ -339,32 +322,23 @@ func averagePower(energyMJ, modelTimeMS float64) float64 {
 	return p
 }
 
-// RunAll profiles every workload with up to workers concurrent runs
-// (workers ≤ 0 selects runtime.NumCPU(), 1 profiles sequentially) and
-// returns the profiles in input order. Because each run's noise derives
-// from its identity, the result is bit-for-bit identical for every worker
-// count, and independent of input order modulo slice order. Workloads
+// RunAll profiles every workload and returns the profiles in input
+// order. Runs draw slots from Options.Gate, so concurrent collections
+// sharing a gate are scheduled globally; with no gate, RunAll builds one
+// with min(NumCPU, len(runs)) slots. With Options.Cache set, only actual
+// simulations take a slot, and identical in-flight runs (within or across
+// collections) coalesce into one. Because each run's noise derives
+// from its identity, the result is bit-for-bit identical for every gate
+// size, and independent of input order modulo slice order. Workloads
 // implementing Releaser are released as soon as each attempt finishes,
 // including runs that fail after planning; the error of the earliest run
 // in input order wins. A failed run is retried up to Options.Retries
 // times with exponential backoff (each attempt re-plans the workload, so
 // released buffers are rebuilt) before its error is reported.
-//
-// When Options.Gate is set, workers is ignored and runs draw slots from
-// the shared gate instead, so concurrent collections are scheduled
-// globally. When Options.Cache is set, each run first consults the
-// cache; only actual simulations occupy a pool slot, and identical
-// in-flight runs (within or across collections) coalesce into one.
-func (p *Profiler) RunAll(runs []Workload, workers int) ([]*Profile, error) {
+func (p *Profiler) RunAll(runs []Workload) ([]*Profile, error) {
 	gate := p.opt.Gate
 	if gate == nil {
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		if workers > len(runs) {
-			workers = len(runs)
-		}
-		gate = NewGate(workers)
+		gate = NewGate(min(runtime.NumCPU(), len(runs)))
 	}
 	profiles := make([]*Profile, len(runs))
 	errs := make([]error, len(runs))
@@ -373,7 +347,7 @@ func (p *Profiler) RunAll(runs []Workload, workers int) ([]*Profile, error) {
 		wg.Add(1)
 		go func(i int, w Workload) {
 			defer wg.Done()
-			profiles[i], errs[i] = p.runGated(w, gate)
+			profiles[i], errs[i] = p.scheduled(w, gate, true)
 		}(i, w)
 	}
 	wg.Wait()
@@ -385,18 +359,26 @@ func (p *Profiler) RunAll(runs []Workload, workers int) ([]*Profile, error) {
 	return profiles, nil
 }
 
-// runGated is one scheduled run: a cache hit (or a coalesced wait on an
-// identical in-flight run) returns without ever taking a pool slot; a
-// real simulation holds one slot for its duration.
-func (p *Profiler) runGated(w Workload, gate Gate) (*Profile, error) {
+// scheduled is one scheduled run: a cache hit (or a coalesced wait on an
+// identical in-flight run) returns without ever taking a slot; a real
+// simulation holds one slot of gate (lane 0 when gate is nil) for its
+// duration. With retry it is RunAll's run — up to 1+Retries attempts,
+// each released — otherwise Run's single unreleased attempt 0.
+func (p *Profiler) scheduled(w Workload, gate Gate, retry bool) (*Profile, error) {
 	computed := false
 	compute := func() (*Profile, error) {
 		computed = true
-		slot := gate.enter()
-		defer gate.leave(slot)
-		sp := p.opt.Tracer.Begin(slot, "run "+w.Name())
+		lane := 0
+		if gate != nil {
+			lane = gate.enter()
+			defer gate.leave(lane)
+		}
+		sp := p.opt.Tracer.Begin(lane, "run "+w.Name())
 		defer sp.End()
-		return p.runWithRetry(w, slot)
+		if !retry {
+			return p.run(w, 0, lane)
+		}
+		return p.runWithRetry(w, lane)
 	}
 	if p.opt.Cache == nil {
 		return compute()

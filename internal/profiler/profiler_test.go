@@ -214,25 +214,26 @@ func TestRunAllMatchesSequential(t *testing.T) {
 		}
 		want = append(want, prof)
 	}
-	for _, workers := range []int{0, 1, 4, 32} {
-		got, err := p.RunAll(runAllWorkloads(), workers)
+	// A nil gate lets RunAll size its own; size 0 selects NumCPU.
+	for _, gate := range []Gate{nil, NewGate(0), NewGate(1), NewGate(4), NewGate(32)} {
+		got, err := New(device(t), Options{Seed: 11, Gate: gate}).RunAll(runAllWorkloads())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d profiles, want %d", workers, len(got), len(want))
+			t.Fatalf("gate size %d: %d profiles, want %d", gate.Size(), len(got), len(want))
 		}
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: profile %d differs from sequential Run", workers, i)
+				t.Fatalf("gate size %d: profile %d differs from sequential Run", gate.Size(), i)
 			}
 		}
 	}
 }
 
 func TestRunAllOrderIndependent(t *testing.T) {
-	p := New(device(t), Options{Seed: 11})
-	forward, err := p.RunAll(runAllWorkloads(), 4)
+	p := New(device(t), Options{Seed: 11, Gate: NewGate(4)})
+	forward, err := p.RunAll(runAllWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestRunAllOrderIndependent(t *testing.T) {
 	for i, j := 0, len(runs)-1; i < j; i, j = i+1, j-1 {
 		runs[i], runs[j] = runs[j], runs[i]
 	}
-	reversed, err := p.RunAll(runs, 4)
+	reversed, err := p.RunAll(runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +266,8 @@ func TestRunAllReleasesEveryWorkloadAndFirstErrorWins(t *testing.T) {
 	for _, w := range runs {
 		asWorkloads = append(asWorkloads, w)
 	}
-	p := New(device(t), Options{Seed: 1})
-	_, err := p.RunAll(asWorkloads, 2)
+	p := New(device(t), Options{Seed: 1, Gate: NewGate(2)})
+	_, err := p.RunAll(asWorkloads)
 	if err == nil {
 		t.Fatal("failing run accepted")
 	}
@@ -298,51 +299,6 @@ func TestRunEmptyPlan(t *testing.T) {
 	p := New(device(t), Options{})
 	if _, err := p.Run(&fakeWorkload{name: "empty", launches: 0}); err == nil {
 		t.Fatal("zero-launch workload accepted")
-	}
-}
-
-func TestToFrame(t *testing.T) {
-	p := New(device(t), Options{NoiseSigma: -1})
-	var profiles []*Profile
-	for _, size := range []float64{1, 2, 3} {
-		prof, err := p.Run(&fakeWorkload{name: "fake", launches: 1, ops: int(size * 10), size: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles = append(profiles, prof)
-	}
-	frame, err := ToFrame(profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame.NumRows() != 3 {
-		t.Fatalf("frame rows %d", frame.NumRows())
-	}
-	if !frame.Has("time_ms") || !frame.Has("size") || !frame.Has("inst_executed") {
-		t.Fatalf("frame schema missing columns: %v", frame.Names())
-	}
-	if _, err := ToFrame(nil); err == nil {
-		t.Fatal("empty profile list accepted")
-	}
-}
-
-func TestToFrameRejectsMixedDevices(t *testing.T) {
-	pa := New(device(t), Options{NoiseSigma: -1})
-	k, err := gpusim.LookupDevice("K20m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := New(k, Options{NoiseSigma: -1})
-	a, err := pa.Run(&fakeWorkload{name: "fake", launches: 1, ops: 10, size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pb.Run(&fakeWorkload{name: "fake", launches: 1, ops: 10, size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ToFrame([]*Profile{a, b}); err == nil {
-		t.Fatal("mixed-device frame accepted")
 	}
 }
 
