@@ -18,9 +18,10 @@ var slotCount atomic.Int64
 func NewSlot() Slot { return Slot(slotCount.Add(1) - 1) }
 
 // Block executes one thread block: it owns the block's counter accumulator
-// and L1 view and schedules the block's warps cooperatively. Warps run one
-// at a time, yielding at barriers, which makes execution deterministic and
-// lets instruction accounting go lock-free.
+// and L1 view, and the kernel body drives its warps barrier phase by
+// barrier phase. ForEachWarp runs one phase of every warp in index order
+// on the calling goroutine and Sync ends the phase, which makes execution
+// deterministic and lets instruction accounting go lock-free.
 type Block struct {
 	dev  *Device
 	cfg  LaunchConfig
@@ -36,52 +37,38 @@ type Block struct {
 	// a time, so no locking is needed.
 	state []any
 
-	// --- scheduler state (see run) ---
-	kernel KernelFunc
-	panics []any
-	// ring holds the goroutine-backed warps that are still live, in warp
-	// order; cursor is the position of the warp currently holding the
-	// scheduling token. Only the token holder (or the driver between
-	// rounds) touches these, so they need no lock: token hand-offs are
-	// channel operations and give the happens-before edges.
-	ring      []*Warp
-	cursor    int
-	roundDone chan struct{}
-	spawned   bool
-	spawnFrom int
-	// warpPool holds finished goroutine-backed warps (with their resume
-	// channels) for reuse by later blocks run on the same workspace. Warps
-	// only enter the pool after their goroutine is done with them, and the
-	// token hand-off orders every pool access, so no lock is needed.
-	warpPool []*Warp
-
 	// segScratch is reused by the coalescer to avoid per-instruction
 	// allocation (a warp access touches at most 64 segments).
 	segScratch [64]uint64
 	// banks is the shared-memory conflict detector's working storage.
 	banks bankScratch
-	// inlineWarp is the reusable Warp value for warps executed directly on
-	// the scheduler goroutine, so barrier-free kernels allocate nothing
-	// per warp.
-	inlineWarp Warp
+	// warp is the one Warp value ForEachWarp hands to every warp body, so
+	// running a warp allocates nothing. Its id is the warp running (or,
+	// between phases, the one that ran last), which is what a panic
+	// reports.
+	warp Warp
 }
 
-// KernelFunc is the body of a kernel, invoked once per warp.
-type KernelFunc func(w *Warp)
+// KernelFunc is the body of a kernel, invoked once per block. CUDA's
+// __syncthreads rule (every thread of a block reaches the same barriers)
+// lets it be written as a sequence of phases: one ForEachWarp call per
+// stretch of code between barriers, each followed by a Sync.
+type KernelFunc func(b *Block)
 
 // reset prepares a pooled block workspace for its next simulated block.
 // Identity and wiring are replaced; kernel-visible state is restored to
 // exactly what a fresh Block would present — numeric scratch slices are
 // zeroed in place (BlockState create functions build zeroed slices, so a
 // cleared one is indistinguishable), anything else is dropped and rebuilt
-// on first use. Scheduler scratch (ring backing, pooled warps and their
-// channels, the bank detector) carries over: it is overwritten before
-// every read, so reuse cannot change a single counter.
+// on first use. The coalescer and bank-detector scratch carries over: it
+// is overwritten before every read, so reuse cannot change a single
+// counter.
 func (b *Block) reset(cfg LaunchConfig, idxX, idxY int, counters *Counters, l1, l2 *cache) {
 	b.cfg = cfg
 	b.idxX, b.idxY = idxX, idxY
 	b.counters = counters
 	b.l1, b.l2 = l1, l2
+	b.warp = Warp{blk: b}
 	for i, v := range b.state {
 		switch t := v.(type) {
 		case []float32:
@@ -98,128 +85,89 @@ func (b *Block) reset(cfg LaunchConfig, idxX, idxY int, counters *Counters, l1, 
 	}
 }
 
-// run executes the kernel for every warp of the block. It returns an error
-// if any warp panicked (kernel bugs surface as errors, not hangs).
-//
-// Warps are run inline on the calling goroutine, one after another, until
-// the first barrier is hit. A kernel with no __syncthreads therefore costs
-// zero goroutines and zero channel operations. When a warp does call Sync,
-// that warp — necessarily the lowest-indexed live warp, since everything
-// before it already ran to completion — becomes the ring driver: its Sync
-// lazily spawns the remaining warps as goroutines and passes a scheduling
-// token around them, realizing CUDA barrier semantics (no warp passes
-// barrier k until all live warps reach it). The token ring visits warps in
-// index order, and the driver always executes its own segment before
-// starting the others' round, so counters and cache state evolve in exactly
-// the order the previous round-robin scheduler produced.
-func (b *Block) run(kernel KernelFunc) error {
-	n := b.cfg.WarpsPerBlock()
-	b.kernel = kernel
-	b.panics = nil
-	b.ring = b.ring[:0]
-	b.spawned = false
-
-	for i := 0; i < n; i++ {
-		w := &b.inlineWarp
-		*w = Warp{blk: b, id: i}
-		b.runInline(w, i)
-		if b.spawned {
-			// Warp i hit a barrier and drove the remaining warps from
-			// inside Sync; it has now finished (or panicked). Any warps
-			// still parked at a barrier get their remaining rounds here.
-			for len(b.ring) > 0 {
-				b.runRound()
-			}
-			break
+// run executes the kernel for the block. A kernel panic ends the block and
+// comes back as an error naming the warp that was running (kernel bugs
+// surface as errors, not crashes).
+func (b *Block) run(kernel KernelFunc) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("gpusim: kernel panic in block (%d,%d) warp %d: %v", b.idxX, b.idxY, b.warp.id, r)
 		}
-	}
-	for i, p := range b.panics {
-		if p != nil {
-			return fmt.Errorf("gpusim: kernel panic in block (%d,%d) warp %d: %v", b.idxX, b.idxY, i, p)
-		}
-	}
+	}()
+	kernel(b)
 	return nil
 }
 
-// runInline executes one warp directly on the scheduler goroutine,
-// converting a kernel panic into a recorded per-warp error.
-func (b *Block) runInline(w *Warp, i int) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.recordPanic(i, r)
-		}
-	}()
-	b.kernel(w)
-}
-
-func (b *Block) recordPanic(i int, r any) {
-	if b.panics == nil {
-		b.panics = make([]any, b.cfg.WarpsPerBlock())
-	}
-	b.panics[i] = r
-}
-
-// spawn starts goroutines for warps spawnFrom..n-1. Each parks immediately
-// on its resume channel; the first token it receives is its first
-// scheduling round.
-func (b *Block) spawn() {
-	n := b.cfg.WarpsPerBlock()
-	b.spawned = true
-	if b.roundDone == nil {
-		b.roundDone = make(chan struct{})
-	}
-	for j := b.spawnFrom; j < n; j++ {
-		w := b.takeWarp(j)
-		b.ring = append(b.ring, w)
-		go func(w *Warp) {
-			defer func() {
-				if r := recover(); r != nil {
-					b.recordPanic(w.id, r)
-				}
-				// The warp is finished: drop it from the ring, return it
-				// to the pool, and pass the token on, even after a panic,
-				// so the scheduler never deadlocks.
-				b.ring = append(b.ring[:b.cursor], b.ring[b.cursor+1:]...)
-				b.warpPool = append(b.warpPool, w)
-				b.passToken()
-			}()
-			<-w.resume
-			b.kernel(w)
-		}(w)
+// ForEachWarp runs body for warps 0..n-1 of the block, in index order, on
+// the calling goroutine: one barrier phase of the whole block.
+func (b *Block) ForEachWarp(body func(w *Warp)) {
+	for i := 0; i < b.cfg.WarpsPerBlock(); i++ {
+		b.warp.id = i
+		body(&b.warp)
 	}
 }
 
-// takeWarp reuses a pooled goroutine-warp shell (keeping its resume
-// channel, which is known empty once the warp is pooled) or builds one.
-func (b *Block) takeWarp(id int) *Warp {
-	if k := len(b.warpPool); k > 0 {
-		w := b.warpPool[k-1]
-		b.warpPool = b.warpPool[:k-1]
-		w.id = id
-		return w
-	}
-	return &Warp{blk: b, id: id, resume: make(chan struct{})}
+// Sync executes a block-wide barrier (__syncthreads()) between two phases.
+// Every warp issues one barrier instruction over its valid lanes, and
+// those lanes sum to the block's thread count.
+func (b *Block) Sync() {
+	c := b.counters
+	n := uint64(b.cfg.WarpsPerBlock())
+	c.InstExecuted += n
+	c.InstIssued += n
+	c.ThreadInstExecuted += uint64(b.cfg.ThreadsPerBlock())
+	c.SyncCount += n
 }
 
-// runRound runs one barrier-to-barrier segment of every live ring warp, in
-// warp order, by circulating the token once. Called by the driver warp's
-// Sync (after it has executed its own segment) and by run's drain loop.
-func (b *Block) runRound() {
-	if len(b.ring) == 0 {
-		return
+// BlockIdx returns the block's 2-D grid coordinates.
+func (b *Block) BlockIdx() (x, y int) { return b.idxX, b.idxY }
+
+// BlockDim returns the block's 2-D dimensions in threads.
+func (b *Block) BlockDim() (x, y int) { return b.cfg.BlockDimX, b.cfg.BlockDimY }
+
+// GridDim returns the grid dimensions in blocks.
+func (b *Block) GridDim() (x, y int) { return b.cfg.GridDimX, b.cfg.GridDimY }
+
+// BlockState returns the per-block state stored in slot, creating it with
+// create on first use. Kernels use this for the functional contents of
+// shared memory (e.g. the reduction scratchpad or matrix tiles), which all
+// warps of a block share. Slots come from NewSlot at package init;
+// indexing a slice beats hashing a string key on every lookup.
+func (b *Block) BlockState(slot Slot, create func() any) any {
+	if int(slot) >= len(b.state) {
+		grown := make([]any, slotCount.Load())
+		copy(grown, b.state)
+		b.state = grown
 	}
-	b.cursor = 0
-	b.ring[0].resume <- struct{}{}
-	<-b.roundDone
+	v := b.state[slot]
+	if v == nil {
+		v = create()
+		b.state[slot] = v
+	}
+	return v
 }
 
-// passToken hands the scheduling token to the warp at the current cursor,
-// or back to the driver when the round is complete. The caller must hold
-// the token.
-func (b *Block) passToken() {
-	if b.cursor < len(b.ring) {
-		b.ring[b.cursor].resume <- struct{}{}
-	} else {
-		b.roundDone <- struct{}{}
+// SharedF32 returns a per-block float32 scratchpad of at least n elements
+// stored in slot — the functional view of a __shared__ float array. A
+// pooled slice from an earlier block is reused (zeroed) when it is big
+// enough and replaced when it is not.
+func (b *Block) SharedF32(slot Slot, n int) []float32 {
+	v := b.BlockState(slot, func() any { return make([]float32, n) }).([]float32)
+	if len(v) < n {
+		v = make([]float32, n)
+		b.state[slot] = v
 	}
+	return v
+}
+
+// SharedI32 returns a per-block int32 scratchpad of at least n elements —
+// the functional view of a __shared__ int array, with the same reuse rule
+// as SharedF32.
+func (b *Block) SharedI32(slot Slot, n int) []int32 {
+	v := b.BlockState(slot, func() any { return make([]int32, n) }).([]int32)
+	if len(v) < n {
+		v = make([]int32, n)
+		b.state[slot] = v
+	}
+	return v
 }

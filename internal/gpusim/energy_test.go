@@ -6,7 +6,7 @@ func TestEnergyModelBounds(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 64, GridDimY: 1, BlockDimX: 256, BlockDimY: 1, RegsPerThread: 12, SharedMemPerBlock: 1024}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		var addrs [WarpSize]uint64
 		for l := range addrs {
 			addrs[l] = uint64(4 * l)
@@ -15,7 +15,7 @@ func TestEnergyModelBounds(t *testing.T) {
 			w.GlobalLoad(FullMask(), &addrs, 4)
 			w.FloatOps(FullMask(), 10)
 		}
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +32,18 @@ func TestEnergyGrowsWithTraffic(t *testing.T) {
 	cfg := LaunchConfig{GridDimX: 16, GridDimY: 1, BlockDimX: 64, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 256}
 	run := func(loads int) *LaunchResult {
 		sim := NewSimulator(d)
-		res, err := sim.Launch(cfg, func(w *Warp) {
-			bx, _ := w.BlockIdx()
-			var addrs [WarpSize]uint64
-			for i := 0; i < loads; i++ {
-				for l := range addrs {
-					// Streaming addresses: every load misses.
-					addrs[l] = uint64(bx)<<24 | uint64(i*2048+4*l)
+		res, err := sim.Launch(cfg, func(b *Block) {
+			bx, _ := b.BlockIdx()
+			b.ForEachWarp(func(w *Warp) {
+				var addrs [WarpSize]uint64
+				for i := 0; i < loads; i++ {
+					for l := range addrs {
+						// Streaming addresses: every load misses.
+						addrs[l] = uint64(bx)<<24 | uint64(i*2048+4*l)
+					}
+					w.GlobalLoad(FullMask(), &addrs, 4)
 				}
-				w.GlobalLoad(FullMask(), &addrs, 4)
-			}
+			})
 		}, LaunchOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +67,7 @@ func TestPowerCappedAtTDP(t *testing.T) {
 	d, _ := LookupDevice("K20m")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 128, GridDimY: 1, BlockDimX: 256, BlockDimY: 1, RegsPerThread: 16, SharedMemPerBlock: 512}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		var addrs [WarpSize]uint64
 		for i := 0; i < 100; i++ {
 			for l := range addrs {
@@ -74,7 +76,7 @@ func TestPowerCappedAtTDP(t *testing.T) {
 			w.GlobalLoad(FullMask(), &addrs, 4)
 			w.GlobalStore(FullMask(), &addrs, 4)
 		}
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

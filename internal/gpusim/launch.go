@@ -59,10 +59,10 @@ type Simulator struct {
 	l2  *cache
 	l1s []*cache // one L1 per SM slot, reused by blocks assigned to it
 	// blk is the reusable block workspace: one Block whose scratch state
-	// (shared-memory slices, warp shells, ring backing) survives across
+	// (shared-memory slices, coalescer and bank scratch) survives across
 	// blocks and launches instead of being reallocated per block. reset
 	// restores everything a kernel can observe, so pooling is invisible
-	// to counters. A Simulator is single-goroutine, as before.
+	// to counters. A Simulator is used from one goroutine at a time.
 	blk Block
 }
 

@@ -4,13 +4,10 @@ import (
 	"testing"
 )
 
-// countKernel returns a kernel that tallies per-warp invocations and
-// exercises a barrier.
-func countKernel(t *testing.T, perWarp func(w *Warp)) KernelFunc {
-	t.Helper()
-	return func(w *Warp) {
-		perWarp(w)
-	}
+// eachWarp wraps a barrier-free warp body as a kernel: one phase over
+// every warp of the block.
+func eachWarp(body func(w *Warp)) KernelFunc {
+	return func(b *Block) { b.ForEachWarp(body) }
 }
 
 func TestLaunchRunsEveryWarp(t *testing.T) {
@@ -18,14 +15,16 @@ func TestLaunchRunsEveryWarp(t *testing.T) {
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 4, GridDimY: 2, BlockDimX: 64, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 256}
 	seen := make(map[[3]int]bool)
-	res, err := sim.Launch(cfg, func(w *Warp) {
-		bx, by := w.BlockIdx()
-		key := [3]int{bx, by, w.WarpID()}
-		if seen[key] {
-			t.Errorf("warp %v executed twice", key)
-		}
-		seen[key] = true
-		w.IntOps(FullMask(), 1)
+	res, err := sim.Launch(cfg, func(b *Block) {
+		bx, by := b.BlockIdx()
+		b.ForEachWarp(func(w *Warp) {
+			key := [3]int{bx, by, w.WarpID()}
+			if seen[key] {
+				t.Errorf("warp %v executed twice", key)
+			}
+			seen[key] = true
+			w.IntOps(FullMask(), 1)
+		})
 	}, LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +41,7 @@ func TestLaunchRunsEveryWarp(t *testing.T) {
 }
 
 func TestBarrierSemantics(t *testing.T) {
-	// Producer/consumer across warps: warp 0 writes before the barrier,
+	// Producer/consumer across warps: warp 3 writes before the barrier,
 	// all warps read after. Under correct barrier scheduling every read
 	// observes the write.
 	d, _ := LookupDevice("GTX580")
@@ -50,15 +49,19 @@ func TestBarrierSemantics(t *testing.T) {
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 128, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
 	flagSlot := NewSlot()
 	ok := true
-	_, err := sim.Launch(cfg, func(w *Warp) {
-		shared := w.SharedF32(flagSlot, 1)
-		if w.WarpID() == 3 { // a late warp writes
-			shared[0] = 42
-		}
-		w.Sync()
-		if shared[0] != 42 {
-			ok = false
-		}
+	_, err := sim.Launch(cfg, func(b *Block) {
+		shared := b.SharedF32(flagSlot, 1)
+		b.ForEachWarp(func(w *Warp) {
+			if w.WarpID() == 3 { // a late warp writes
+				shared[0] = 42
+			}
+		})
+		b.Sync()
+		b.ForEachWarp(func(w *Warp) {
+			if shared[0] != 42 {
+				ok = false
+			}
+		})
 	}, LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +75,9 @@ func TestMultipleBarriers(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 2, GridDimY: 1, BlockDimX: 96, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, func(b *Block) {
 		for i := 0; i < 5; i++ {
-			w.Sync()
+			b.Sync()
 		}
 	}, LaunchOptions{})
 	if err != nil {
@@ -90,11 +93,13 @@ func TestKernelPanicBecomesError(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 64, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	_, err := sim.Launch(cfg, func(w *Warp) {
-		if w.WarpID() == 1 {
-			panic("kernel bug")
-		}
-		w.Sync() // warp 0 waits at a barrier warp 1 never reaches
+	_, err := sim.Launch(cfg, func(b *Block) {
+		b.ForEachWarp(func(w *Warp) {
+			if w.WarpID() == 1 {
+				panic("kernel bug")
+			}
+		})
+		b.Sync() // the barrier warp 1 never reaches
 	}, LaunchOptions{})
 	if err == nil {
 		t.Fatal("panicking kernel reported success")
@@ -104,7 +109,7 @@ func TestKernelPanicBecomesError(t *testing.T) {
 func TestBlockSamplingScalesCounters(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	cfg := LaunchConfig{GridDimX: 64, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	kernel := func(w *Warp) { w.IntOps(FullMask(), 10) }
+	kernel := eachWarp(func(w *Warp) { w.IntOps(FullMask(), 10) })
 
 	full, err := NewSimulator(d).Launch(cfg, kernel, LaunchOptions{})
 	if err != nil {
@@ -128,7 +133,7 @@ func TestTimingMonotoneInWork(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	mk := func(ops int) KernelFunc {
-		return func(w *Warp) { w.FloatOps(FullMask(), ops) }
+		return eachWarp(func(w *Warp) { w.FloatOps(FullMask(), ops) })
 	}
 	cfg := LaunchConfig{GridDimX: 32, GridDimY: 1, BlockDimX: 128, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
 	small, err := sim.Launch(cfg, mk(10), LaunchOptions{})
@@ -147,13 +152,13 @@ func TestTimingMonotoneInWork(t *testing.T) {
 func TestFermiVsKeplerLoadPath(t *testing.T) {
 	// The same strided load must hit L1 counters on Fermi and bypass
 	// them on Kepler — the paper's §7 counter-evolution issue.
-	load := func(w *Warp) {
+	load := eachWarp(func(w *Warp) {
 		var addrs [WarpSize]uint64
 		for l := range addrs {
 			addrs[l] = uint64(4 * l)
 		}
 		w.GlobalLoad(FullMask(), &addrs, 4)
-	}
+	})
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
 
 	fermi, _ := LookupDevice("GTX580")
@@ -185,13 +190,13 @@ func TestSharedConflictReplaysCounted(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 1024}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		var offs [WarpSize]uint32
 		for l := range offs {
 			offs[l] = uint32(8 * l) // stride-2 words → 2-way conflict
 		}
 		w.SharedLoad(FullMask(), &offs)
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +212,11 @@ func TestDivergentBranchCounted(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		w.Branch(FullMask(), MaskFirstN(16)) // half the warp diverges
 		w.Branch(FullMask(), FullMask())     // uniform: no divergence
 		w.Branch(FullMask(), 0)              // nobody takes it: no divergence
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +229,13 @@ func TestGlobalStoreTransactions(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	res, err := sim.Launch(cfg, func(w *Warp) {
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		var addrs [WarpSize]uint64
 		for l := range addrs {
 			addrs[l] = uint64(4 * l) // one 128B line
 		}
 		w.GlobalStore(FullMask(), &addrs, 4)
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +256,9 @@ func TestValidMaskPartialWarp(t *testing.T) {
 	// 48 threads: warp 0 full, warp 1 half.
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 48, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
 	counts := map[int]int{}
-	_, err := sim.Launch(cfg, func(w *Warp) {
+	_, err := sim.Launch(cfg, eachWarp(func(w *Warp) {
 		counts[w.WarpID()] = w.ValidMask().Count()
-	}, LaunchOptions{})
+	}), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +287,7 @@ func TestLaunchResultString(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 32, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	res, err := sim.Launch(cfg, func(w *Warp) { w.IntOps(FullMask(), 1) }, LaunchOptions{})
+	res, err := sim.Launch(cfg, eachWarp(func(w *Warp) { w.IntOps(FullMask(), 1) }), LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,18 +37,18 @@ func FuzzSharedAccessMatchesSharedLoad(f *testing.F) {
 			offs[l] = uint32(x>>33) % (4 * (uint32(span) + 1))
 		}
 		m := Mask(mask)
-		perCall, err := oneWarp(dev, func(w *Warp) {
+		perCall, err := oneWarp(dev, eachWarp(func(w *Warp) {
 			w.SharedLoad(m, &offs)
 			w.SharedStore(m, &offs)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := NewSharedAccess(dev, m, &offs)
-		handle, err := oneWarp(dev, func(w *Warp) {
+		handle, err := oneWarp(dev, eachWarp(func(w *Warp) {
 			w.SharedLoadAt(a)
 			w.SharedStoreAt(a)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +69,14 @@ func TestSharedAccessOnWrongDeviceFailsLaunch(t *testing.T) {
 	for _, charge := range []func(*Warp, SharedAccess){(*Warp).SharedLoadAt, (*Warp).SharedStoreAt} {
 		for _, mask := range []Mask{FullMask(), 0} {
 			a := NewSharedAccess(dev16, mask, &offs)
-			_, err := oneWarp(dev32, func(w *Warp) { charge(w, a) })
+			_, err := oneWarp(dev32, eachWarp(func(w *Warp) { charge(w, a) }))
 			if err == nil || !strings.Contains(err.Error(), "16 banks") {
 				t.Fatalf("mask %#x: 16-bank access on a 32-bank device: err = %v, want a launch error", uint32(mask), err)
 			}
 		}
 	}
 	var zero SharedAccess
-	if _, err := oneWarp(dev32, func(w *Warp) { w.SharedLoadAt(zero) }); err == nil {
+	if _, err := oneWarp(dev32, eachWarp(func(w *Warp) { w.SharedLoadAt(zero) })); err == nil {
 		t.Fatal("charging an unbuilt SharedAccess did not fail the launch")
 	}
 }
@@ -85,17 +85,17 @@ func TestSharedAccessZeroMaskChargesNothing(t *testing.T) {
 	dev := gtx580(t)
 	var offs [WarpSize]uint32
 	a := NewSharedAccess(dev, 0, &offs)
-	handle, err := oneWarp(dev, func(w *Warp) {
+	handle, err := oneWarp(dev, eachWarp(func(w *Warp) {
 		w.SharedLoadAt(a)
 		w.SharedStoreAt(a)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	perCall, err := oneWarp(dev, func(w *Warp) {
+	perCall, err := oneWarp(dev, eachWarp(func(w *Warp) {
 		w.SharedLoad(0, &offs)
 		w.SharedStore(0, &offs)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,34 +41,17 @@ func MaskFirstN(n int) Mask {
 	return Mask(1<<uint(n)) - 1
 }
 
-// Warp is the execution context handed to kernels: one call of the kernel
-// function per warp, with per-lane values held in [WarpSize]-arrays by the
-// kernel itself. All methods account counters on the owning block; warps of
-// a block are scheduled one at a time, so no synchronization is needed.
+// Warp is the execution context Block.ForEachWarp hands to a warp body,
+// with per-lane values held in [WarpSize]-arrays by the kernel itself. All
+// methods account counters on the owning block; warps of a block run one
+// at a time, so no synchronization is needed.
 type Warp struct {
 	blk *Block
 	id  int // warp index within the block
-
-	// resume is the scheduling-token channel for goroutine-backed warps;
-	// nil for warps executed inline on the scheduler goroutine (see
-	// Block.run).
-	resume chan struct{}
 }
 
 // WarpID returns the warp's index within its block.
 func (w *Warp) WarpID() int { return w.id }
-
-// BlockIdx returns the block's 2-D grid coordinates.
-func (w *Warp) BlockIdx() (x, y int) { return w.blk.idxX, w.blk.idxY }
-
-// BlockDim returns the block's 2-D dimensions in threads.
-func (w *Warp) BlockDim() (x, y int) { return w.blk.cfg.BlockDimX, w.blk.cfg.BlockDimY }
-
-// GridDim returns the grid dimensions in blocks.
-func (w *Warp) GridDim() (x, y int) { return w.blk.cfg.GridDimX, w.blk.cfg.GridDimY }
-
-// Device returns the device the kernel runs on.
-func (w *Warp) Device() *Device { return w.blk.dev }
 
 // LinearTID returns lane's linear thread index within the block
 // (threadIdx.y*blockDim.x + threadIdx.x in CUDA terms).
@@ -257,8 +240,8 @@ func NewSharedAccess(dev *Device, mask Mask, offsets *[WarpSize]uint32) SharedAc
 }
 
 // degreeOn returns a's conflict degree on dev. A degree computed for
-// another bank count would be wrong there, so that panics — which the
-// warp scheduler turns into a launch error.
+// another bank count would be wrong there, so that panics — which
+// Block.run turns into a launch error.
 func (a SharedAccess) degreeOn(dev *Device) int {
 	if a.banks != dev.SharedBanks {
 		panic(fmt.Sprintf("gpusim: shared access built for %d banks charged on %s (%d banks)",
@@ -384,79 +367,4 @@ func addressContention(mask Mask, addrs *[WarpSize]uint64) (degree, unique int) 
 		}
 	}
 	return degree, len(seen)
-}
-
-// BlockState returns the per-block state stored in slot, creating it with
-// create on first use. Kernels use this for the functional contents of
-// shared memory (e.g. the reduction scratchpad or matrix tiles), which all
-// warps of a block share. Warps are scheduled one at a time, so access is
-// race-free. Slots come from NewSlot at package init; indexing a slice
-// beats hashing a string key on every warp invocation.
-func (w *Warp) BlockState(slot Slot, create func() any) any {
-	b := w.blk
-	if int(slot) >= len(b.state) {
-		grown := make([]any, slotCount.Load())
-		copy(grown, b.state)
-		b.state = grown
-	}
-	v := b.state[slot]
-	if v == nil {
-		v = create()
-		b.state[slot] = v
-	}
-	return v
-}
-
-// SharedF32 returns a per-block float32 scratchpad of at least n elements
-// stored in slot — the functional view of a __shared__ float array. A
-// pooled slice from an earlier block is reused (zeroed) when it is big
-// enough and replaced when it is not.
-func (w *Warp) SharedF32(slot Slot, n int) []float32 {
-	v := w.BlockState(slot, func() any { return make([]float32, n) }).([]float32)
-	if len(v) < n {
-		v = make([]float32, n)
-		w.blk.state[slot] = v
-	}
-	return v
-}
-
-// SharedI32 returns a per-block int32 scratchpad of at least n elements —
-// the functional view of a __shared__ int array, with the same reuse rule
-// as SharedF32.
-func (w *Warp) SharedI32(slot Slot, n int) []int32 {
-	v := w.BlockState(slot, func() any { return make([]int32, n) }).([]int32)
-	if len(v) < n {
-		v = make([]int32, n)
-		w.blk.state[slot] = v
-	}
-	return v
-}
-
-// Sync executes a block-wide barrier (__syncthreads()). Every live warp of
-// the block must call Sync the same number of times.
-func (w *Warp) Sync() {
-	b := w.blk
-	c := b.counters
-	c.InstExecuted++
-	c.InstIssued++
-	c.ThreadInstExecuted += uint64(w.ValidMask().Count())
-	c.SyncCount++
-	if w.resume == nil {
-		// Inline warp: it is the lowest-indexed live warp (everything
-		// before it ran to completion without ever syncing), so it drives
-		// the ring — spawning the later warps on first use, then running
-		// one barrier-to-barrier round for them before returning to its
-		// own next segment.
-		if !b.spawned {
-			b.spawnFrom = w.id + 1
-			b.spawn()
-		}
-		b.runRound()
-		return
-	}
-	// Goroutine warp: pass the token to the next ring warp (or close the
-	// round) and park until the next round reaches us.
-	b.cursor++
-	b.passToken()
-	<-w.resume
 }

@@ -15,35 +15,37 @@ var (
 	poolMiscSlot = NewSlot()
 )
 
-// poolProbeKernel writes into every state kind, syncs (so warp
-// goroutines and the ring get exercised), and checks each array was
-// zero/fresh at block start — the exact contract a real kernel relies on.
+// poolProbeKernel writes into every state kind across barrier phases and
+// checks each array was zero/fresh at block start — the exact contract a
+// real kernel relies on.
 func poolProbeKernel(t *testing.T) KernelFunc {
 	t.Helper()
-	return func(w *Warp) {
-		f := w.SharedF32(poolF32Slot, 64)
-		i := w.SharedI32(poolI32Slot, 32)
-		u := w.BlockState(poolU32Slot, func() any { return make([]uint32, 16) }).([]uint32)
-		m := w.BlockState(poolMiscSlot, func() any { return map[int]int{} }).(map[int]int)
-		if w.WarpID() == 0 {
-			if f[0] != 0 || i[0] != 0 || u[0] != 0 || len(m) != 0 {
+	return func(b *Block) {
+		f := b.SharedF32(poolF32Slot, 64)
+		i := b.SharedI32(poolI32Slot, 32)
+		u := b.BlockState(poolU32Slot, func() any { return make([]uint32, 16) }).([]uint32)
+		m := b.BlockState(poolMiscSlot, func() any { return map[int]int{} }).(map[int]int)
+		b.ForEachWarp(func(w *Warp) {
+			if w.WarpID() == 0 && (f[0] != 0 || i[0] != 0 || u[0] != 0 || len(m) != 0) {
 				t.Errorf("block (%d,%d): state not fresh: f=%v i=%v u=%v m=%v",
-					w.blk.idxX, w.blk.idxY, f[0], i[0], u[0], m)
+					b.idxX, b.idxY, f[0], i[0], u[0], m)
 			}
-		}
-		w.Sync()
-		bx, _ := w.BlockIdx()
-		f[0] = float32(bx + 1)
-		i[0] = int32(bx + 1)
-		u[0] = uint32(bx + 1)
-		m[bx] = bx
-		var addrs [WarpSize]uint64
-		for l := 0; l < WarpSize; l++ {
-			addrs[l] = uint64(w.LinearTID(l)) * 4
-		}
-		w.GlobalLoad(FullMask(), &addrs, 4)
-		w.FloatOps(FullMask(), 3)
-		w.Sync()
+		})
+		b.Sync()
+		bx, _ := b.BlockIdx()
+		b.ForEachWarp(func(w *Warp) {
+			f[0] = float32(bx + 1)
+			i[0] = int32(bx + 1)
+			u[0] = uint32(bx + 1)
+			m[bx] = bx
+			var addrs [WarpSize]uint64
+			for l := 0; l < WarpSize; l++ {
+				addrs[l] = uint64(w.LinearTID(l)) * 4
+			}
+			w.GlobalLoad(FullMask(), &addrs, 4)
+			w.FloatOps(FullMask(), 3)
+		})
+		b.Sync()
 	}
 }
 
@@ -105,17 +107,15 @@ func TestWorkspaceShrinkingLaunch(t *testing.T) {
 	for _, bdim := range []int{256, 64, 512} {
 		cfg := LaunchConfig{GridDimX: 2, GridDimY: 1, BlockDimX: bdim, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 256}
 		want := bdim
-		_, err := sim.Launch(cfg, func(w *Warp) {
-			s := w.SharedF32(slot, want)
+		_, err := sim.Launch(cfg, func(b *Block) {
+			s := b.SharedF32(slot, want)
 			if len(s) < want {
 				t.Errorf("bdim %d: shared array len %d < %d", want, len(s), want)
 			}
-			if w.WarpID() == 0 {
-				if s[0] != 0 || s[want-1] != 0 {
-					t.Errorf("bdim %d: shared array not zeroed", want)
-				}
-				s[0], s[want-1] = 1, 1
+			if s[0] != 0 || s[want-1] != 0 {
+				t.Errorf("bdim %d: shared array not zeroed", want)
 			}
+			s[0], s[want-1] = 1, 1
 		}, LaunchOptions{})
 		if err != nil {
 			t.Fatal(err)

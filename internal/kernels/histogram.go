@@ -156,86 +156,92 @@ func (h *Histogram) kernel() gpusim.KernelFunc {
 	n := h.N
 	input, bins := h.input, h.bins
 	variant := h.Variant
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		gdim, _ := w.GridDim()
-		bx, _ := w.BlockIdx()
-		valid := w.ValidMask()
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		gdim, _ := b.GridDim()
+		bx, _ := b.BlockIdx()
 		stride := bdim * gdim
-		tid := laneInts(w.LinearTID)
 
 		var priv []uint32
 		if variant == 1 {
-			priv = w.BlockState(histPrivSlot, func() any { return make([]uint32, histBins) }).([]uint32)
+			priv = b.BlockState(histPrivSlot, func() any { return make([]uint32, histBins) }).([]uint32)
 			// Zero the private histogram cooperatively (256 words,
 			// blockSize threads): histBins/bdim stores per thread.
-			for o := 0; o < histBins; o += bdim {
-				sIdx := laneInts(func(l int) int { return (o + tid[l]) % histBins })
-				sOffs := offs4(&sIdx)
-				w.SharedStore(valid, &sOffs)
-			}
-			w.Sync()
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				valid := w.ValidMask()
+				tid := laneInts(w.LinearTID)
+				for o := 0; o < histBins; o += bdim {
+					sIdx := laneInts(func(l int) int { return (o + tid[l]) % histBins })
+					sOffs := offs4(&sIdx)
+					w.SharedStore(valid, &sOffs)
+				}
+			})
+			b.Sync()
 		}
 
-		gi := laneInts(func(l int) int { return bx*bdim + tid[l] })
-		w.IntOps(valid, 2)
-		for {
-			inRange := valid & gpusim.MaskWhere(func(l int) bool { return gi[l] < n })
-			w.Branch(valid, inRange)
-			if inRange == 0 {
-				break
-			}
-			addrs := addrs4(baseInput, &gi)
-			w.GlobalLoad(inRange, &addrs, 1)
-
-			var binIdx [gpusim.WarpSize]int
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if inRange.Active(l) {
-					binIdx[l] = int(input[gi[l]])
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			valid := w.ValidMask()
+			tid := laneInts(w.LinearTID)
+			gi := laneInts(func(l int) int { return bx*bdim + tid[l] })
+			w.IntOps(valid, 2)
+			for {
+				inRange := valid & gpusim.MaskWhere(func(l int) bool { return gi[l] < n })
+				w.Branch(valid, inRange)
+				if inRange == 0 {
+					break
 				}
-			}
-			w.IntOps(inRange, 1)
-			if variant == 0 {
-				gAddrs := addrs4(baseOutput, &binIdx)
-				w.AtomicGlobalAdd(inRange, &gAddrs)
-			} else {
-				sOffs := offs4(&binIdx)
-				w.AtomicSharedAdd(inRange, &sOffs)
-			}
-			// Functional accumulation (single-threaded simulation makes
-			// plain adds exact).
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if inRange.Active(l) {
-					if variant == 0 {
-						bins[binIdx[l]]++
-					} else {
-						priv[binIdx[l]]++
+				addrs := addrs4(baseInput, &gi)
+				w.GlobalLoad(inRange, &addrs, 1)
+
+				var binIdx [gpusim.WarpSize]int
+				for l := 0; l < gpusim.WarpSize; l++ {
+					if inRange.Active(l) {
+						binIdx[l] = int(input[gi[l]])
 					}
 				}
+				w.IntOps(inRange, 1)
+				if variant == 0 {
+					gAddrs := addrs4(baseOutput, &binIdx)
+					w.AtomicGlobalAdd(inRange, &gAddrs)
+				} else {
+					sOffs := offs4(&binIdx)
+					w.AtomicSharedAdd(inRange, &sOffs)
+				}
+				// Functional accumulation (single-threaded simulation
+				// makes plain adds exact).
+				for l := 0; l < gpusim.WarpSize; l++ {
+					if inRange.Active(l) {
+						if variant == 0 {
+							bins[binIdx[l]]++
+						} else {
+							priv[binIdx[l]]++
+						}
+					}
+				}
+				for l := range gi {
+					gi[l] += stride
+				}
+				w.IntOps(valid, 1)
 			}
-			for l := range gi {
-				gi[l] += stride
-			}
-			w.IntOps(valid, 1)
-		}
+		})
 
 		if variant == 1 {
 			// Merge the private histogram into the global one.
-			w.Sync()
-			for o := 0; o < histBins; o += bdim {
-				idx := laneInts(func(l int) int { return (o + tid[l]) % histBins })
-				sOffs := offs4(&idx)
-				w.SharedLoad(valid, &sOffs)
-				gAddrs := addrs4(baseOutput, &idx)
-				w.AtomicGlobalAdd(valid, &gAddrs)
-			}
-			// All warps passed the barrier, so accumulation is done;
-			// warp 0 performs the functional merge once per block.
-			if w.WarpID() == 0 {
-				for b := 0; b < histBins; b++ {
-					bins[b] += priv[b]
-					priv[b] = 0
+			b.Sync()
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				valid := w.ValidMask()
+				tid := laneInts(w.LinearTID)
+				for o := 0; o < histBins; o += bdim {
+					idx := laneInts(func(l int) int { return (o + tid[l]) % histBins })
+					sOffs := offs4(&idx)
+					w.SharedLoad(valid, &sOffs)
+					gAddrs := addrs4(baseOutput, &idx)
+					w.AtomicGlobalAdd(valid, &gAddrs)
 				}
+			})
+			// The functional merge, once per block.
+			for i, v := range priv {
+				bins[i] += v
 			}
 		}
 	}

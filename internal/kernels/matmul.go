@@ -210,61 +210,73 @@ func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
 
 // kernel is the tiled multiply. Only the global addresses (block corner
 // plus the warp's lane offsets) and the arithmetic depend on the block.
+// Each thread's accumulator lives across barriers, so it is kept in a
+// per-block array indexed by linear thread ID.
 func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
 	a, bm, c := m.a, m.b, m.c
-	return func(w *gpusim.Warp) {
-		bx, by := w.BlockIdx()
-		p := &warps[w.WarpID()]
-		full := w.ValidMask() // b² is a multiple of 32, so always full
-		w.IntOps(full, 4)     // index arithmetic for row/col
-
-		as := w.SharedF32(matmulAsSlot, b*b)
-		bs := w.SharedF32(matmulBsSlot, b*b)
-		var acc [gpusim.WarpSize]float32
-		var aAddrs, bAddrs [gpusim.WarpSize]uint64
+	full := gpusim.FullMask() // b² is a multiple of 32, so every lane is live
+	return func(blk *gpusim.Block) {
+		bx, by := blk.BlockIdx()
+		as := blk.SharedF32(matmulAsSlot, b*b)
+		bs := blk.SharedF32(matmulBsSlot, b*b)
+		accs := blk.SharedF32(matmulAccSlot, b*b)
 
 		tiles := n / b
 		for t := 0; t < tiles; t++ {
 			// As[ty][tx] = A[row][t*b+tx]; Bs[ty][tx] = B[t*b+ty][col]
 			aStart := by*b*n + t*b // A[by*b][t*b]
 			bStart := t*b*n + bx*b // B[t*b][bx*b]
-			addrsFrom(&aAddrs, baseA, aStart, &p.rel)
-			addrsFrom(&bAddrs, baseB, bStart, &p.rel)
-			w.IntOps(full, 4)
-			w.GlobalLoad(full, &aAddrs, 4)
-			w.GlobalLoad(full, &bAddrs, 4)
-			for l, s := range p.tile {
-				as[s] = a[aStart+p.rel[l]]
-				bs[s] = bm[bStart+p.rel[l]]
-			}
-			w.SharedStoreAt(p.store)
-			w.SharedStoreAt(p.store)
-			w.Sync()
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				p := &warps[w.WarpID()]
+				if t == 0 {
+					w.IntOps(full, 4) // index arithmetic for row/col
+				}
+				var aAddrs, bAddrs [gpusim.WarpSize]uint64
+				addrsFrom(&aAddrs, baseA, aStart, &p.rel)
+				addrsFrom(&bAddrs, baseB, bStart, &p.rel)
+				w.IntOps(full, 4)
+				w.GlobalLoad(full, &aAddrs, 4)
+				w.GlobalLoad(full, &bAddrs, 4)
+				for l, s := range p.tile {
+					as[s] = a[aStart+p.rel[l]]
+					bs[s] = bm[bStart+p.rel[l]]
+				}
+				w.SharedStoreAt(p.store)
+				w.SharedStoreAt(p.store)
+			})
+			blk.Sync()
 
-			for k := 0; k < b; k++ {
-				if unroll > 0 && unroll < b && k%unroll == 0 {
-					w.IntOps(full, 1) // loop counter + branch per unroll group
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				p := &warps[w.WarpID()]
+				acc := accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize]
+				for k := 0; k < b; k++ {
+					if unroll > 0 && unroll < b && k%unroll == 0 {
+						w.IntOps(full, 1) // loop counter + branch per unroll group
+					}
+					w.SharedLoadAt(p.loadA[k])
+					w.SharedLoadAt(p.loadB[k])
+					w.FloatOps(full, 1) // fused multiply-add
+					for l := range acc {
+						acc[l] += as[p.rowBase[l]+k] * bs[k*b+p.tx[l]]
+					}
 				}
-				w.SharedLoadAt(p.loadA[k])
-				w.SharedLoadAt(p.loadB[k])
-				w.FloatOps(full, 1) // fused multiply-add
-				for l := range acc {
-					acc[l] += as[p.rowBase[l]+k] * bs[k*b+p.tx[l]]
-				}
-			}
-			w.Sync()
+			})
+			blk.Sync()
 		}
 
 		cStart := by*b*n + bx*b // C[by*b][bx*b]
-		var cAddrs [gpusim.WarpSize]uint64
-		addrsFrom(&cAddrs, baseC, cStart, &p.rel)
-		w.IntOps(full, 2)
-		w.GlobalStore(full, &cAddrs, 4)
-		for l, v := range acc {
-			c[cStart+p.rel[l]] = v
-		}
+		blk.ForEachWarp(func(w *gpusim.Warp) {
+			p := &warps[w.WarpID()]
+			var cAddrs [gpusim.WarpSize]uint64
+			addrsFrom(&cAddrs, baseC, cStart, &p.rel)
+			w.IntOps(full, 2)
+			w.GlobalStore(full, &cAddrs, 4)
+			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
+				c[cStart+p.rel[l]] = v
+			}
+		})
 	}
 }

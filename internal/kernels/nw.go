@@ -242,8 +242,8 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 	penalty := nw.Penalty
 	score := nw.score
 	active := p.active
-	return func(w *gpusim.Warp) {
-		bx, _ := w.BlockIdx()
+	return func(b *gpusim.Block) {
+		bx, _ := b.BlockIdx()
 		var bIdxX, bIdxY int
 		if topLeft {
 			bIdxX = bx
@@ -259,75 +259,86 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 		index := base + cols + 1
 
 		// temp[17][17] and ref[16][16] in shared memory.
-		temp := w.SharedI32(nwTempSlot, tw*tw)
-		refS := w.SharedI32(nwRefSlot, nwBlock*nwBlock)
-		w.IntOps(active, 6) // index arithmetic
-
-		// temp[0][0] = input[index_nw] (lane 0 only).
-		w.Branch(active, p.lane0)
+		temp := b.SharedI32(nwTempSlot, tw*tw)
+		refS := b.SharedI32(nwRefSlot, nwBlock*nwBlock)
 		var addrs [gpusim.WarpSize]uint64
-		addrsFrom(&addrs, baseScore, base, &p.lanes)
-		w.GlobalLoad(p.lane0, &addrs, 4)
-		temp[0] = score[base]
-		w.SharedStoreAt(p.corner)
 
-		// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
-		row, col := bIdxY*nwBlock+1, bIdxX*nwBlock+1 // matrix cell of ref_s[0][0]
-		for ty := 0; ty < nwBlock; ty++ {
-			addrsFrom(&addrs, baseRef, index+cols*ty, &p.lanes)
-			w.GlobalLoad(active, &addrs, 4)
-			for l := 0; l < nwBlock; l++ {
-				refS[ty*nwBlock+l] = nw.ref(row+ty, col+l)
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			w.IntOps(active, 6) // index arithmetic
+
+			// temp[0][0] = input[index_nw] (lane 0 only).
+			w.Branch(active, p.lane0)
+			addrsFrom(&addrs, baseScore, base, &p.lanes)
+			w.GlobalLoad(p.lane0, &addrs, 4)
+			temp[0] = score[base]
+			w.SharedStoreAt(p.corner)
+
+			// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
+			row, col := bIdxY*nwBlock+1, bIdxX*nwBlock+1 // matrix cell of ref_s[0][0]
+			for ty := 0; ty < nwBlock; ty++ {
+				addrsFrom(&addrs, baseRef, index+cols*ty, &p.lanes)
+				w.GlobalLoad(active, &addrs, 4)
+				for l := 0; l < nwBlock; l++ {
+					refS[ty*nwBlock+l] = nw.ref(row+ty, col+l)
+				}
+				w.SharedStoreAt(p.refFill[ty])
 			}
-			w.SharedStoreAt(p.refFill[ty])
-		}
-		w.Sync()
+		})
+		b.Sync()
 
 		// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
-		addrsFrom(&addrs, baseScore, base+cols, &p.column)
-		w.GlobalLoad(active, &addrs, 4)
-		for l := 0; l < nwBlock; l++ {
-			temp[(l+1)*tw] = score[base+cols+p.column[l]]
-		}
-		w.SharedStoreAt(p.westFill)
-		w.Sync()
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			addrsFrom(&addrs, baseScore, base+cols, &p.column)
+			w.GlobalLoad(active, &addrs, 4)
+			for l := 0; l < nwBlock; l++ {
+				temp[(l+1)*tw] = score[base+cols+p.column[l]]
+			}
+			w.SharedStoreAt(p.westFill)
+		})
+		b.Sync()
 
 		// temp[0][tid+1] = input[index_n]: coalesced north row.
-		addrsFrom(&addrs, baseScore, base+1, &p.lanes)
-		w.GlobalLoad(active, &addrs, 4)
-		copy(temp[1:nwBlock+1], score[base+1:])
-		w.SharedStoreAt(p.northFill)
-		w.Sync()
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			addrsFrom(&addrs, baseScore, base+1, &p.lanes)
+			w.GlobalLoad(active, &addrs, 4)
+			copy(temp[1:nwBlock+1], score[base+1:])
+			w.SharedStoreAt(p.northFill)
+		})
+		b.Sync()
 
 		// Forward, then backward wavefront over the tile's anti-diagonals:
 		// cell (t_y, t_x) gets max(diag+ref, west−penalty, north−penalty).
 		for i := range p.steps {
 			s := &p.steps[i]
-			w.IntOps(active, 2) // diagonal index arithmetic
-			w.Branch(active, s.mask)
-			w.SharedLoadAt(s.diag)
-			w.SharedLoadAt(s.ref)
-			w.SharedLoadAt(s.west)
-			w.SharedLoadAt(s.north)
-			w.IntOps(s.mask, 4) // two subtractions, two max ops
-			for _, c := range s.cells {
-				temp[c.self] = max3(
-					temp[c.diag]+refS[c.ref],
-					temp[c.west]-penalty,
-					temp[c.north]-penalty,
-				)
-			}
-			w.SharedStoreAt(s.self)
-			w.Sync()
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				w.IntOps(active, 2) // diagonal index arithmetic
+				w.Branch(active, s.mask)
+				w.SharedLoadAt(s.diag)
+				w.SharedLoadAt(s.ref)
+				w.SharedLoadAt(s.west)
+				w.SharedLoadAt(s.north)
+				w.IntOps(s.mask, 4) // two subtractions, two max ops
+				for _, c := range s.cells {
+					temp[c.self] = max3(
+						temp[c.diag]+refS[c.ref],
+						temp[c.west]-penalty,
+						temp[c.north]-penalty,
+					)
+				}
+				w.SharedStoreAt(s.self)
+			})
+			b.Sync()
 		}
 
 		// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
-		for ty := 0; ty < nwBlock; ty++ {
-			out := index + cols*ty
-			addrsFrom(&addrs, baseScore, out, &p.lanes)
-			w.SharedLoadAt(p.writeBack[ty])
-			w.GlobalStore(active, &addrs, 4)
-			copy(score[out:out+nwBlock], temp[(ty+1)*tw+1:])
-		}
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			for ty := 0; ty < nwBlock; ty++ {
+				out := index + cols*ty
+				addrsFrom(&addrs, baseScore, out, &p.lanes)
+				w.SharedLoadAt(p.writeBack[ty])
+				w.GlobalStore(active, &addrs, 4)
+				copy(score[out:out+nwBlock], temp[(ty+1)*tw+1:])
+			}
+		})
 	}
 }

@@ -11,12 +11,13 @@ import "blackforest/internal/gpusim"
 // oracleKernel is needle's per-block kernel as it was before its
 // lane-only shared accesses moved into Plan: every block rebuilds its
 // offsets and the simulator recomputes their conflict degrees per call.
+// Lane values are rebuilt from the thread ID in every barrier phase.
 func (nw *NeedlemanWunsch) oracleKernel(strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
 	score := nw.score
-	return func(w *gpusim.Warp) {
-		bx, _ := w.BlockIdx()
+	return func(b *gpusim.Block) {
+		bx, _ := b.BlockIdx()
 		var bIdxX, bIdxY int
 		if topLeft {
 			bIdxX = bx
@@ -26,108 +27,128 @@ func (nw *NeedlemanWunsch) oracleKernel(strip, blockWidth int, topLeft bool) gpu
 			bIdxY = blockWidth - bx - 1
 		}
 
-		active := w.ValidMask() // lanes 0–15
-		tid := laneInts(w.LinearTID)
-
 		// Cell indices as in Rodinia.
 		base := cols*nwBlock*bIdxY + nwBlock*bIdxX
 		indexNW := base
-		indexN := laneInts(func(l int) int { return base + tid[l] + 1 })
 		indexW := base + cols
-		index := laneInts(func(l int) int { return base + cols + 1 + tid[l] })
+		lanes := func(w *gpusim.Warp) (active gpusim.Mask, tid, index [gpusim.WarpSize]int) {
+			tid = laneInts(w.LinearTID)
+			index = laneInts(func(l int) int { return base + cols + 1 + tid[l] })
+			return w.ValidMask(), tid, index // lanes 0–15
+		}
 
 		// temp[17][17] and ref[16][16] in shared memory.
-		temp := w.SharedI32(nwTempSlot, (nwBlock+1)*(nwBlock+1))
-		refS := w.SharedI32(nwRefSlot, nwBlock*nwBlock)
-		w.IntOps(active, 6) // index arithmetic
+		temp := b.SharedI32(nwTempSlot, (nwBlock+1)*(nwBlock+1))
+		refS := b.SharedI32(nwRefSlot, nwBlock*nwBlock)
 
-		// temp[0][0] = input[index_nw] (lane 0 only).
-		lane0 := active & gpusim.MaskFirstN(1)
-		w.Branch(active, lane0)
-		nwIdx := laneInts(func(int) int { return indexNW })
-		nwAddrs := addrs4(baseScore, &nwIdx)
-		w.GlobalLoad(lane0, &nwAddrs, 4)
-		temp[0] = score[indexNW]
-		var zeroOffs [gpusim.WarpSize]uint32
-		w.SharedStore(lane0, &zeroOffs)
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			active, tid, index := lanes(w)
+			w.IntOps(active, 6) // index arithmetic
 
-		// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
-		for ty := 0; ty < nwBlock; ty++ {
-			rIdx := laneInts(func(l int) int { return index[l] + cols*ty })
-			rAddrs := addrs4(baseRef, &rIdx)
-			w.GlobalLoad(active, &rAddrs, 4)
-			sIdx := laneInts(func(l int) int { return ty*nwBlock + tid[l] })
-			sOffs := offs4(&sIdx)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if active.Active(l) {
-					// Matrix cell (row, col) of this lane's ref entry.
-					row := bIdxY*nwBlock + ty + 1
-					col := bIdxX*nwBlock + tid[l] + 1
-					refS[sIdx[l]] = nw.ref(row, col)
+			// temp[0][0] = input[index_nw] (lane 0 only).
+			lane0 := active & gpusim.MaskFirstN(1)
+			w.Branch(active, lane0)
+			nwIdx := laneInts(func(int) int { return indexNW })
+			nwAddrs := addrs4(baseScore, &nwIdx)
+			w.GlobalLoad(lane0, &nwAddrs, 4)
+			temp[0] = score[indexNW]
+			var zeroOffs [gpusim.WarpSize]uint32
+			w.SharedStore(lane0, &zeroOffs)
+
+			// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
+			for ty := 0; ty < nwBlock; ty++ {
+				rIdx := laneInts(func(l int) int { return index[l] + cols*ty })
+				rAddrs := addrs4(baseRef, &rIdx)
+				w.GlobalLoad(active, &rAddrs, 4)
+				sIdx := laneInts(func(l int) int { return ty*nwBlock + tid[l] })
+				sOffs := offs4(&sIdx)
+				for l := 0; l < gpusim.WarpSize; l++ {
+					if active.Active(l) {
+						// Matrix cell (row, col) of this lane's ref entry.
+						row := bIdxY*nwBlock + ty + 1
+						col := bIdxX*nwBlock + tid[l] + 1
+						refS[sIdx[l]] = nw.ref(row, col)
+					}
 				}
+				w.SharedStore(active, &sOffs)
 			}
-			w.SharedStore(active, &sOffs)
-		}
-		w.Sync()
+		})
+		b.Sync()
 
 		// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
-		wIdx := laneInts(func(l int) int { return indexW + cols*tid[l] })
-		wAddrs := addrs4(baseScore, &wIdx)
-		w.GlobalLoad(active, &wAddrs, 4)
-		wOff := laneInts(func(l int) int { return (tid[l] + 1) * (nwBlock + 1) })
-		wOffs := offs4(&wOff)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			if active.Active(l) {
-				temp[wOff[l]] = score[wIdx[l]]
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			active, tid, _ := lanes(w)
+			wIdx := laneInts(func(l int) int { return indexW + cols*tid[l] })
+			wAddrs := addrs4(baseScore, &wIdx)
+			w.GlobalLoad(active, &wAddrs, 4)
+			wOff := laneInts(func(l int) int { return (tid[l] + 1) * (nwBlock + 1) })
+			wOffs := offs4(&wOff)
+			for l := 0; l < gpusim.WarpSize; l++ {
+				if active.Active(l) {
+					temp[wOff[l]] = score[wIdx[l]]
+				}
 			}
-		}
-		w.SharedStore(active, &wOffs)
-		w.Sync()
+			w.SharedStore(active, &wOffs)
+		})
+		b.Sync()
 
 		// temp[0][tid+1] = input[index_n]: coalesced north row.
-		nAddrs := addrs4(baseScore, &indexN)
-		w.GlobalLoad(active, &nAddrs, 4)
-		nOff := laneInts(func(l int) int { return tid[l] + 1 })
-		nOffs := offs4(&nOff)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			if active.Active(l) {
-				temp[nOff[l]] = score[indexN[l]]
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			active, tid, _ := lanes(w)
+			indexN := laneInts(func(l int) int { return base + tid[l] + 1 })
+			nAddrs := addrs4(baseScore, &indexN)
+			w.GlobalLoad(active, &nAddrs, 4)
+			nOff := laneInts(func(l int) int { return tid[l] + 1 })
+			nOffs := offs4(&nOff)
+			for l := 0; l < gpusim.WarpSize; l++ {
+				if active.Active(l) {
+					temp[nOff[l]] = score[indexN[l]]
+				}
 			}
-		}
-		w.SharedStore(active, &nOffs)
-		w.Sync()
+			w.SharedStore(active, &nOffs)
+		})
+		b.Sync()
 
 		// Forward wavefront over the tile's anti-diagonals.
 		for m := 0; m < nwBlock; m++ {
-			step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
-			nw.oracleDPStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
-				return tid[l] + 1, m - tid[l] + 1
-			}, penalty)
-			w.Sync()
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				active, tid, _ := lanes(w)
+				step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
+				nw.oracleDPStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
+					return tid[l] + 1, m - tid[l] + 1
+				}, penalty)
+			})
+			b.Sync()
 		}
 		// Backward wavefront.
 		for m := nwBlock - 2; m >= 0; m-- {
-			step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
-			nw.oracleDPStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
-				return tid[l] + nwBlock - m, nwBlock - tid[l]
-			}, penalty)
-			w.Sync()
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				active, tid, _ := lanes(w)
+				step := active & gpusim.MaskWhere(func(l int) bool { return tid[l] <= m })
+				nw.oracleDPStep(w, temp, refS, active, step, tid, func(l int) (x, y int) {
+					return tid[l] + nwBlock - m, nwBlock - tid[l]
+				}, penalty)
+			})
+			b.Sync()
 		}
 
 		// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
-		for ty := 0; ty < nwBlock; ty++ {
-			oIdx := laneInts(func(l int) int { return index[l] + cols*ty })
-			oAddrs := addrs4(baseScore, &oIdx)
-			tOff := laneInts(func(l int) int { return (ty+1)*(nwBlock+1) + tid[l] + 1 })
-			tOffs := offs4(&tOff)
-			w.SharedLoad(active, &tOffs)
-			w.GlobalStore(active, &oAddrs, 4)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if active.Active(l) {
-					score[oIdx[l]] = temp[tOff[l]]
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			active, tid, index := lanes(w)
+			for ty := 0; ty < nwBlock; ty++ {
+				oIdx := laneInts(func(l int) int { return index[l] + cols*ty })
+				oAddrs := addrs4(baseScore, &oIdx)
+				tOff := laneInts(func(l int) int { return (ty+1)*(nwBlock+1) + tid[l] + 1 })
+				tOffs := offs4(&tOff)
+				w.SharedLoad(active, &tOffs)
+				w.GlobalStore(active, &oAddrs, 4)
+				for l := 0; l < gpusim.WarpSize; l++ {
+					if active.Active(l) {
+						score[oIdx[l]] = temp[tOff[l]]
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -177,74 +198,91 @@ func (nw *NeedlemanWunsch) oracleDPStep(w *gpusim.Warp, temp, refS []int32, acti
 
 // oracleKernel is matmul's kernel as it was before its per-warp shared
 // accesses moved into Plan. With blockDim (b, b), each warp covers 32/b
-// consecutive tile rows; lane → (tx, ty) via the linear thread index.
+// consecutive tile rows; lane → (tx, ty) via the linear thread index,
+// rebuilt in every barrier phase. Each thread's accumulator lives across
+// barriers in a per-block array indexed by linear thread ID.
 func (m *MatMul) oracleKernel() gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
 	a, bm, c := m.a, m.b, m.c
-	return func(w *gpusim.Warp) {
-		bx, by := w.BlockIdx()
-		full := w.ValidMask() // b² is a multiple of 32, so always full
-
-		var tx, ty, row, col [gpusim.WarpSize]int
-		for l := 0; l < gpusim.WarpSize; l++ {
-			t := w.LinearTID(l)
-			tx[l] = t % b
-			ty[l] = t / b
-			row[l] = by*b + ty[l]
-			col[l] = bx*b + tx[l]
+	return func(blk *gpusim.Block) {
+		bx, by := blk.BlockIdx()
+		lanes := func(w *gpusim.Warp) (tx, ty, row, col [gpusim.WarpSize]int) {
+			for l := 0; l < gpusim.WarpSize; l++ {
+				t := w.LinearTID(l)
+				tx[l] = t % b
+				ty[l] = t / b
+				row[l] = by*b + ty[l]
+				col[l] = bx*b + tx[l]
+			}
+			return tx, ty, row, col
 		}
-		w.IntOps(full, 4) // index arithmetic for row/col
 
-		as := w.SharedF32(matmulAsSlot, b*b)
-		bs := w.SharedF32(matmulBsSlot, b*b)
-		var acc [gpusim.WarpSize]float32
+		as := blk.SharedF32(matmulAsSlot, b*b)
+		bs := blk.SharedF32(matmulBsSlot, b*b)
+		accs := blk.SharedF32(matmulAccSlot, b*b)
 
 		tiles := n / b
 		for t := 0; t < tiles; t++ {
-			// As[ty][tx] = A[row][t*b+tx]; Bs[ty][tx] = B[t*b+ty][col]
-			aIdx := laneInts(func(l int) int { return row[l]*n + t*b + tx[l] })
-			bIdx := laneInts(func(l int) int { return (t*b+ty[l])*n + col[l] })
-			aAddrs := addrs4(baseA, &aIdx)
-			bAddrs := addrs4(baseB, &bIdx)
-			w.IntOps(full, 4)
-			w.GlobalLoad(full, &aAddrs, 4)
-			w.GlobalLoad(full, &bAddrs, 4)
-			sIdx := laneInts(func(l int) int { return ty[l]*b + tx[l] })
-			sOffs := offs4(&sIdx)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				as[sIdx[l]] = a[aIdx[l]]
-				bs[sIdx[l]] = bm[bIdx[l]]
-			}
-			w.SharedStore(full, &sOffs)
-			w.SharedStore(full, &sOffs)
-			w.Sync()
-
-			for k := 0; k < b; k++ {
-				if unroll > 0 && unroll < b && k%unroll == 0 {
-					w.IntOps(full, 1) // loop counter + branch per unroll group
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				full := w.ValidMask() // b² is a multiple of 32, so always full
+				tx, ty, row, col := lanes(w)
+				if t == 0 {
+					w.IntOps(full, 4) // index arithmetic for row/col
 				}
-				aOff := laneInts(func(l int) int { return ty[l]*b + k })
-				bOff := laneInts(func(l int) int { return k*b + tx[l] })
-				ao := offs4(&aOff)
-				bo := offs4(&bOff)
-				w.SharedLoad(full, &ao)
-				w.SharedLoad(full, &bo)
-				w.FloatOps(full, 1) // fused multiply-add
+				// As[ty][tx] = A[row][t*b+tx]; Bs[ty][tx] = B[t*b+ty][col]
+				aIdx := laneInts(func(l int) int { return row[l]*n + t*b + tx[l] })
+				bIdx := laneInts(func(l int) int { return (t*b+ty[l])*n + col[l] })
+				aAddrs := addrs4(baseA, &aIdx)
+				bAddrs := addrs4(baseB, &bIdx)
+				w.IntOps(full, 4)
+				w.GlobalLoad(full, &aAddrs, 4)
+				w.GlobalLoad(full, &bAddrs, 4)
+				sIdx := laneInts(func(l int) int { return ty[l]*b + tx[l] })
+				sOffs := offs4(&sIdx)
 				for l := 0; l < gpusim.WarpSize; l++ {
-					acc[l] += as[aOff[l]] * bs[bOff[l]]
+					as[sIdx[l]] = a[aIdx[l]]
+					bs[sIdx[l]] = bm[bIdx[l]]
 				}
-			}
-			w.Sync()
+				w.SharedStore(full, &sOffs)
+				w.SharedStore(full, &sOffs)
+			})
+			blk.Sync()
+
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				full := w.ValidMask()
+				tx, ty, _, _ := lanes(w)
+				acc := accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize]
+				for k := 0; k < b; k++ {
+					if unroll > 0 && unroll < b && k%unroll == 0 {
+						w.IntOps(full, 1) // loop counter + branch per unroll group
+					}
+					aOff := laneInts(func(l int) int { return ty[l]*b + k })
+					bOff := laneInts(func(l int) int { return k*b + tx[l] })
+					ao := offs4(&aOff)
+					bo := offs4(&bOff)
+					w.SharedLoad(full, &ao)
+					w.SharedLoad(full, &bo)
+					w.FloatOps(full, 1) // fused multiply-add
+					for l := range acc {
+						acc[l] += as[aOff[l]] * bs[bOff[l]]
+					}
+				}
+			})
+			blk.Sync()
 		}
 
-		cIdx := laneInts(func(l int) int { return row[l]*n + col[l] })
-		cAddrs := addrs4(baseC, &cIdx)
-		w.IntOps(full, 2)
-		w.GlobalStore(full, &cAddrs, 4)
-		for l := 0; l < gpusim.WarpSize; l++ {
-			c[cIdx[l]] = acc[l]
-		}
+		blk.ForEachWarp(func(w *gpusim.Warp) {
+			full := w.ValidMask()
+			_, _, row, col := lanes(w)
+			cIdx := laneInts(func(l int) int { return row[l]*n + col[l] })
+			cAddrs := addrs4(baseC, &cIdx)
+			w.IntOps(full, 2)
+			w.GlobalStore(full, &cAddrs, 4)
+			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
+				c[cIdx[l]] = v
+			}
+		})
 	}
 }

@@ -248,37 +248,38 @@ func (r *Reduction) kernel(src, dst []float32, n int, srcBase, dstBase uint64) g
 
 // loadToShared performs the initial "sdata[tid] = (i < n) ? g[i] : 0" phase
 // common to variants 0–2.
-func loadToShared(w *gpusim.Warp, src []float32, sdata []float32, n int, srcBase uint64) {
-	bdim, _ := w.BlockDim()
-	bx, _ := w.BlockIdx()
-	valid := w.ValidMask()
-	tid := laneInts(w.LinearTID)
-	gi := laneInts(func(l int) int { return bx*bdim + tid[l] })
-	inRange := valid & gpusim.MaskWhere(func(l int) bool { return gi[l] < n })
+func loadToShared(b *gpusim.Block, src []float32, sdata []float32, n int, srcBase uint64) {
+	bdim, _ := b.BlockDim()
+	bx, _ := b.BlockIdx()
+	b.ForEachWarp(func(w *gpusim.Warp) {
+		valid := w.ValidMask()
+		tid := laneInts(w.LinearTID)
+		gi := laneInts(func(l int) int { return bx*bdim + tid[l] })
+		inRange := valid & gpusim.MaskWhere(func(l int) bool { return gi[l] < n })
 
-	w.IntOps(valid, 2) // i = blockIdx.x*blockDim.x + threadIdx.x
-	w.Branch(valid, inRange)
-	addrs := addrs4(srcBase, &gi)
-	w.GlobalLoad(inRange, &addrs, 4)
-	for l := 0; l < gpusim.WarpSize; l++ {
-		if !valid.Active(l) {
-			continue
+		w.IntOps(valid, 2) // i = blockIdx.x*blockDim.x + threadIdx.x
+		w.Branch(valid, inRange)
+		addrs := addrs4(srcBase, &gi)
+		w.GlobalLoad(inRange, &addrs, 4)
+		for l := 0; l < gpusim.WarpSize; l++ {
+			if !valid.Active(l) {
+				continue
+			}
+			if inRange.Active(l) {
+				sdata[tid[l]] = src[gi[l]]
+			} else {
+				sdata[tid[l]] = 0
+			}
 		}
-		if inRange.Active(l) {
-			sdata[tid[l]] = src[gi[l]]
-		} else {
-			sdata[tid[l]] = 0
-		}
-	}
-	offs := offs4(&tid)
-	w.SharedStore(valid, &offs)
-	w.Sync()
+		offs := offs4(&tid)
+		w.SharedStore(valid, &offs)
+	})
+	b.Sync()
 }
 
 // writeBlockResult performs the final "if (tid == 0) g_odata[bx] = sdata[0]".
-func writeBlockResult(w *gpusim.Warp, dst []float32, sdata []float32, dstBase uint64) {
+func writeBlockResult(w *gpusim.Warp, bx int, dst []float32, sdata []float32, dstBase uint64) {
 	valid := w.ValidMask()
-	bx, _ := w.BlockIdx()
 	lane0 := valid & gpusim.MaskFirstN(1)
 	if w.WarpID() != 0 {
 		lane0 = 0
@@ -296,129 +297,106 @@ func writeBlockResult(w *gpusim.Warp, dst []float32, sdata []float32, dstBase ui
 
 // reduce0: interleaved addressing with a modulo guard — heavy divergence.
 func reduce0(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		sdata := w.SharedF32(reductionSdataSlot, bdim)
-		valid := w.ValidMask()
-		tid := laneInts(w.LinearTID)
-		loadToShared(w, src, sdata, n, srcBase)
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		bx, _ := b.BlockIdx()
+		sdata := b.SharedF32(reductionSdataSlot, bdim)
+		loadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
-			active := valid & gpusim.MaskWhere(func(l int) bool { return tid[l]%(2*s) == 0 })
-			w.IntOps(valid, 3) // modulo is multi-op on GPU integer units
-			w.Branch(valid, active)
-			if active != 0 {
-				self := offs4(&tid)
-				partner := laneInts(func(l int) int { return tid[l] + s })
-				po := offs4(&partner)
-				w.SharedLoad(active, &po)
-				w.SharedLoad(active, &self)
-				w.FloatOps(active, 1)
-				for l := 0; l < gpusim.WarpSize; l++ {
-					if active.Active(l) {
-						sdata[tid[l]] += sdata[tid[l]+s]
-					}
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				valid := w.ValidMask()
+				tid := laneInts(w.LinearTID)
+				active := valid & gpusim.MaskWhere(func(l int) bool { return tid[l]%(2*s) == 0 })
+				w.IntOps(valid, 3) // modulo is multi-op on GPU integer units
+				w.Branch(valid, active)
+				if active != 0 {
+					applySequentialStep(w, sdata, active, &tid, s)
 				}
-				w.SharedStore(active, &self)
-			}
-			w.Sync()
+			})
+			b.Sync()
 		}
-		writeBlockResult(w, dst, sdata, dstBase)
+		b.ForEachWarp(func(w *gpusim.Warp) { writeBlockResult(w, bx, dst, sdata, dstBase) })
 	}
 }
 
 // reduce1: strided indexing replaces the modulo — divergence-free within
 // early iterations but introduces shared-memory bank conflicts.
 func reduce1(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		sdata := w.SharedF32(reductionSdataSlot, bdim)
-		valid := w.ValidMask()
-		tid := laneInts(w.LinearTID)
-		loadToShared(w, src, sdata, n, srcBase)
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		bx, _ := b.BlockIdx()
+		sdata := b.SharedF32(reductionSdataSlot, bdim)
+		loadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
-			index := laneInts(func(l int) int { return 2 * s * tid[l] })
-			active := valid & gpusim.MaskWhere(func(l int) bool { return index[l] < bdim })
-			w.IntOps(valid, 2) // index = 2*s*tid; compare
-			w.Branch(valid, active)
-			if active != 0 {
-				self := offs4(&index)
-				partner := laneInts(func(l int) int { return index[l] + s })
-				po := offs4(&partner)
-				w.SharedLoad(active, &po)
-				w.SharedLoad(active, &self)
-				w.FloatOps(active, 1)
-				for l := 0; l < gpusim.WarpSize; l++ {
-					if active.Active(l) {
-						sdata[index[l]] += sdata[index[l]+s]
-					}
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				valid := w.ValidMask()
+				tid := laneInts(w.LinearTID)
+				index := laneInts(func(l int) int { return 2 * s * tid[l] })
+				active := valid & gpusim.MaskWhere(func(l int) bool { return index[l] < bdim })
+				w.IntOps(valid, 2) // index = 2*s*tid; compare
+				w.Branch(valid, active)
+				if active != 0 {
+					applySequentialStep(w, sdata, active, &index, s)
 				}
-				w.SharedStore(active, &self)
-			}
-			w.Sync()
+			})
+			b.Sync()
 		}
-		writeBlockResult(w, dst, sdata, dstBase)
+		b.ForEachWarp(func(w *gpusim.Warp) { writeBlockResult(w, bx, dst, sdata, dstBase) })
 	}
 }
 
 // reduce2: sequential addressing — conflict-free, but half the threads
 // idle from the first iteration.
 func reduce2(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		sdata := w.SharedF32(reductionSdataSlot, bdim)
-		valid := w.ValidMask()
-		tid := laneInts(w.LinearTID)
-		loadToShared(w, src, sdata, n, srcBase)
-		sequentialReduce(w, sdata, bdim, valid, &tid, 0)
-		writeBlockResult(w, dst, sdata, dstBase)
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		bx, _ := b.BlockIdx()
+		sdata := b.SharedF32(reductionSdataSlot, bdim)
+		loadToShared(b, src, sdata, n, srcBase)
+		sequentialReduce(b, sdata, 0)
+		b.ForEachWarp(func(w *gpusim.Warp) { writeBlockResult(w, bx, dst, sdata, dstBase) })
 	}
 }
 
-// sequentialReduce runs the "for s = bdim/2; s > stop; s >>= 1" phase used
-// by variants 2–6 (stop=0 keeps the barrier to the end; stop=32 leaves the
+// sequentialReduce runs the "for s = bdim/2; s > stop; s >>= 1" phases used
+// by variants 2–4 (stop=0 keeps the barrier to the end; stop=32 leaves the
 // last warp for the unrolled finish).
-func sequentialReduce(w *gpusim.Warp, sdata []float32, bdim int, valid gpusim.Mask, tid *[gpusim.WarpSize]int, stop int) {
+func sequentialReduce(b *gpusim.Block, sdata []float32, stop int) {
+	bdim, _ := b.BlockDim()
 	for s := bdim / 2; s > stop; s >>= 1 {
-		active := valid & gpusim.MaskWhere(func(l int) bool { return tid[l] < s })
-		w.IntOps(valid, 1)
-		w.Branch(valid, active)
-		if active != 0 {
-			self := offs4(tid)
-			partner := laneInts(func(l int) int { return tid[l] + s })
-			po := offs4(&partner)
-			w.SharedLoad(active, &po)
-			w.SharedLoad(active, &self)
-			w.FloatOps(active, 1)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				if active.Active(l) {
-					sdata[tid[l]] += sdata[tid[l]+s]
-				}
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			valid := w.ValidMask()
+			tid := laneInts(w.LinearTID)
+			active := valid & gpusim.MaskWhere(func(l int) bool { return tid[l] < s })
+			w.IntOps(valid, 1)
+			w.Branch(valid, active)
+			if active != 0 {
+				applySequentialStep(w, sdata, active, &tid, s)
 			}
-			w.SharedStore(active, &self)
-		}
-		w.Sync()
+		})
+		b.Sync()
 	}
 }
 
 // reduce3: halve the grid by adding two elements during the global load.
 func reduce3(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		sdata := w.SharedF32(reductionSdataSlot, bdim)
-		valid := w.ValidMask()
-		tid := laneInts(w.LinearTID)
-		firstAddLoad(w, src, sdata, n, srcBase, valid, &tid)
-		sequentialReduce(w, sdata, bdim, valid, &tid, 0)
-		writeBlockResult(w, dst, sdata, dstBase)
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		bx, _ := b.BlockIdx()
+		sdata := b.SharedF32(reductionSdataSlot, bdim)
+		b.ForEachWarp(func(w *gpusim.Warp) { firstAddLoad(w, bx, bdim, src, sdata, n, srcBase) })
+		b.Sync()
+		sequentialReduce(b, sdata, 0)
+		b.ForEachWarp(func(w *gpusim.Warp) { writeBlockResult(w, bx, dst, sdata, dstBase) })
 	}
 }
 
 // firstAddLoad is "mySum = g[i] + g[i+blockDim]" with bounds guards.
-func firstAddLoad(w *gpusim.Warp, src []float32, sdata []float32, n int, srcBase uint64, valid gpusim.Mask, tid *[gpusim.WarpSize]int) {
-	bdim, _ := w.BlockDim()
-	bx, _ := w.BlockIdx()
+func firstAddLoad(w *gpusim.Warp, bx, bdim int, src []float32, sdata []float32, n int, srcBase uint64) {
+	valid := w.ValidMask()
+	tid := laneInts(w.LinearTID)
 	gi := laneInts(func(l int) int { return bx*bdim*2 + tid[l] })
 	first := valid & gpusim.MaskWhere(func(l int) bool { return gi[l] < n })
 	second := valid & gpusim.MaskWhere(func(l int) bool { return gi[l]+bdim < n })
@@ -445,51 +423,60 @@ func firstAddLoad(w *gpusim.Warp, src []float32, sdata []float32, n int, srcBase
 		}
 		sdata[tid[l]] = v
 	}
-	offs := offs4(tid)
+	offs := offs4(&tid)
 	w.SharedStore(valid, &offs)
-	w.Sync()
 }
 
 // reduceUnrolled covers variants 4, 5 and 6: first-add load (or the
 // variant-6 grid-stride accumulation), a sequential reduction down to warp
 // width, and the barrier-free unrolled last warp.
 func reduceUnrolled(src, dst []float32, n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		bdim, _ := w.BlockDim()
-		sdata := w.SharedF32(reductionSdataSlot, bdim)
-		valid := w.ValidMask()
-		tid := laneInts(w.LinearTID)
+	return func(b *gpusim.Block) {
+		bdim, _ := b.BlockDim()
+		gdim, _ := b.GridDim()
+		bx, _ := b.BlockIdx()
+		sdata := b.SharedF32(reductionSdataSlot, bdim)
 
-		if gridStride {
-			gridStrideLoad(w, src, sdata, n, srcBase, valid, &tid)
-		} else {
-			firstAddLoad(w, src, sdata, n, srcBase, valid, &tid)
-		}
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			if gridStride {
+				gridStrideLoad(w, bx, bdim, gdim, src, sdata, n, srcBase)
+			} else {
+				firstAddLoad(w, bx, bdim, src, sdata, n, srcBase)
+			}
+		})
+		b.Sync()
 
 		// Fully unrolled variants skip the loop bookkeeping; dynamic
 		// instruction counts for the compares/branches disappear.
 		if fullyUnrolled {
 			for s := bdim / 2; s > 32; s >>= 1 {
-				active := valid & gpusim.MaskWhere(func(l int) bool { return tid[l] < s })
-				if active != 0 {
-					applySequentialStep(w, sdata, active, &tid, s)
-				}
-				w.Sync()
+				b.ForEachWarp(func(w *gpusim.Warp) {
+					tid := laneInts(w.LinearTID)
+					active := w.ValidMask() & gpusim.MaskWhere(func(l int) bool { return tid[l] < s })
+					if active != 0 {
+						applySequentialStep(w, sdata, active, &tid, s)
+					}
+				})
+				b.Sync()
 			}
 		} else {
-			sequentialReduce(w, sdata, bdim, valid, &tid, 32)
+			sequentialReduce(b, sdata, 32)
 		}
 
-		// Unrolled last warp: lanes 0–31 of warp 0, no barriers
-		// (warp-synchronous execution on volatile shared memory).
-		if w.WarpID() == 0 {
-			active := valid & gpusim.MaskFirstN(32)
-			w.Branch(valid, active)
-			for s := 32; s > 0; s >>= 1 {
-				applySequentialStep(w, sdata, active, &tid, s)
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			// Unrolled last warp: lanes 0–31 of warp 0, no barriers
+			// (warp-synchronous execution on volatile shared memory).
+			if w.WarpID() == 0 {
+				valid := w.ValidMask()
+				tid := laneInts(w.LinearTID)
+				active := valid & gpusim.MaskFirstN(32)
+				w.Branch(valid, active)
+				for s := 32; s > 0; s >>= 1 {
+					applySequentialStep(w, sdata, active, &tid, s)
+				}
 			}
-		}
-		writeBlockResult(w, dst, sdata, dstBase)
+			writeBlockResult(w, bx, dst, sdata, dstBase)
+		})
 	}
 }
 
@@ -511,10 +498,9 @@ func applySequentialStep(w *gpusim.Warp, sdata []float32, active gpusim.Mask, ti
 
 // gridStrideLoad is reduce6's accumulation loop: each thread strides
 // through the array summing into a register before the shared phase.
-func gridStrideLoad(w *gpusim.Warp, src []float32, sdata []float32, n int, srcBase uint64, valid gpusim.Mask, tid *[gpusim.WarpSize]int) {
-	bdim, _ := w.BlockDim()
-	gdim, _ := w.GridDim()
-	bx, _ := w.BlockIdx()
+func gridStrideLoad(w *gpusim.Warp, bx, bdim, gdim int, src []float32, sdata []float32, n int, srcBase uint64) {
+	valid := w.ValidMask()
+	tid := laneInts(w.LinearTID)
 	stride := bdim * 2 * gdim
 
 	var mySum [gpusim.WarpSize]float32
@@ -552,20 +538,19 @@ func gridStrideLoad(w *gpusim.Warp, src []float32, sdata []float32, n int, srcBa
 			sdata[tid[l]] = mySum[l]
 		}
 	}
-	offs := offs4(tid)
+	offs := offs4(&tid)
 	w.SharedStore(valid, &offs)
-	w.Sync()
 }
 
-// chain wraps a kernel so that after fn runs for the final warp of the
-// final block, post executes. The launcher runs blocks sequentially, so
-// post fires after the launch's last simulated work.
+// chain wraps a kernel so that post runs after fn has run the whole final
+// block of the grid. The launcher runs blocks sequentially, so post fires
+// after the launch's last simulated work.
 func chain(fn gpusim.KernelFunc, post func()) gpusim.KernelFunc {
-	return func(w *gpusim.Warp) {
-		fn(w)
-		gx, gy := w.GridDim()
-		bx, by := w.BlockIdx()
-		if bx == gx-1 && by == gy-1 && w.WarpID() == 0 {
+	return func(b *gpusim.Block) {
+		fn(b)
+		gx, gy := b.GridDim()
+		bx, by := b.BlockIdx()
+		if bx == gx-1 && by == gy-1 {
 			post()
 		}
 	}

@@ -151,58 +151,66 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 	if variant == 2 {
 		tileW = transTile + 1
 	}
-	return func(w *gpusim.Warp) {
-		bx, by := w.BlockIdx()
-		full := w.ValidMask()
-		ty := w.WarpID() // blockDim (32,rows): warp k is thread row k
+	full := gpusim.FullMask() // blockDim.x is 32: every lane is live
+	return func(b *gpusim.Block) {
+		bx, by := b.BlockIdx()
 
 		if variant == 0 {
 			// Naive: out[x*n + y] = in[y*n + x].
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				ty := w.WarpID() // blockDim (32,rows): warp k is thread row k
+				w.IntOps(full, 4)
+				for j := 0; j < transTile/rows; j++ {
+					row := by*transTile + ty + j*rows
+					rIdx := laneInts(func(l int) int { return row*n + bx*transTile + l })
+					rAddrs := addrs4(baseA, &rIdx)
+					w.GlobalLoad(full, &rAddrs, 4)
+					wIdx := laneInts(func(l int) int { return (bx*transTile+l)*n + row })
+					wAddrs := addrs4(baseB, &wIdx)
+					w.GlobalStore(full, &wAddrs, 4)
+					for l := 0; l < gpusim.WarpSize; l++ {
+						out[wIdx[l]] = in[rIdx[l]]
+					}
+				}
+			})
+			return
+		}
+
+		tile := b.SharedF32(transposeTileSlot, transTile*tileW)
+		// Load phase: tile[(ty+j*8)][tx] = in[(by*32+ty+j*8)*n + bx*32+tx].
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			ty := w.WarpID()
 			w.IntOps(full, 4)
 			for j := 0; j < transTile/rows; j++ {
 				row := by*transTile + ty + j*rows
 				rIdx := laneInts(func(l int) int { return row*n + bx*transTile + l })
 				rAddrs := addrs4(baseA, &rIdx)
 				w.GlobalLoad(full, &rAddrs, 4)
-				wIdx := laneInts(func(l int) int { return (bx*transTile+l)*n + row })
+				sIdx := laneInts(func(l int) int { return (ty+j*rows)*tileW + l })
+				sOffs := offs4(&sIdx)
+				for l := 0; l < gpusim.WarpSize; l++ {
+					tile[sIdx[l]] = in[rIdx[l]]
+				}
+				w.SharedStore(full, &sOffs)
+			}
+		})
+		b.Sync()
+		// Store phase: out[(bx*32+ty+j*8)*n + by*32+tx] = tile[tx][ty+j*8]
+		// — the column read that conflicts without padding.
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			ty := w.WarpID()
+			for j := 0; j < transTile/rows; j++ {
+				col := ty + j*rows
+				sIdx := laneInts(func(l int) int { return l*tileW + col })
+				sOffs := offs4(&sIdx)
+				w.SharedLoad(full, &sOffs)
+				wIdx := laneInts(func(l int) int { return (bx*transTile+col)*n + by*transTile + l })
 				wAddrs := addrs4(baseB, &wIdx)
 				w.GlobalStore(full, &wAddrs, 4)
 				for l := 0; l < gpusim.WarpSize; l++ {
-					out[wIdx[l]] = in[rIdx[l]]
+					out[wIdx[l]] = tile[sIdx[l]]
 				}
 			}
-			return
-		}
-
-		tile := w.SharedF32(transposeTileSlot, transTile*tileW)
-		w.IntOps(full, 4)
-		// Load phase: tile[(ty+j*8)][tx] = in[(by*32+ty+j*8)*n + bx*32+tx].
-		for j := 0; j < transTile/rows; j++ {
-			row := by*transTile + ty + j*rows
-			rIdx := laneInts(func(l int) int { return row*n + bx*transTile + l })
-			rAddrs := addrs4(baseA, &rIdx)
-			w.GlobalLoad(full, &rAddrs, 4)
-			sIdx := laneInts(func(l int) int { return (ty+j*rows)*tileW + l })
-			sOffs := offs4(&sIdx)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				tile[sIdx[l]] = in[rIdx[l]]
-			}
-			w.SharedStore(full, &sOffs)
-		}
-		w.Sync()
-		// Store phase: out[(bx*32+ty+j*8)*n + by*32+tx] = tile[tx][ty+j*8]
-		// — the column read that conflicts without padding.
-		for j := 0; j < transTile/rows; j++ {
-			col := ty + j*rows
-			sIdx := laneInts(func(l int) int { return l*tileW + col })
-			sOffs := offs4(&sIdx)
-			w.SharedLoad(full, &sOffs)
-			wIdx := laneInts(func(l int) int { return (bx*transTile+col)*n + by*transTile + l })
-			wAddrs := addrs4(baseB, &wIdx)
-			w.GlobalStore(full, &wAddrs, 4)
-			for l := 0; l < gpusim.WarpSize; l++ {
-				out[wIdx[l]] = tile[sIdx[l]]
-			}
-		}
+		})
 	}
 }

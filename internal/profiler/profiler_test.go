@@ -36,13 +36,15 @@ func (f *fakeWorkload) Plan(dev *gpusim.Device) ([]Launch, error) {
 				GridDimX: 8, GridDimY: 1, BlockDimX: 64, BlockDimY: 1,
 				RegsPerThread: 8, SharedMemPerBlock: 128,
 			},
-			Kernel: func(w *gpusim.Warp) {
-				w.FloatOps(gpusim.FullMask(), f.ops)
-				var addrs [gpusim.WarpSize]uint64
-				for l := range addrs {
-					addrs[l] = uint64(4 * l)
-				}
-				w.GlobalLoad(gpusim.FullMask(), &addrs, 4)
+			Kernel: func(b *gpusim.Block) {
+				b.ForEachWarp(func(w *gpusim.Warp) {
+					w.FloatOps(gpusim.FullMask(), f.ops)
+					var addrs [gpusim.WarpSize]uint64
+					for l := range addrs {
+						addrs[l] = uint64(4 * l)
+					}
+					w.GlobalLoad(gpusim.FullMask(), &addrs, 4)
+				})
 			},
 		})
 	}
