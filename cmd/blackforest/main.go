@@ -44,7 +44,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent profiling runs during collection (0 = all CPUs)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed run cache directory: repeated collections reuse profiles bit-identically (empty = off)")
 	save := flag.String("save", "", "write the trained prediction model (forest + counter models) as a JSON bundle")
-	quantize := flag.Bool("quantize", false, "with -save: write the compact quantized bundle (flat forest encoding, bit-identical predictions, no per-node trees)")
 	load := flag.String("load", "", "load a saved model bundle instead of profiling and training")
 	faultSpec := flag.String("faults", "", `fault injection spec, e.g. "seed=42,runfail=0.2,dropout=0.1" (chaos testing; empty = off)`)
 	retries := flag.Int("retries", 0, "extra attempts for a failed profiling run (with -faults)")
@@ -232,11 +231,7 @@ func main() {
 	// anything serving it) discloses the degraded fit.
 	scaler.Degradation = degradation
 	if *save != "" {
-		saveFile := scaler.SaveFile
-		if *quantize {
-			saveFile = scaler.SaveFileQuantized
-		}
-		if err := saveFile(*save); err != nil {
+		if err := scaler.SaveFile(*save); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nsaved model bundle to %s (serve it with: bfserve -model %s)\n", *save, *save)

@@ -291,6 +291,8 @@ func FuzzLoadDegradedBundle(f *testing.F) {
 	f.Add(strings.Replace(valid, `"min_completeness":0.8`, `"min_completeness":80`, 1))
 	f.Add(`{"version":1,"degradation":{"columns":[{}]}}`)
 	f.Add(`{"version":1,"degradation":null}`)
+	legacy, _ := legacyFixture(f)
+	f.Add(string(legacy))
 	f.Fuzz(func(t *testing.T, data string) {
 		loaded, err := LoadProblemScaler(strings.NewReader(data))
 		if err != nil {

@@ -114,20 +114,6 @@ func ImportCounterModel(e *ExportedCounterModel) (*CounterModel, error) {
 	return cm, nil
 }
 
-// Save writes the counter model as JSON.
-func (cm *CounterModel) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(cm.Export())
-}
-
-// LoadCounterModel reads a counter model saved with Save.
-func LoadCounterModel(r io.Reader) (*CounterModel, error) {
-	var e ExportedCounterModel
-	if err := json.NewDecoder(r).Decode(&e); err != nil {
-		return nil, fmt.Errorf("core: decoding counter model: %w", err)
-	}
-	return ImportCounterModel(&e)
-}
-
 // Bundle is the versioned on-disk form of a ProblemScaler — the paper's
 // complete prediction artifact: the reduced forest, the per-counter
 // GLM/MARS models with their normalization, and the validation statistics,
@@ -275,37 +261,9 @@ func ImportBundle(b *Bundle) (*ProblemScaler, error) {
 	return ps, nil
 }
 
-// ExportQuantized is Export with the forest under its compact quantized
-// flat encoding (contiguous node arrays, dictionary/float32-packed
-// thresholds) instead of per-node trees. The encoding is only ever chosen
-// where lossless, so a scaler loaded from the quantized bundle predicts
-// bit-identically; the bundle is smaller and faster to load, at the cost of
-// not carrying the pointer-walker reference trees. Stays within bundle
-// version 1: the flat field is optional, and any reader of version 1
-// understands both forms.
-func (ps *ProblemScaler) ExportQuantized() (*Bundle, error) {
-	fe, err := ps.Reduced.Forest.ExportQuantized()
-	if err != nil {
-		return nil, err
-	}
-	b := ps.Export()
-	b.Forest = fe
-	return b, nil
-}
-
 // Save writes the scaler as a single versioned JSON model bundle.
 func (ps *ProblemScaler) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(ps.Export())
-}
-
-// SaveQuantized writes the scaler as a bundle with the quantized flat
-// forest encoding. See ExportQuantized.
-func (ps *ProblemScaler) SaveQuantized(w io.Writer) error {
-	b, err := ps.ExportQuantized()
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(b)
 }
 
 // LoadProblemScaler reads a model bundle saved with Save, with full
@@ -320,20 +278,11 @@ func LoadProblemScaler(r io.Reader) (*ProblemScaler, error) {
 
 // SaveFile writes the scaler bundle to a file.
 func (ps *ProblemScaler) SaveFile(path string) error {
-	return ps.saveFileWith(path, ps.Save)
-}
-
-// SaveFileQuantized writes the quantized-forest scaler bundle to a file.
-func (ps *ProblemScaler) SaveFileQuantized(path string) error {
-	return ps.saveFileWith(path, ps.SaveQuantized)
-}
-
-func (ps *ProblemScaler) saveFileWith(path string, save func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := save(f); err != nil {
+	if err := ps.Save(f); err != nil {
 		f.Close()
 		return err
 	}

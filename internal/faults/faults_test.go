@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"strings"
@@ -187,6 +188,29 @@ func TestReaderTruncation(t *testing.T) {
 	out2, _ := io.ReadAll(fr2)
 	if len(out) != len(out2) {
 		t.Fatalf("cut point not deterministic: %d vs %d", len(out), len(out2))
+	}
+}
+
+// TestReaderTruncatesShortStreams: with TruncateReads=1 a stream shorter
+// than the 64KiB window is still cut before its end, so even a decoder
+// that stops reading once a complete JSON value is buffered sees the
+// damage.
+func TestReaderTruncatesShortStreams(t *testing.T) {
+	in := New(Config{Seed: 9, TruncateReads: 1})
+	value := `{"payload":"` + strings.Repeat("x", 2000) + `"}`
+	for id := uint64(0); id < 64; id++ {
+		out, err := io.ReadAll(in.WrapReader(strings.NewReader(value), id))
+		if err != io.ErrUnexpectedEOF || len(out) >= len(value) {
+			t.Fatalf("identity %d: read %d of %d bytes, err %v", id, len(out), len(value), err)
+		}
+		var v map[string]string
+		if err := json.NewDecoder(in.WrapReader(strings.NewReader(value), id)).Decode(&v); err == nil {
+			t.Fatalf("identity %d: truncated stream decoded", id)
+		}
+	}
+	out, err := io.ReadAll(in.WrapReader(strings.NewReader(""), 1))
+	if err != io.ErrUnexpectedEOF || len(out) != 0 {
+		t.Fatalf("empty stream: read %d bytes, err %v", len(out), err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"io"
 
 	"blackforest/internal/stats"
@@ -9,22 +10,28 @@ import (
 // Reader wraps an io.Reader and deterministically injects the two bundle
 // corruption modes chaos tests need: flipped bytes (CorruptReads, one
 // independent draw per 4KiB chunk) and early EOF (TruncateReads, one
-// draw per stream choosing a cut offset). Decisions are keyed on the
-// stream identity, so the same (seed, identity) always damages the same
-// offsets regardless of the caller's read sizes.
+// draw per stream choosing a cut offset inside the stream). Decisions are
+// keyed on the stream identity, so the same (seed, identity) always
+// damages the same offsets regardless of the caller's read sizes.
 type Reader struct {
 	r        io.Reader
 	in       *Injector
 	identity uint64
 
-	off   int64 // bytes consumed so far
-	cutAt int64 // byte offset to truncate at; -1 = never
+	off     int64  // bytes consumed so far
+	cutAt   int64  // byte offset to truncate at; -1 = never
+	cutDraw uint64 // truncation draw, turned into cutAt on the first Read
+	cutSet  bool   // cutAt is final
 
 	curChunk   int64 // chunk the cached decision is for; -1 = none yet
 	flipTarget int64 // absolute offset to flip in curChunk; -1 = none
 }
 
 const corruptChunk = 4096
+
+// truncWindow bounds the truncation offset: a stream is cut somewhere in
+// its first truncWindow bytes, or anywhere inside it when it is shorter.
+const truncWindow = 64 << 10
 
 // WrapReader returns r with the injector's CorruptReads/TruncateReads
 // profile applied. A nil injector (or a profile with both modes at zero)
@@ -33,14 +40,29 @@ func (in *Injector) WrapReader(r io.Reader, identity uint64) io.Reader {
 	if in == nil || (in.cfg.CorruptReads <= 0 && in.cfg.TruncateReads <= 0) {
 		return r
 	}
-	fr := &Reader{r: r, in: in, identity: identity, cutAt: -1, curChunk: -1, flipTarget: -1}
+	fr := &Reader{r: r, in: in, identity: identity, cutAt: -1, cutSet: true, curChunk: -1, flipTarget: -1}
 	if in.decide(domainTruncate, identity, in.cfg.TruncateReads) {
-		// Cut somewhere in the first 64KiB — early enough that any
-		// real bundle is visibly damaged, keyed so it's reproducible.
-		u := stats.SplitMix64(domainTruncate ^ stats.SplitMix64(identity^stats.SplitMix64(in.cfg.Seed^0x7472756e)))
-		fr.cutAt = int64(u % (64 << 10))
+		// The draw is keyed so the cut is reproducible; the offset is
+		// fixed once the first Read has seen how long the stream is.
+		fr.cutDraw = stats.SplitMix64(domainTruncate ^ stats.SplitMix64(identity^stats.SplitMix64(in.cfg.Seed^0x7472756e)))
+		fr.cutSet = false
 	}
 	return fr
+}
+
+// setCut reads up to truncWindow bytes ahead and fixes the cut offset
+// inside what it read, so every truncated stream is cut before its end
+// however short it is, and a consumer that stops at the end of a complete
+// value (a JSON decoder) still sees the damage.
+func (fr *Reader) setCut() error {
+	fr.cutSet = true
+	head, err := io.ReadAll(io.LimitReader(fr.r, truncWindow))
+	if err != nil {
+		return err
+	}
+	fr.cutAt = int64(fr.cutDraw % uint64(max(len(head), 1)))
+	fr.r = io.MultiReader(bytes.NewReader(head), fr.r)
+	return nil
 }
 
 // chunkFlipTarget returns the absolute offset to corrupt within chunk c,
@@ -58,6 +80,11 @@ func (fr *Reader) chunkFlipTarget(c int64) int64 {
 }
 
 func (fr *Reader) Read(p []byte) (int, error) {
+	if !fr.cutSet {
+		if err := fr.setCut(); err != nil {
+			return 0, err
+		}
+	}
 	if fr.cutAt >= 0 && fr.off >= fr.cutAt {
 		return 0, io.ErrUnexpectedEOF
 	}
@@ -72,10 +99,5 @@ func (fr *Reader) Read(p []byte) (int, error) {
 		}
 	}
 	fr.off += int64(n)
-	if err == io.EOF && fr.cutAt >= 0 {
-		// The underlying stream ended before the cut point; report the
-		// truncation anyway so short streams still exercise the path.
-		err = io.ErrUnexpectedEOF
-	}
 	return n, err
 }

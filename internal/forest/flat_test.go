@@ -2,9 +2,11 @@ package forest
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
+	"blackforest/internal/rtree"
 	"blackforest/internal/stats"
 )
 
@@ -28,7 +30,7 @@ func randomProblem(rng *stats.RNG, rows, features int) ([][]float64, []float64, 
 
 // TestFlatDifferential is the tentpole's gate: across many random forests
 // and random query batches, the flat engine (single and batched, any worker
-// count), a quantized-bundle round trip, and the frozen pointer walker must
+// count), a saved-bundle round trip, and the frozen pointer walker must
 // all agree bit for bit.
 func TestFlatDifferential(t *testing.T) {
 	const trials = 25
@@ -49,17 +51,17 @@ func TestFlatDifferential(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		// Round trip through the quantized (flat-only) bundle.
+		// Round trip through the saved (flat) bundle.
 		var buf bytes.Buffer
-		if err := f.SaveQuantized(&buf); err != nil {
+		if err := f.Save(&buf); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		loaded, err := Load(&buf)
 		if err != nil {
-			t.Fatalf("trial %d: loading quantized bundle: %v", trial, err)
+			t.Fatalf("trial %d: loading saved bundle: %v", trial, err)
 		}
 		if e := loaded.Engine(); e != "flat(dict16)" && e != "flat(f32)" && e != "flat(f64)" {
-			t.Fatalf("trial %d: quantized engine = %q", trial, e)
+			t.Fatalf("trial %d: loaded engine = %q", trial, e)
 		}
 		if f.Engine() != "flat" {
 			t.Fatalf("trial %d: fitted engine = %q, want flat", trial, f.Engine())
@@ -84,7 +86,7 @@ func TestFlatDifferential(t *testing.T) {
 		for i, q := range queries {
 			oracle := f.PredictPointer(q)
 			flat := f.Predict(q)
-			quant, err := loaded.PredictVector(q)
+			saved, err := loaded.PredictVector(q)
 			if err != nil {
 				t.Fatalf("trial %d row %d: %v", trial, i, err)
 			}
@@ -95,8 +97,8 @@ func TestFlatDifferential(t *testing.T) {
 			if math.Float64bits(batch[i]) != ob {
 				t.Fatalf("trial %d row %d: batch %v != pointer %v", trial, i, batch[i], oracle)
 			}
-			if math.Float64bits(quant) != ob {
-				t.Fatalf("trial %d row %d: quantized %v != pointer %v", trial, i, quant, oracle)
+			if math.Float64bits(saved) != ob {
+				t.Fatalf("trial %d row %d: loaded %v != pointer %v", trial, i, saved, oracle)
 			}
 		}
 	}
@@ -136,9 +138,20 @@ func TestPredictAllWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestQuantizedBundleProperties: a flat-only bundle drops the trees, still
-// answers importance queries from the shell metadata, and refuses the
-// pointer-walk APIs that need per-tree nodes.
+// exportTrees returns f's trees in the older per-node tree form, which
+// Export no longer writes but Import still reads.
+func exportTrees(f *Forest) []*rtree.ExportedTree {
+	out := make([]*rtree.ExportedTree, len(f.trees))
+	for i, t := range f.trees {
+		out[i] = t.Export()
+	}
+	return out
+}
+
+// TestQuantizedBundleProperties: the exported bundle carries only the flat
+// encoding with its losslessly quantized values, is smaller than the same
+// forest in tree form, still answers importance queries from the shell
+// metadata, and refuses the pointer-walk APIs that need per-tree nodes.
 func TestQuantizedBundleProperties(t *testing.T) {
 	rng := stats.NewRNG(11)
 	x, y, names := randomProblem(rng, 50, 3)
@@ -146,12 +159,22 @@ func TestQuantizedBundleProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := f.ExportQuantized()
+	e := f.Export()
+	if len(e.Trees) != 0 || e.Flat == nil {
+		t.Fatalf("export carries %d trees, flat=%v", len(e.Trees), e.Flat != nil)
+	}
+	flatJSON, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Trees) != 0 || e.Flat == nil {
-		t.Fatalf("quantized export carries %d trees, flat=%v", len(e.Trees), e.Flat != nil)
+	treeForm := *e
+	treeForm.Flat, treeForm.Trees = nil, exportTrees(f)
+	treeJSON, err := json.Marshal(&treeForm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flatJSON) >= len(treeJSON) {
+		t.Fatalf("flat export is %d bytes, tree form %d", len(flatJSON), len(treeJSON))
 	}
 	loaded, err := Import(e)
 	if err != nil {
@@ -179,11 +202,7 @@ func TestImportCrossValidatesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := f.Export()
-	flat, err := f.ExportQuantized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Flat = flat.Flat
+	e.Trees = exportTrees(f)
 	if _, err := Import(e); err != nil {
 		t.Fatalf("consistent trees+flat bundle rejected: %v", err)
 	}

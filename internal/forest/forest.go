@@ -424,10 +424,11 @@ func (f *Forest) PredictVector(x []float64) (float64, error) {
 
 // Engine names the active prediction engine: "flat" for the compiled
 // contiguous-array engine, with the bundle value encoding appended (e.g.
-// "flat(dict16)") when the forest was decoded from a quantized flat-only
-// bundle.
+// "flat(dict16)") when the forest was decoded from a bundle's flat
+// encoding. A fitted forest, and one compiled from an older tree-form
+// bundle, report plain "flat".
 func (f *Forest) Engine() string {
-	if enc := f.flat.Encoding(); enc != "" && len(f.trees) == 0 {
+	if enc := f.flat.Encoding(); enc != "" {
 		return "flat(" + enc + ")"
 	}
 	return "flat"
@@ -579,7 +580,7 @@ func (f *Forest) TopPredictors(k int) []string {
 // (1−level)/2 and (1+level)/2 quantiles — the spread of the ensemble's
 // member opinions.
 func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (grid, response, lo, hi []float64, err error) {
-	if f.nSamples == 0 {
+	if f.x == nil {
 		return nil, nil, nil, nil, errors.New("forest: partial dependence needs the training data (unavailable on a loaded model)")
 	}
 	if level <= 0 || level >= 1 {
@@ -630,7 +631,7 @@ func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (
 // the forest prediction averaged over the training set with that predictor
 // forced to v (Friedman's partial dependence function).
 func (f *Forest) PartialDependence(name string, gridSize int) (grid, response []float64, err error) {
-	if f.nSamples == 0 {
+	if f.x == nil {
 		return nil, nil, errors.New("forest: partial dependence needs the training data (unavailable on a loaded model)")
 	}
 	j := -1

@@ -9,10 +9,10 @@ import (
 // PredictPointer is the frozen pointer-walking reference implementation:
 // the per-tree node-by-node walk the flat engine is differentially tested
 // against (bit-identical output). It is unavailable on a forest loaded from
-// a flat-only quantized bundle, which carries no per-tree nodes.
+// a flat bundle, which carries no per-tree nodes.
 func (f *Forest) PredictPointer(x []float64) float64 {
 	if len(f.trees) == 0 {
-		panic("forest: pointer engine unavailable (loaded from a flat-only bundle)")
+		panic("forest: pointer engine unavailable (loaded from a flat bundle)")
 	}
 	var s float64
 	for _, t := range f.trees {

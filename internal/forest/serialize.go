@@ -15,10 +15,10 @@ import (
 // forest predicts and reports importance; partial dependence (which needs
 // the training distribution) is unavailable and returns an error.
 //
-// Either Trees or Flat (or both) must be present. Export emits the per-node
-// trees; ExportQuantized emits only the compact flat encoding, which loads
-// faster and smaller but predicts bit-identically. When both are present,
-// Import verifies they describe the same forest.
+// Export writes the forest as Flat, the compiled node arrays with values
+// under the smallest lossless encoding, and never writes Trees. Trees is
+// read so that bundles written in the older per-node tree form still load;
+// when a bundle carries both, Import verifies they describe the same forest.
 type Exported struct {
 	Version  int                       `json:"version"`
 	Names    []string                  `json:"names"`
@@ -36,11 +36,14 @@ type Exported struct {
 
 const saveVersion = 1
 
-// exportShell fills every Exported field except the forest encoding itself.
-func (f *Forest) exportShell() *Exported {
+// Export returns the forest in serializable form: the training-derived
+// statistics and the flat encoding, from which a loaded forest predicts
+// bit-identically.
+func (f *Forest) Export() *Exported {
 	return &Exported{
 		Version:  saveVersion,
 		Names:    append([]string(nil), f.names...),
+		Flat:     f.flat.Export(),
 		OOBMSE:   f.oobMSE,
 		VarExpl:  f.varExpl,
 		RawImp:   append([]float64(nil), f.rawImp...),
@@ -50,26 +53,6 @@ func (f *Forest) exportShell() *Exported {
 		MaxResp:  f.maxResp,
 		NSamples: f.nSamples,
 	}
-}
-
-// Export returns the forest in serializable form (per-node trees).
-func (f *Forest) Export() *Exported {
-	e := f.exportShell()
-	e.Trees = make([]*rtree.ExportedTree, len(f.trees))
-	for i, t := range f.trees {
-		e.Trees[i] = t.Export()
-	}
-	return e
-}
-
-// ExportQuantized returns the forest in its compact serializable form: the
-// flat compiled node array with thresholds and leaf values under the
-// smallest lossless encoding, and no per-node trees. A forest imported from
-// it predicts bit-identically but cannot serve as the pointer-walker oracle.
-func (f *Forest) ExportQuantized() (*Exported, error) {
-	e := f.exportShell()
-	e.Flat = f.flat.Export()
-	return e, nil
 }
 
 // Import reconstructs a forest from its exported form with the same
@@ -105,7 +88,7 @@ func Import(e *Exported) (*Forest, error) {
 		purity:   append([]float64(nil), e.Purity...),
 		minResp:  e.MinResp,
 		maxResp:  e.MaxResp,
-		nSamples: 0, // training data not persisted
+		nSamples: e.NSamples, // the count only: training rows are not persisted
 	}
 	for i, et := range e.Trees {
 		t, err := rtree.Import(et)
@@ -151,16 +134,6 @@ func Import(e *Exported) (*Forest, error) {
 // Save writes the forest as JSON.
 func (f *Forest) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(f.Export())
-}
-
-// SaveQuantized writes the forest as JSON in its compact flat-only form
-// (see ExportQuantized). Load accepts both formats transparently.
-func (f *Forest) SaveQuantized(w io.Writer) error {
-	e, err := f.ExportQuantized()
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(e)
 }
 
 // Load reads a forest saved with Save.

@@ -200,7 +200,7 @@ func (f *FlatForest) Equal(g *FlatForest) bool {
 //   - "f64": raw float64 fallback; always exact.
 //
 // Decoding any of the three reconstructs the original float64 bit patterns,
-// so quantized bundles predict bit-identically to unquantized ones.
+// so a loaded bundle predicts bit-identically to the forest that wrote it.
 type ExportedValues struct {
 	Enc   string    `json:"enc"`
 	Table []float64 `json:"table,omitempty"`

@@ -220,7 +220,7 @@ func TestBatchMixedCachedUncachedDuplicate(t *testing.T) {
 
 // TestModelEndpointReportsEngine: /v1/model (and every predict answer) names
 // the inference engine — "flat" for a fitted model, "flat(<enc>)" for one
-// loaded from a quantized bundle.
+// loaded from a saved bundle.
 func TestModelEndpointReportsEngine(t *testing.T) {
 	ps := testScaler(t, 3)
 	_, hs := newTestServer(t, ps, Config{})
@@ -239,7 +239,7 @@ func TestModelEndpointReportsEngine(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := ps.SaveQuantized(&buf); err != nil {
+	if err := ps.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := core.LoadProblemScaler(&buf)
@@ -257,11 +257,11 @@ func TestModelEndpointReportsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(rep.Model.Engine, "flat(") {
-		t.Fatalf("quantized model engine = %q, want flat(<enc>)", rep.Model.Engine)
+		t.Fatalf("loaded model engine = %q, want flat(<enc>)", rep.Model.Engine)
 	}
 	pr, raw := postPredict(t, qhs.URL, `{"chars":{"size":512}}`)
 	if pr.StatusCode != http.StatusOK {
-		t.Fatalf("quantized-loaded model predict status %d: %s", pr.StatusCode, raw)
+		t.Fatalf("loaded model predict status %d: %s", pr.StatusCode, raw)
 	}
 	var predResp PredictResponse
 	if err := json.Unmarshal(raw, &predResp); err != nil {

@@ -290,8 +290,9 @@ type ModelInfo struct {
 	TestR2        float64  `json:"test_r2"`
 	// Engine names the forest inference engine answering predictions:
 	// "flat" for the compiled contiguous-array engine, with the bundle
-	// value encoding appended when loaded from a quantized bundle, e.g.
-	// "flat(dict16)".
+	// value encoding appended when the forest was loaded from a bundle's
+	// flat encoding, e.g. "flat(dict16)"; an in-process fit, or an older
+	// tree-form bundle, reports plain "flat".
 	Engine string `json:"engine"`
 }
 
