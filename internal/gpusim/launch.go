@@ -51,9 +51,11 @@ type LaunchResult struct {
 	TotalBlocks     int
 }
 
-// Simulator executes kernels on a device model. The L2 cache persists
-// across launches (as on real hardware); call ResetL2 between unrelated
-// experiments for reproducibility.
+// Simulator executes kernels on a device model. The caches persist across
+// launches (as on real hardware); call ResetCaches between unrelated
+// experiments for reproducibility. After ResetCaches a simulator that has
+// served other runs computes exactly what a new one does, so callers pool
+// simulators per device rather than building one per run.
 type Simulator struct {
 	dev *Device
 	l2  *cache
@@ -196,13 +198,8 @@ func (s *Simulator) model(res *LaunchResult) {
 	// each) — the cost privatized histograms avoid.
 	atomCycles := 4 * float64(c.GlobalAtomicSerial)
 
-	res.Cycles, res.Bottleneck = maxTerm(map[string]float64{
-		"issue":   issueCycles,
-		"alu":     aluCycles,
-		"dram":    dramCycles,
-		"l2":      l2Cycles,
-		"latency": latencyCycles,
-		"atomics": atomCycles,
+	res.Cycles, res.Bottleneck = maxTerm(&[len(termNames)]float64{
+		aluCycles, atomCycles, dramCycles, issueCycles, l2Cycles, latencyCycles,
 	})
 	// Pipeline drain/ramp smoothing: secondary terms are not perfectly
 	// hidden behind the bottleneck.
@@ -253,18 +250,18 @@ func (s *Simulator) averageLatency(c *Counters) float64 {
 		dramReads*float64(d.DRAMLatencyCycles)) / total
 }
 
-// maxTerm returns the largest value and its key; ties break by name for
+// termNames names the timing model's terms in sorted order.
+var termNames = [...]string{"alu", "atomics", "dram", "issue", "l2", "latency"}
+
+// maxTerm returns the largest of the terms, given in termNames order, and
+// its name; ties break by name (the first in that order wins) for
 // determinism.
-func maxTerm(terms map[string]float64) (float64, string) {
+func maxTerm(terms *[len(termNames)]float64) (float64, string) {
 	best := math.Inf(-1)
 	name := ""
-	for _, k := range []string{"alu", "atomics", "dram", "issue", "l2", "latency"} {
-		v, ok := terms[k]
-		if !ok {
-			continue
-		}
+	for i, v := range terms {
 		if v > best {
-			best, name = v, k
+			best, name = v, termNames[i]
 		}
 	}
 	return best, name

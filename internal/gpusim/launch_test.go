@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -293,5 +294,28 @@ func TestLaunchResultString(t *testing.T) {
 	}
 	if res.String() == "" || res.Bottleneck == "" {
 		t.Fatal("empty result summary")
+	}
+}
+
+// TestMaxTermTiesBreakByName: the largest term wins, and among equal
+// terms the first name in sorted order does.
+func TestMaxTermTiesBreakByName(t *testing.T) {
+	cases := []struct {
+		terms [len(termNames)]float64 // alu, atomics, dram, issue, l2, latency
+		want  string
+	}{
+		{[6]float64{1, 2, 3, 4, 5, 6}, "latency"},
+		{[6]float64{0, 0, 7, 7, 0, 0}, "dram"},
+		{[6]float64{0, 0, 0, 0, 0, 0}, "alu"},
+		{[6]float64{0, 3, 1, 3, 3, 2}, "atomics"},
+	}
+	for _, c := range cases {
+		v, name := maxTerm(&c.terms)
+		if name != c.want {
+			t.Errorf("maxTerm(%v) = %q, want %q", c.terms, name, c.want)
+		}
+		if m := slices.Max(c.terms[:]); v != m {
+			t.Errorf("maxTerm(%v) value %v, want %v", c.terms, v, m)
+		}
 	}
 }

@@ -10,9 +10,12 @@ import "math/bits"
 // (the simulator moves no data — kernels compute on ordinary Go memory).
 // Line sizes are always powers of two, so the line index is a shift; set
 // counts often are not (a 1.5 MB L2 has 3072 sets), so set selection keeps
-// a modulo fallback beside the fast mask path.
+// a modulo fallback beside the fast mask path. The tags live in one flat
+// array, so a cache is two allocations for its lifetime and reset only
+// clears the fill counts.
 type cache struct {
-	sets      [][]uint64 // per set, tags in MRU-first order
+	tags      []uint64 // numSets × ways; set s holds tags[s·ways:][:fill[s]], MRU first
+	fill      []int32  // valid ways per set
 	ways      int
 	lineSize  uint64
 	lineShift uint
@@ -31,7 +34,8 @@ func newCache(sizeBytes, lineSize, ways int) *cache {
 		numSets = 1
 	}
 	c := &cache{
-		sets:      make([][]uint64, numSets),
+		tags:      make([]uint64, numSets*ways),
+		fill:      make([]int32, numSets),
 		ways:      ways,
 		lineSize:  uint64(lineSize),
 		lineShift: uint(bits.TrailingZeros64(uint64(lineSize))),
@@ -54,7 +58,8 @@ func (c *cache) access(addr uint64) bool {
 	} else {
 		set = line % c.numSets
 	}
-	ways := c.sets[set]
+	n := c.fill[set]
+	ways := c.tags[int(set)*c.ways:][:n]
 	for i, tag := range ways {
 		if tag == line {
 			// Move to MRU position.
@@ -64,20 +69,20 @@ func (c *cache) access(addr uint64) bool {
 		}
 	}
 	c.misses++
-	if len(ways) < c.ways {
-		ways = append(ways, 0)
+	if int(n) < c.ways {
+		n++
+		c.fill[set] = n
+		ways = ways[:n]
 	}
+	// Insert at MRU; a full set drops its LRU tag off the end.
 	copy(ways[1:], ways)
 	ways[0] = line
-	c.sets[set] = ways
 	return false
 }
 
 // reset clears all cache contents and statistics.
 func (c *cache) reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+	clear(c.fill)
 	c.accesses, c.misses = 0, 0
 }
 

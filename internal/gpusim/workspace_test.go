@@ -97,6 +97,94 @@ func TestWorkspacePoolingBitIdentical(t *testing.T) {
 	}
 }
 
+// streamKernel loads and stores one word per thread at a stride of
+// stride words, so launches sweep the L1 and L2 sets and leave both
+// caches full of tags that a later run must not see.
+func streamKernel(stride uint64) KernelFunc {
+	return func(b *Block) {
+		bx, _ := b.BlockIdx()
+		b.ForEachWarp(func(w *Warp) {
+			var addrs [WarpSize]uint64
+			for l := 0; l < WarpSize; l++ {
+				t := uint64(bx*b.cfg.ThreadsPerBlock() + w.LinearTID(l))
+				addrs[l] = t * stride * 4
+			}
+			w.GlobalLoad(FullMask(), &addrs, 4)
+			w.FloatOps(FullMask(), 2)
+			for l := range addrs {
+				addrs[l] += 1 << 30
+			}
+			w.GlobalStore(FullMask(), &addrs, 4)
+		})
+	}
+}
+
+// TestSimulatorReuseAcrossRunsBitIdentical is the per-device pooling
+// contract the profiler relies on: a simulator that has served other runs
+// (dirty caches, a used workspace) and then had its caches reset gives
+// every launch of a run the same counters, cycles, time, energy, power,
+// breakdown and bottleneck, to the last bit, as a new simulator.
+func TestSimulatorReuseAcrossRunsBitIdentical(t *testing.T) {
+	type launch struct {
+		cfg    LaunchConfig
+		kernel KernelFunc
+		opts   LaunchOptions
+	}
+	cfg := func(blocks, threads int) LaunchConfig {
+		return LaunchConfig{GridDimX: blocks, GridDimY: 1, BlockDimX: threads, BlockDimY: 1, RegsPerThread: 16, SharedMemPerBlock: 1024}
+	}
+	other := []launch{
+		{cfg(64, 256), streamKernel(33), LaunchOptions{}},
+		{cfg(3, 256), poolProbeKernel(t), LaunchOptions{}},
+		{cfg(512, 128), streamKernel(1), LaunchOptions{MaxSimBlocks: 16}},
+	}
+	run := []launch{
+		{cfg(6, 128), poolProbeKernel(t), LaunchOptions{}},
+		{cfg(48, 128), streamKernel(5), LaunchOptions{}},
+		{cfg(400, 64), streamKernel(1), LaunchOptions{MaxSimBlocks: 8}},
+		{cfg(48, 128), streamKernel(5), LaunchOptions{}}, // hits what the run itself cached
+	}
+	for _, name := range []string{"GTX580", "K20m"} {
+		d, err := LookupDevice(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := NewSimulator(d)
+		for _, l := range other {
+			if _, err := pooled.Launch(l.cfg, l.kernel, l.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pooled.ResetCaches()
+		fresh := NewSimulator(d)
+		for i, l := range run {
+			got, err := pooled.Launch(l.cfg, l.kernel, l.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Launch(l.cfg, l.kernel, l.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Counters != want.Counters || got.Breakdown != want.Breakdown || got.Bottleneck != want.Bottleneck {
+				t.Fatalf("%s launch %d: pooled %+v\nfresh %+v", name, i, got, want)
+			}
+			for _, pair := range [][2]float64{
+				{got.Cycles, want.Cycles},
+				{got.TimeMS, want.TimeMS},
+				{got.EnergyMJ, want.EnergyMJ},
+				{got.AvgPowerW, want.AvgPowerW},
+				{got.AchievedOccupancy, want.AchievedOccupancy},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("%s launch %d: model outputs diverge: %x vs %x", name, i,
+						math.Float64bits(pair[0]), math.Float64bits(pair[1]))
+				}
+			}
+		}
+	}
+}
+
 // TestWorkspaceShrinkingLaunch covers the downsize path: a launch whose
 // shared arrays are smaller than the pooled ones must still see zeroed
 // state of sufficient length, and a growing one must get a bigger array.

@@ -35,8 +35,8 @@ type Histogram struct {
 	// Seed generates the input.
 	Seed uint64
 
-	input []uint8
-	bins  []uint32
+	// bins holds the histogram: a store of one histBins-element page.
+	bins *paged[uint32]
 }
 
 // Name implements profiler.Workload.
@@ -87,14 +87,29 @@ func (h *Histogram) WithParam(name string, value int) (profiler.Workload, error)
 // size but with fresh inputs keep distinct noise identities.
 func (h *Histogram) InputSeed() uint64 { return h.Seed }
 
-// Bins returns the computed histogram (valid after a fully-simulated run).
-func (h *Histogram) Bins() []uint32 { return h.bins }
+// Bins returns the computed histogram, built on demand (complete after a
+// fully-simulated run).
+func (h *Histogram) Bins() []uint32 {
+	out := make([]uint32, histBins)
+	copy(out, h.bins.page(0))
+	return out
+}
 
-// Input returns the generated input bytes (valid after Plan).
-func (h *Histogram) Input() []uint8 { return h.input }
+// in returns input element i, a pure function of the seed and the skew:
+// a Skew fraction of the elements is forced into bin 0.
+func (h *Histogram) in(i int) uint8 {
+	r := splitmix64(h.Seed + uint64(i))
+	if r&0xffffff < uint64(h.Skew*float64(1<<24)) {
+		return 0
+	}
+	return uint8(r >> 24)
+}
 
-// Release drops the input so sweeps do not accumulate it.
-func (h *Histogram) Release() { h.input = nil }
+// Input returns the input bytes, built on demand.
+func (h *Histogram) Input() []uint8 { return materialize(h.N, h.in) }
+
+// Release drops the histogram.
+func (h *Histogram) Release() { h.bins = nil }
 
 // CPUHistogram is the reference histogram.
 func CPUHistogram(data []uint8) []uint32 {
@@ -122,17 +137,7 @@ func (h *Histogram) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	if h.Skew < 0 || h.Skew >= 1 {
 		return nil, fmt.Errorf("kernels: histogram skew %v must be in [0,1)", h.Skew)
 	}
-	h.input = make([]uint8, h.N)
-	skewCut := uint64(h.Skew * float64(1<<24))
-	for i := range h.input {
-		r := splitmix64(h.Seed + uint64(i))
-		if r&0xffffff < skewCut {
-			h.input[i] = 0
-		} else {
-			h.input[i] = uint8(r >> 24)
-		}
-	}
-	h.bins = make([]uint32, histBins)
+	h.bins = newPaged[uint32](histBins)
 
 	blocks := ceilDiv(h.N, h.BlockSize)
 	const maxBlocks = 240 // SDK-style grid cap; threads loop over input
@@ -154,9 +159,9 @@ func (h *Histogram) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 
 func (h *Histogram) kernel() gpusim.KernelFunc {
 	n := h.N
-	input, bins := h.input, h.bins
 	variant := h.Variant
 	return func(b *gpusim.Block) {
+		bins := h.bins.writable(0)
 		bdim, _ := b.BlockDim()
 		gdim, _ := b.GridDim()
 		bx, _ := b.BlockIdx()
@@ -196,7 +201,7 @@ func (h *Histogram) kernel() gpusim.KernelFunc {
 				var binIdx [gpusim.WarpSize]int
 				for l := 0; l < gpusim.WarpSize; l++ {
 					if inRange.Active(l) {
-						binIdx[l] = int(input[gi[l]])
+						binIdx[l] = int(h.in(gi[l]))
 					}
 				}
 				w.IntOps(inRange, 1)

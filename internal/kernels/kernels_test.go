@@ -109,10 +109,10 @@ func TestMatMulFunctional(t *testing.T) {
 	for _, n := range []int{16, 32, 64, 96} {
 		m := &MatMul{N: n, Seed: uint64(n)}
 		runFull(t, "GTX580", m)
-		want := CPUMatMul(m.A(), m.B(), n)
+		want, got := CPUMatMul(m.A(), m.B(), n), m.C()
 		for i := range want {
-			if math.Abs(float64(want[i]-m.C()[i])) > 1e-3 {
-				t.Fatalf("n=%d: C[%d] = %v, want %v", n, i, m.C()[i], want[i])
+			if math.Abs(float64(want[i]-got[i])) > 1e-3 {
+				t.Fatalf("n=%d: C[%d] = %v, want %v", n, i, got[i], want[i])
 			}
 		}
 	}
@@ -121,10 +121,10 @@ func TestMatMulFunctional(t *testing.T) {
 func TestMatMulTile32(t *testing.T) {
 	m := &MatMul{N: 64, Tile: 32, Seed: 5}
 	runFull(t, "GTX580", m)
-	want := CPUMatMul(m.A(), m.B(), 64)
+	want, got := CPUMatMul(m.A(), m.B(), 64), m.C()
 	for i := range want {
-		if math.Abs(float64(want[i]-m.C()[i])) > 1e-3 {
-			t.Fatalf("tile 32: C[%d] = %v, want %v", i, m.C()[i], want[i])
+		if math.Abs(float64(want[i]-got[i])) > 1e-3 {
+			t.Fatalf("tile 32: C[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

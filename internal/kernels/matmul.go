@@ -28,7 +28,9 @@ type MatMul struct {
 	// Seed generates the input matrices.
 	Seed uint64
 
-	a, b, c []float32
+	// c holds the product, paged by Tile×Tile output tile: one page per
+	// block.
+	c *paged[float32]
 }
 
 // Name implements profiler.Workload.
@@ -94,14 +96,19 @@ func (m *MatMul) WithParam(name string, value int) (profiler.Workload, error) {
 // size but with fresh inputs keep distinct noise identities.
 func (m *MatMul) InputSeed() uint64 { return m.Seed }
 
-// A, B and C return the input and output matrices (valid after Plan; C is
-// filled by a fully-simulated run).
-func (m *MatMul) A() []float32 { return m.a }
-func (m *MatMul) B() []float32 { return m.b }
-func (m *MatMul) C() []float32 { return m.c }
+// a and b return element i of the row-major input matrices, pure
+// functions of the seed.
+func (m *MatMul) a(i int) float32 { return randomF32(m.Seed, uint64(i)) }
+func (m *MatMul) b(i int) float32 { return randomF32(m.Seed^0xb, uint64(i)) }
 
-// Release drops the matrices so sweeps do not accumulate them.
-func (m *MatMul) Release() { m.a, m.b, m.c = nil, nil, nil }
+// A, B and C return the row-major input and output matrices, built on
+// demand (C after a run; it is complete after a fully-simulated one).
+func (m *MatMul) A() []float32 { return materialize(m.N*m.N, m.a) }
+func (m *MatMul) B() []float32 { return materialize(m.N*m.N, m.b) }
+func (m *MatMul) C() []float32 { return tiled(m.c, m.N, m.Tile) }
+
+// Release drops the product so sweeps do not accumulate it.
+func (m *MatMul) Release() { m.c = nil }
 
 // CPUMatMul is the reference n×n row-major multiply.
 func CPUMatMul(a, b []float32, n int) []float32 {
@@ -138,16 +145,9 @@ func (m *MatMul) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	default:
 		return nil, fmt.Errorf("kernels: matmul unroll %d must be 0 (full), 1, 2, 4, or 8", m.Unroll)
 	}
-	n := m.N
-	m.a = make([]float32, n*n)
-	m.b = make([]float32, n*n)
-	m.c = make([]float32, n*n)
-	for i := range m.a {
-		m.a[i] = randomF32(m.Seed, uint64(i))
-		m.b[i] = randomF32(m.Seed^0xb, uint64(i))
-	}
+	m.c = newPaged[float32](m.Tile * m.Tile)
 
-	grid := n / m.Tile
+	grid := m.N / m.Tile
 	// Full unrolling (the default) keeps every partial product live: 20
 	// registers, as the SDK kernel compiles. An explicit unroll factor
 	// holds fewer values and needs less.
@@ -216,7 +216,7 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
-	a, bm, c := m.a, m.b, m.c
+	c := m.c
 	full := gpusim.FullMask() // b² is a multiple of 32, so every lane is live
 	return func(blk *gpusim.Block) {
 		bx, by := blk.BlockIdx()
@@ -241,8 +241,8 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 				w.GlobalLoad(full, &aAddrs, 4)
 				w.GlobalLoad(full, &bAddrs, 4)
 				for l, s := range p.tile {
-					as[s] = a[aStart+p.rel[l]]
-					bs[s] = bm[bStart+p.rel[l]]
+					as[s] = m.a(aStart + p.rel[l])
+					bs[s] = m.b(bStart + p.rel[l])
 				}
 				w.SharedStoreAt(p.store)
 				w.SharedStoreAt(p.store)
@@ -268,6 +268,7 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 		}
 
 		cStart := by*b*n + bx*b // C[by*b][bx*b]
+		out := c.writable(by*tiles + bx)
 		blk.ForEachWarp(func(w *gpusim.Warp) {
 			p := &warps[w.WarpID()]
 			var cAddrs [gpusim.WarpSize]uint64
@@ -275,7 +276,7 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 			w.IntOps(full, 2)
 			w.GlobalStore(full, &cAddrs, 4)
 			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
-				c[cStart+p.rel[l]] = v
+				out[p.tile[l]] = v
 			}
 		})
 	}

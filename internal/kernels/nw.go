@@ -30,9 +30,13 @@ type NeedlemanWunsch struct {
 	// Seed generates the sequences and similarity table.
 	Seed uint64
 
-	seq1, seq2 []int32 // 1-based: seq[i] for i in [1, n]
-	blosum     [nwAlphabet][nwAlphabet]int32
-	score      []int32 // (n+1)×(n+1) row-major input_itemsets
+	blosum [nwAlphabet][nwAlphabet]int32
+	// score holds the interior of the (n+1)×(n+1) score matrix
+	// (Rodinia's input_itemsets), paged by 16×16 tile: cell (i, j), both
+	// in [1, n], is element ((i−1)/16 · n/16 + (j−1)/16)·256 + ((i−1)%16)·16
+	// + (j−1)%16. Row 0 and column 0 are −index·penalty and are derived,
+	// not stored.
+	score *paged[int32]
 }
 
 // Name implements profiler.Workload.
@@ -47,17 +51,38 @@ func (nw *NeedlemanWunsch) Characteristics() map[string]float64 {
 // size but with fresh sequences keep distinct noise identities.
 func (nw *NeedlemanWunsch) InputSeed() uint64 { return nw.Seed }
 
-// Score returns the score matrix (valid after a fully-simulated run).
-func (nw *NeedlemanWunsch) Score() []int32 { return nw.score }
+// Score returns the row-major (n+1)×(n+1) score matrix, built on demand
+// (complete after a fully-simulated run).
+func (nw *NeedlemanWunsch) Score() []int32 {
+	n, cols := nw.SeqLen, nw.SeqLen+1
+	inner := tiled(nw.score, n, nwBlock)
+	out := make([]int32, cols*cols)
+	for i := 0; i < cols; i++ {
+		out[i*cols] = nw.border(i)
+		out[i] = nw.border(i)
+	}
+	for i := 0; i < n; i++ {
+		copy(out[(i+1)*cols+1:], inner[i*n:(i+1)*n])
+	}
+	return out
+}
 
-// Release drops the O(n²) score matrix so sweeps do not accumulate it.
-func (nw *NeedlemanWunsch) Release() { nw.score, nw.seq1, nw.seq2 = nil, nil, nil }
+// Release drops the score tiles so sweeps do not accumulate them.
+func (nw *NeedlemanWunsch) Release() { nw.score = nil }
+
+// border returns the score of cell (i, 0) and of cell (0, i).
+func (nw *NeedlemanWunsch) border(i int) int32 { return int32(-i) * nw.Penalty }
+
+// seq1 and seq2 return residue i of the two sequences (1-based), pure
+// functions of the seed.
+func (nw *NeedlemanWunsch) seq1(i int) int32 { return randomI32(nw.Seed, uint64(i), nwAlphabet) }
+func (nw *NeedlemanWunsch) seq2(i int) int32 { return randomI32(nw.Seed^0x5e92, uint64(i), nwAlphabet) }
 
 // ref returns the similarity score of matrix cell (i, j), both 1-based —
 // Rodinia precomputes this as the "reference" matrix; we evaluate it
 // lazily to avoid the O(n²) allocation.
 func (nw *NeedlemanWunsch) ref(i, j int) int32 {
-	return nw.blosum[nw.seq1[i]][nw.seq2[j]]
+	return nw.blosum[nw.seq1(i)][nw.seq2(j)]
 }
 
 // CPUNeedlemanWunsch fills the score matrix sequentially — the reference
@@ -67,8 +92,8 @@ func (nw *NeedlemanWunsch) CPUNeedlemanWunsch() []int32 {
 	cols := n + 1
 	out := make([]int32, cols*cols)
 	for i := 0; i < cols; i++ {
-		out[i*cols] = int32(-i) * nw.Penalty
-		out[i] = int32(-i) * nw.Penalty
+		out[i*cols] = nw.border(i)
+		out[i] = nw.border(i)
 	}
 	for i := 1; i < cols; i++ {
 		for j := 1; j < cols; j++ {
@@ -80,6 +105,14 @@ func (nw *NeedlemanWunsch) CPUNeedlemanWunsch() []int32 {
 		}
 	}
 	return out
+}
+
+// cellOf returns element i of a score page; a page no block wrote is zero.
+func cellOf(pg []int32, i int) int32 {
+	if pg == nil {
+		return 0
+	}
+	return pg[i]
 }
 
 func max3(a, b, c int32) int32 {
@@ -103,23 +136,12 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	}
 	n := nw.SeqLen
 	cols := n + 1
-
-	nw.seq1 = make([]int32, cols)
-	nw.seq2 = make([]int32, cols)
-	for i := 1; i < cols; i++ {
-		nw.seq1[i] = randomI32(nw.Seed, uint64(i), nwAlphabet)
-		nw.seq2[i] = randomI32(nw.Seed^0x5e92, uint64(i), nwAlphabet)
-	}
 	for a := 0; a < nwAlphabet; a++ {
 		for b := 0; b < nwAlphabet; b++ {
 			nw.blosum[a][b] = randomI32(nw.Seed^0xb105, uint64(a*nwAlphabet+b), 21) - 10
 		}
 	}
-	nw.score = make([]int32, cols*cols)
-	for i := 0; i < cols; i++ {
-		nw.score[i*cols] = int32(-i) * nw.Penalty
-		nw.score[i] = int32(-i) * nw.Penalty
-	}
+	nw.score = newPaged[int32](nwBlock * nwBlock)
 
 	blockWidth := n / nwBlock
 	plan := newNWPlan(dev, cols)
@@ -255,8 +277,13 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 
 		// Cell indices as in Rodinia: index_nw = base, index_w = base +
 		// cols, index_n = base + 1 + tid, index = base + cols + 1 + tid.
+		// They only address the simulated memory; the values come from
+		// the tile's page and its north, west and corner neighbours, or
+		// from the derived row 0 and column 0 on the matrix border.
 		base := cols*nwBlock*bIdxY + nwBlock*bIdxX
 		index := base + cols + 1
+		row0, col0 := bIdxY*nwBlock, bIdxX*nwBlock // matrix cell of temp[0][0]
+		key := bIdxY*blockWidth + bIdxX            // the tile's page
 
 		// temp[17][17] and ref[16][16] in shared memory.
 		temp := b.SharedI32(nwTempSlot, tw*tw)
@@ -270,16 +297,27 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 			w.Branch(active, p.lane0)
 			addrsFrom(&addrs, baseScore, base, &p.lanes)
 			w.GlobalLoad(p.lane0, &addrs, 4)
-			temp[0] = score[base]
+			switch {
+			case bIdxY == 0:
+				temp[0] = nw.border(col0)
+			case bIdxX == 0:
+				temp[0] = nw.border(row0)
+			default:
+				temp[0] = cellOf(score.page(key-blockWidth-1), nwBlock*nwBlock-1)
+			}
 			w.SharedStoreAt(p.corner)
 
 			// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
-			row, col := bIdxY*nwBlock+1, bIdxX*nwBlock+1 // matrix cell of ref_s[0][0]
+			var colRes [nwBlock]int32 // seq2 residues of the tile's columns
+			for l := range colRes {
+				colRes[l] = nw.seq2(col0 + 1 + l)
+			}
 			for ty := 0; ty < nwBlock; ty++ {
 				addrsFrom(&addrs, baseRef, index+cols*ty, &p.lanes)
 				w.GlobalLoad(active, &addrs, 4)
-				for l := 0; l < nwBlock; l++ {
-					refS[ty*nwBlock+l] = nw.ref(row+ty, col+l)
+				similarity := &nw.blosum[nw.seq1(row0+1+ty)]
+				for l, r := range colRes {
+					refS[ty*nwBlock+l] = similarity[r]
 				}
 				w.SharedStoreAt(p.refFill[ty])
 			}
@@ -290,8 +328,15 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			addrsFrom(&addrs, baseScore, base+cols, &p.column)
 			w.GlobalLoad(active, &addrs, 4)
-			for l := 0; l < nwBlock; l++ {
-				temp[(l+1)*tw] = score[base+cols+p.column[l]]
+			if bIdxX == 0 {
+				for l := 0; l < nwBlock; l++ {
+					temp[(l+1)*tw] = nw.border(row0 + 1 + l)
+				}
+			} else {
+				west := score.page(key - 1) // its last column
+				for l := 0; l < nwBlock; l++ {
+					temp[(l+1)*tw] = cellOf(west, l*nwBlock+nwBlock-1)
+				}
 			}
 			w.SharedStoreAt(p.westFill)
 		})
@@ -301,7 +346,16 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			addrsFrom(&addrs, baseScore, base+1, &p.lanes)
 			w.GlobalLoad(active, &addrs, 4)
-			copy(temp[1:nwBlock+1], score[base+1:])
+			north := temp[1 : nwBlock+1]
+			if bIdxY == 0 {
+				for l := range north {
+					north[l] = nw.border(col0 + 1 + l)
+				}
+			} else if pg := score.page(key - blockWidth); pg != nil {
+				copy(north, pg[(nwBlock-1)*nwBlock:]) // its last row
+			} else {
+				clear(north)
+			}
 			w.SharedStoreAt(p.northFill)
 		})
 		b.Sync()
@@ -331,13 +385,13 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 		}
 
 		// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
+		out := score.writable(key)
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			for ty := 0; ty < nwBlock; ty++ {
-				out := index + cols*ty
-				addrsFrom(&addrs, baseScore, out, &p.lanes)
+				addrsFrom(&addrs, baseScore, index+cols*ty, &p.lanes)
 				w.SharedLoadAt(p.writeBack[ty])
 				w.GlobalStore(active, &addrs, 4)
-				copy(score[out:out+nwBlock], temp[(ty+1)*tw+1:])
+				copy(out[ty*nwBlock:][:nwBlock], temp[(ty+1)*tw+1:])
 			}
 		})
 	}

@@ -5,17 +5,21 @@ import "blackforest/internal/gpusim"
 // The needle and matmul kernel bodies below are the differential oracles
 // for the shared-access hoisting in nw.go and matmul.go: they build every
 // shared-memory offset per block and charge it through the per-call
-// SharedLoad/SharedStore path. oracle_test.go requires the hoisted
-// kernels to produce equal counters, cycles, breakdowns and outputs.
+// SharedLoad/SharedStore path. They also read the materialized input
+// arrays and write the full-size output arrays that Plan built before
+// inputs became index-derived and outputs paged. oracle_test.go requires
+// the current kernels to produce equal counters, cycles, breakdowns and
+// outputs.
 
 // oracleKernel is needle's per-block kernel as it was before its
 // lane-only shared accesses moved into Plan: every block rebuilds its
 // offsets and the simulator recomputes their conflict degrees per call.
-// Lane values are rebuilt from the thread ID in every barrier phase.
-func (nw *NeedlemanWunsch) oracleKernel(strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
+// Lane values are rebuilt from the thread ID in every barrier phase. It
+// reads the materialized sequences and score matrix of the pre-change
+// Plan (see oracleNeedleArrays).
+func (nw *NeedlemanWunsch) oracleKernel(seq1, seq2, score []int32, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
-	score := nw.score
 	return func(b *gpusim.Block) {
 		bx, _ := b.BlockIdx()
 		var bIdxX, bIdxY int
@@ -67,7 +71,7 @@ func (nw *NeedlemanWunsch) oracleKernel(strip, blockWidth int, topLeft bool) gpu
 						// Matrix cell (row, col) of this lane's ref entry.
 						row := bIdxY*nwBlock + ty + 1
 						col := bIdxX*nwBlock + tid[l] + 1
-						refS[sIdx[l]] = nw.ref(row, col)
+						refS[sIdx[l]] = nw.blosum[seq1[row]][seq2[col]]
 					}
 				}
 				w.SharedStore(active, &sOffs)
@@ -200,12 +204,12 @@ func (nw *NeedlemanWunsch) oracleDPStep(w *gpusim.Warp, temp, refS []int32, acti
 // accesses moved into Plan. With blockDim (b, b), each warp covers 32/b
 // consecutive tile rows; lane → (tx, ty) via the linear thread index,
 // rebuilt in every barrier phase. Each thread's accumulator lives across
-// barriers in a per-block array indexed by linear thread ID.
-func (m *MatMul) oracleKernel() gpusim.KernelFunc {
+// barriers in a per-block array indexed by linear thread ID. It reads
+// materialized input matrices and writes a full-size output matrix.
+func (m *MatMul) oracleKernel(a, bm, c []float32) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
-	a, bm, c := m.a, m.b, m.c
 	return func(blk *gpusim.Block) {
 		bx, by := blk.BlockIdx()
 		lanes := func(w *gpusim.Warp) (tx, ty, row, col [gpusim.WarpSize]int) {

@@ -34,9 +34,8 @@ type Reduction struct {
 	// Seed generates the input data.
 	Seed uint64
 
-	input []float32
-	ping  []float32
-	pong  []float32
+	// ping and pong receive the partial sums of alternate launches.
+	ping, pong *paged[float32]
 	// Result holds the reduced value after a fully-simulated run.
 	Result float32
 }
@@ -127,12 +126,15 @@ func CPUReduce(xs []float32) float32 {
 	return s
 }
 
-// Input returns the generated input array (valid after Plan).
-func (r *Reduction) Input() []float32 { return r.input }
+// in returns element i of the input array, a pure function of the seed.
+func (r *Reduction) in(i int) float32 { return randomF32(r.Seed, uint64(i)) }
 
-// Release drops the workload's buffers so sweeps over many runs do not
+// Input returns the input array, built on demand.
+func (r *Reduction) Input() []float32 { return materialize(r.N, r.in) }
+
+// Release drops the partial-sum buffers so sweeps over many runs do not
 // accumulate them; the workload must be re-Planned before reuse.
-func (r *Reduction) Release() { r.input, r.ping, r.pong = nil, nil, nil }
+func (r *Reduction) Release() { r.ping, r.pong = nil, nil }
 
 func (r *Reduction) validate() error {
 	if r.Variant < 0 || r.Variant > 6 {
@@ -158,21 +160,16 @@ func (r *Reduction) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	if err := r.validate(); err != nil {
 		return nil, err
 	}
-	r.input = make([]float32, r.N)
-	for i := range r.input {
-		r.input[i] = randomF32(r.Seed, uint64(i))
-	}
-	// Ping-pong buffers sized for the first launch's partials.
-	r.ping = make([]float32, maxInt(1, blocksFor(r.Variant, r.N, r.BlockSize, r.MaxBlocks)))
-	r.pong = make([]float32, len(r.ping))
+	r.ping, r.pong = newPaged[float32](reducePage), newPaged[float32](reducePage)
 
 	var launches []profiler.Launch
-	src, dst := r.input, r.ping
+	var final *paged[float32]
+	src, dst := r.in, r.ping
 	srcBase, dstBase := uint64(baseInput), uint64(baseOutput)
 	count := r.N
 	for count > 1 {
 		nextDst, nextDstBase := r.pong, uint64(basePong)
-		if &dst[0] == &r.pong[0] {
+		if dst == r.pong {
 			nextDst, nextDstBase = r.ping, baseOutput
 		}
 		blocks := blocksFor(r.Variant, count, r.BlockSize, r.MaxBlocks)
@@ -187,18 +184,23 @@ func (r *Reduction) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 			Config: cfg,
 			Kernel: r.kernel(src, dst, count, srcBase, dstBase),
 		})
-		src, dst = dst, nextDst
+		final = dst
+		src, dst = dst.at, nextDst
 		srcBase, dstBase = dstBase, nextDstBase
 		count = blocks
 	}
-	// src now holds the buffer that receives the final value; capture the
+	// final is the buffer that receives the final value; capture the
 	// scalar after the last launch completes.
-	final := src
 	launches[len(launches)-1].Kernel = chain(launches[len(launches)-1].Kernel, func() {
-		r.Result = final[0]
+		r.Result = final.at(0)
 	})
 	return launches, nil
 }
+
+// reducePage is the page size of the partial-sum buffers. Each block
+// writes one element, so a sampled launch touches at most one page per
+// simulated block.
+const reducePage = 256
 
 // blocksFor returns the grid size for one launch over count elements.
 func blocksFor(variant, count, blockSize, maxBlocks int) int {
@@ -227,7 +229,7 @@ func regsForVariant(v int) int {
 	}
 }
 
-func (r *Reduction) kernel(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func (r *Reduction) kernel(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	switch r.Variant {
 	case 0:
 		return reduce0(src, dst, n, srcBase, dstBase)
@@ -248,7 +250,7 @@ func (r *Reduction) kernel(src, dst []float32, n int, srcBase, dstBase uint64) g
 
 // loadToShared performs the initial "sdata[tid] = (i < n) ? g[i] : 0" phase
 // common to variants 0–2.
-func loadToShared(b *gpusim.Block, src []float32, sdata []float32, n int, srcBase uint64) {
+func loadToShared(b *gpusim.Block, src func(int) float32, sdata []float32, n int, srcBase uint64) {
 	bdim, _ := b.BlockDim()
 	bx, _ := b.BlockIdx()
 	b.ForEachWarp(func(w *gpusim.Warp) {
@@ -266,7 +268,7 @@ func loadToShared(b *gpusim.Block, src []float32, sdata []float32, n int, srcBas
 				continue
 			}
 			if inRange.Active(l) {
-				sdata[tid[l]] = src[gi[l]]
+				sdata[tid[l]] = src(gi[l])
 			} else {
 				sdata[tid[l]] = 0
 			}
@@ -278,7 +280,7 @@ func loadToShared(b *gpusim.Block, src []float32, sdata []float32, n int, srcBas
 }
 
 // writeBlockResult performs the final "if (tid == 0) g_odata[bx] = sdata[0]".
-func writeBlockResult(w *gpusim.Warp, bx int, dst []float32, sdata []float32, dstBase uint64) {
+func writeBlockResult(w *gpusim.Warp, bx int, dst *paged[float32], sdata []float32, dstBase uint64) {
 	valid := w.ValidMask()
 	lane0 := valid & gpusim.MaskFirstN(1)
 	if w.WarpID() != 0 {
@@ -291,12 +293,12 @@ func writeBlockResult(w *gpusim.Warp, bx int, dst []float32, sdata []float32, ds
 		out := laneInts(func(int) int { return bx })
 		addrs := addrs4(dstBase, &out)
 		w.GlobalStore(lane0, &addrs, 4)
-		dst[bx] = sdata[0]
+		dst.set(bx, sdata[0])
 	}
 }
 
 // reduce0: interleaved addressing with a modulo guard — heavy divergence.
-func reduce0(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce0(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
@@ -322,7 +324,7 @@ func reduce0(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFu
 
 // reduce1: strided indexing replaces the modulo — divergence-free within
 // early iterations but introduces shared-memory bank conflicts.
-func reduce1(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce1(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
@@ -349,7 +351,7 @@ func reduce1(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFu
 
 // reduce2: sequential addressing — conflict-free, but half the threads
 // idle from the first iteration.
-func reduce2(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce2(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
@@ -381,7 +383,7 @@ func sequentialReduce(b *gpusim.Block, sdata []float32, stop int) {
 }
 
 // reduce3: halve the grid by adding two elements during the global load.
-func reduce3(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce3(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
@@ -394,7 +396,7 @@ func reduce3(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFu
 }
 
 // firstAddLoad is "mySum = g[i] + g[i+blockDim]" with bounds guards.
-func firstAddLoad(w *gpusim.Warp, bx, bdim int, src []float32, sdata []float32, n int, srcBase uint64) {
+func firstAddLoad(w *gpusim.Warp, bx, bdim int, src func(int) float32, sdata []float32, n int, srcBase uint64) {
 	valid := w.ValidMask()
 	tid := laneInts(w.LinearTID)
 	gi := laneInts(func(l int) int { return bx*bdim*2 + tid[l] })
@@ -416,10 +418,10 @@ func firstAddLoad(w *gpusim.Warp, bx, bdim int, src []float32, sdata []float32, 
 		}
 		var v float32
 		if first.Active(l) {
-			v = src[gi[l]]
+			v = src(gi[l])
 		}
 		if second.Active(l) {
-			v += src[gi2[l]]
+			v += src(gi2[l])
 		}
 		sdata[tid[l]] = v
 	}
@@ -430,7 +432,7 @@ func firstAddLoad(w *gpusim.Warp, bx, bdim int, src []float32, sdata []float32, 
 // reduceUnrolled covers variants 4, 5 and 6: first-add load (or the
 // variant-6 grid-stride accumulation), a sequential reduction down to warp
 // width, and the barrier-free unrolled last warp.
-func reduceUnrolled(src, dst []float32, n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
+func reduceUnrolled(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		gdim, _ := b.GridDim()
@@ -498,7 +500,7 @@ func applySequentialStep(w *gpusim.Warp, sdata []float32, active gpusim.Mask, ti
 
 // gridStrideLoad is reduce6's accumulation loop: each thread strides
 // through the array summing into a register before the shared phase.
-func gridStrideLoad(w *gpusim.Warp, bx, bdim, gdim int, src []float32, sdata []float32, n int, srcBase uint64) {
+func gridStrideLoad(w *gpusim.Warp, bx, bdim, gdim int, src func(int) float32, sdata []float32, n int, srcBase uint64) {
 	valid := w.ValidMask()
 	tid := laneInts(w.LinearTID)
 	stride := bdim * 2 * gdim
@@ -523,10 +525,10 @@ func gridStrideLoad(w *gpusim.Warp, bx, bdim, gdim int, src []float32, sdata []f
 		w.IntOps(valid, 1) // i += gridSize
 		for l := 0; l < gpusim.WarpSize; l++ {
 			if first.Active(l) {
-				mySum[l] += src[gi[l]]
+				mySum[l] += src(gi[l])
 			}
 			if second.Active(l) {
-				mySum[l] += src[gi2[l]]
+				mySum[l] += src(gi2[l])
 			}
 		}
 		for l := range gi {

@@ -34,7 +34,9 @@ type Transpose struct {
 	// Seed generates the input.
 	Seed uint64
 
-	in, out []float32
+	// out holds the transpose, paged by 32×32 output tile: one page per
+	// block.
+	out *paged[float32]
 }
 
 // Name implements profiler.Workload.
@@ -84,13 +86,17 @@ func (t *Transpose) WithParam(name string, value int) (profiler.Workload, error)
 // size but with fresh inputs keep distinct noise identities.
 func (t *Transpose) InputSeed() uint64 { return t.Seed }
 
-// In and Out return the input and output matrices (valid after Plan; Out
-// is filled by a fully-simulated run).
-func (t *Transpose) In() []float32  { return t.in }
-func (t *Transpose) Out() []float32 { return t.out }
+// in returns element i of the row-major input, a pure function of the
+// seed.
+func (t *Transpose) in(i int) float32 { return randomF32(t.Seed, uint64(i)) }
 
-// Release drops the matrices so sweeps do not accumulate them.
-func (t *Transpose) Release() { t.in, t.out = nil, nil }
+// In and Out return the row-major input and output matrices, built on
+// demand (Out after a run; it is complete after a fully-simulated one).
+func (t *Transpose) In() []float32  { return materialize(t.N*t.N, t.in) }
+func (t *Transpose) Out() []float32 { return tiled(t.out, t.N, transTile) }
+
+// Release drops the output so sweeps do not accumulate it.
+func (t *Transpose) Release() { t.out = nil }
 
 // CPUTranspose is the reference row-major transpose.
 func CPUTranspose(in []float32, n int) []float32 {
@@ -118,11 +124,7 @@ func (t *Transpose) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 		return nil, fmt.Errorf("kernels: transpose block rows %d must divide %d", t.Rows, transTile)
 	}
 	n := t.N
-	t.in = make([]float32, n*n)
-	t.out = make([]float32, n*n)
-	for i := range t.in {
-		t.in[i] = randomF32(t.Seed, uint64(i))
-	}
+	t.out = newPaged[float32](transTile * transTile)
 	shared := 0
 	if t.Variant > 0 {
 		width := transTile
@@ -145,15 +147,18 @@ func (t *Transpose) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 func (t *Transpose) kernel() gpusim.KernelFunc {
 	n := t.N
 	rows := t.Rows
-	in, out := t.in, t.out
 	variant := t.Variant
 	tileW := transTile // words per tile row in shared memory
 	if variant == 2 {
 		tileW = transTile + 1
 	}
 	full := gpusim.FullMask() // blockDim.x is 32: every lane is live
+	grid := n / transTile
 	return func(b *gpusim.Block) {
 		bx, by := b.BlockIdx()
+		// The block transposes input tile (by, bx) into output tile
+		// (bx, by), one page of the tile-major store.
+		out := t.out.writable(bx*grid + by)
 
 		if variant == 0 {
 			// Naive: out[x*n + y] = in[y*n + x].
@@ -169,7 +174,7 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 					wAddrs := addrs4(baseB, &wIdx)
 					w.GlobalStore(full, &wAddrs, 4)
 					for l := 0; l < gpusim.WarpSize; l++ {
-						out[wIdx[l]] = in[rIdx[l]]
+						out[l*transTile+ty+j*rows] = t.in(rIdx[l])
 					}
 				}
 			})
@@ -189,7 +194,7 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 				sIdx := laneInts(func(l int) int { return (ty+j*rows)*tileW + l })
 				sOffs := offs4(&sIdx)
 				for l := 0; l < gpusim.WarpSize; l++ {
-					tile[sIdx[l]] = in[rIdx[l]]
+					tile[sIdx[l]] = t.in(rIdx[l])
 				}
 				w.SharedStore(full, &sOffs)
 			}
@@ -208,7 +213,7 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 				wAddrs := addrs4(baseB, &wIdx)
 				w.GlobalStore(full, &wAddrs, 4)
 				for l := 0; l < gpusim.WarpSize; l++ {
-					out[wIdx[l]] = tile[sIdx[l]]
+					out[col*transTile+l] = tile[sIdx[l]]
 				}
 			}
 		})

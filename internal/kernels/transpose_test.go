@@ -23,10 +23,10 @@ func TestTransposeFunctionalAllVariants(t *testing.T) {
 func TestTransposeOnKepler(t *testing.T) {
 	tr := &Transpose{Variant: 2, N: 64, Seed: 5}
 	runFull(t, "K20m", tr)
-	want := CPUTranspose(tr.In(), 64)
+	want, got := CPUTranspose(tr.In(), 64), tr.Out()
 	for i := range want {
-		if want[i] != tr.Out()[i] {
-			t.Fatalf("out[%d] = %v, want %v", i, tr.Out()[i], want[i])
+		if want[i] != got[i] {
+			t.Fatalf("out[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -96,10 +96,10 @@ func TestTransposeBlockRowsFunctional(t *testing.T) {
 		for _, rows := range []int{2, 4, 16, 32} {
 			tr := &Transpose{Variant: variant, N: 128, Rows: rows, Seed: uint64(variant*100 + rows)}
 			runFull(t, "GTX580", tr)
-			want := CPUTranspose(tr.In(), tr.N)
+			want, got := CPUTranspose(tr.In(), tr.N), tr.Out()
 			for i := range want {
-				if tr.Out()[i] != want[i] {
-					t.Fatalf("transpose%d rows=%d: out[%d] = %v, want %v", variant, rows, i, tr.Out()[i], want[i])
+				if got[i] != want[i] {
+					t.Fatalf("transpose%d rows=%d: out[%d] = %v, want %v", variant, rows, i, got[i], want[i])
 				}
 			}
 		}
@@ -118,11 +118,11 @@ func TestMatMulTileUnrollFunctional(t *testing.T) {
 	for _, c := range cases {
 		m := c
 		runFull(t, "GTX580", &m)
-		want := CPUMatMul(m.A(), m.B(), m.N)
+		want, got := CPUMatMul(m.A(), m.B(), m.N), m.C()
 		for i := range want {
-			if math.Abs(float64(m.C()[i]-want[i])) > 1e-3*math.Abs(float64(want[i]))+1e-4 {
+			if math.Abs(float64(got[i]-want[i])) > 1e-3*math.Abs(float64(want[i]))+1e-4 {
 				t.Fatalf("matmul n=%d tile=%d unroll=%d: C[%d] = %v, want %v",
-					m.N, m.Tile, m.Unroll, i, m.C()[i], want[i])
+					m.N, m.Tile, m.Unroll, i, got[i], want[i])
 			}
 		}
 	}
@@ -135,10 +135,10 @@ func TestHistogramBlockSizesFunctional(t *testing.T) {
 		for _, bs := range []int{64, 512, 1024} {
 			h := &Histogram{Variant: variant, N: 30000, BlockSize: bs, Seed: uint64(bs)}
 			runFull(t, "GTX580", h)
-			want := CPUHistogram(h.Input())
+			want, got := CPUHistogram(h.Input()), h.Bins()
 			for b := range want {
-				if h.Bins()[b] != want[b] {
-					t.Fatalf("histogram%d bs=%d: bin %d = %d, want %d", variant, bs, b, h.Bins()[b], want[b])
+				if got[b] != want[b] {
+					t.Fatalf("histogram%d bs=%d: bin %d = %d, want %d", variant, bs, b, got[b], want[b])
 				}
 			}
 		}

@@ -54,10 +54,10 @@ type Workload interface {
 	Characteristics() map[string]float64
 }
 
-// Releaser is the optional interface of workloads that hold large per-run
-// buffers (e.g. NW's O(n²) score matrix). RunAll releases every planned
-// workload once its run finishes — error or not — so sweeps do not
-// accumulate memory.
+// Releaser is the optional interface of workloads that hold per-run
+// buffers (the kernels' paged output stores, such as NW's score tiles).
+// RunAll releases every planned workload once its run finishes — error or
+// not — so sweeps do not accumulate memory.
 type Releaser interface{ Release() }
 
 // InputSeeded is the optional interface of workloads whose input data is
@@ -150,12 +150,29 @@ type Profile struct {
 }
 
 // Profiler profiles workloads on one device. It is immutable after New and
-// safe for concurrent use by multiple goroutines: every Run builds its own
-// simulator, and measurement noise is drawn from a per-run generator seeded
-// by the workload's identity rather than from a shared stream.
+// safe for concurrent use by multiple goroutines: every run holds a
+// simulator of its own, and measurement noise is drawn from a per-run
+// generator seeded by the workload's identity rather than from a shared
+// stream.
 type Profiler struct {
-	dev *gpusim.Device
-	opt Options
+	dev  *gpusim.Device
+	opt  Options
+	sims *sync.Pool
+}
+
+// simulators pools simulators (caches plus block workspace) per device
+// configuration, across runs and profilers: a run takes one, resets its
+// caches — which makes it compute exactly what a new one would — and
+// returns it when done.
+var simulators sync.Map // gpusim.Device → *sync.Pool
+
+func simulatorPool(dev *gpusim.Device) *sync.Pool {
+	if p, ok := simulators.Load(*dev); ok {
+		return p.(*sync.Pool)
+	}
+	d := *dev // a caller may change its device after the pool is made
+	p, _ := simulators.LoadOrStore(d, &sync.Pool{New: func() any { return gpusim.NewSimulator(&d) }})
+	return p.(*sync.Pool)
 }
 
 // New builds a profiler for the device.
@@ -166,7 +183,7 @@ func New(dev *gpusim.Device, opt Options) *Profiler {
 	if opt.NoiseSigma < 0 {
 		opt.NoiseSigma = 0
 	}
-	return &Profiler{dev: dev, opt: opt}
+	return &Profiler{dev: dev, opt: opt, sims: simulatorPool(dev)}
 }
 
 // Device returns the profiled device.
@@ -234,7 +251,9 @@ func (p *Profiler) run(w Workload, attempt, lane int) (*Profile, error) {
 		return nil, fmt.Errorf("profiler: collecting %s (attempt %d): %w", w.Name(), attempt+1, faults.ErrInjected)
 	}
 
-	sim := gpusim.NewSimulator(p.dev)
+	sim := p.sims.Get().(*gpusim.Simulator)
+	defer p.sims.Put(sim)
+	sim.ResetCaches()
 	var agg counters.Sample
 	var breakdown gpusim.BottleneckBreakdown
 	var occWeighted, smWeighted, energyMJ float64
@@ -403,8 +422,8 @@ func (p *Profiler) runWithRetry(w Workload, lane int) (*Profile, error) {
 			asp.Arg("error", "true")
 		}
 		asp.End()
-		// Release unconditionally: Plan may have allocated (NW's
-		// O(n²) matrix) even when the launch later failed.
+		// Release unconditionally: a failed launch may already have
+		// written pages of the workload's paged store.
 		if rel, ok := w.(Releaser); ok {
 			rel.Release()
 		}
