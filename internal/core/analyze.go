@@ -38,15 +38,7 @@ type Analysis struct {
 // random 80:20 split, forest construction on the training set, validation
 // on the test set, and variable-importance extraction.
 func Analyze(frame *dataset.Frame, cfg Config) (*Analysis, error) {
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.8
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 7
-	}
-	if cfg.PCAVariance <= 0 || cfg.PCAVariance > 1 {
-		cfg.PCAVariance = 0.96
-	}
+	cfg = cfg.withDefaults()
 	if !frame.Has(cfg.response()) {
 		return nil, fmt.Errorf("core: frame has no %s column", cfg.response())
 	}
@@ -68,6 +60,7 @@ func AnalyzeWithPredictors(frame *dataset.Frame, predictors []string, cfg Config
 	if len(predictors) == 0 {
 		return nil, errors.New("core: empty predictor set")
 	}
+	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed ^ 0x5b117)
 	train, test, err := frame.Split(rng, cfg.TrainFrac)
 	if err != nil {

@@ -70,6 +70,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults returns c with every unset or out-of-range TrainFrac, TopK
+// and PCAVariance replaced by its DefaultConfig value. Every analysis
+// entry point applies it.
+func (c Config) withDefaults() Config {
+	d := DefaultConfig()
+	if c.TrainFrac <= 0 || c.TrainFrac >= 1 {
+		c.TrainFrac = d.TrainFrac
+	}
+	if c.TopK <= 0 {
+		c.TopK = d.TopK
+	}
+	if c.PCAVariance <= 0 || c.PCAVariance > 1 {
+		c.PCAVariance = d.PCAVariance
+	}
+	return c
+}
+
 // CollectOptions controls data collection.
 type CollectOptions struct {
 	// MaxSimBlocks caps per-launch detailed simulation (0 = all blocks).

@@ -84,6 +84,40 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeWithPredictorsDefaultsConfig: an unset or out-of-range
+// TrainFrac means the paper's 0.8 split in AnalyzeWithPredictors too, so
+// the analysis equals the 0.8 one to the bit.
+func TestAnalyzeWithPredictorsDefaultsConfig(t *testing.T) {
+	frame := syntheticFrame(80, 4)
+	predictors := []string{"size", "driver_counter", "noise_counter"}
+	analyze := func(frac float64) *Analysis {
+		t.Helper()
+		cfg := quickConfig(4)
+		cfg.TrainFrac = frac
+		a, err := AnalyzeWithPredictors(frame, predictors, cfg)
+		if err != nil {
+			t.Fatalf("TrainFrac %v: %v", frac, err)
+		}
+		return a
+	}
+	want := analyze(0.8)
+	for _, frac := range []float64{-1, 0} {
+		got := analyze(frac)
+		label := fmt.Sprintf("TrainFrac %v", frac)
+		requireFramesEqual(t, label+" train", got.Train, want.Train)
+		requireFramesEqual(t, label+" test", got.Test, want.Test)
+		if math.Float64bits(got.OOBMSE) != math.Float64bits(want.OOBMSE) ||
+			math.Float64bits(got.TestMSE) != math.Float64bits(want.TestMSE) {
+			t.Fatalf("%s: OOB MSE %v test MSE %v, want %v / %v", label, got.OOBMSE, got.TestMSE, want.OOBMSE, want.TestMSE)
+		}
+		for i, imp := range want.Importance {
+			if got.Importance[i].Name != imp.Name || math.Float64bits(got.Importance[i].IncMSE) != math.Float64bits(imp.IncMSE) {
+				t.Fatalf("%s: importance %d is %+v, want %+v", label, i, got.Importance[i], imp)
+			}
+		}
+	}
+}
+
 func TestReduceRetainsPower(t *testing.T) {
 	frame := syntheticFrame(80, 2)
 	a, err := Analyze(frame, quickConfig(2))

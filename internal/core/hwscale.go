@@ -116,12 +116,7 @@ const similarityThreshold = 0.5
 // collected frames (without machine characteristics — they are injected
 // here) for the same workload sweep on the two devices.
 func HardwareScale(frameTrain, frameTarget *dataset.Frame, devTrain, devTarget *gpusim.Device, cfg Config) (*HWScaling, error) {
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.8
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 7
-	}
+	cfg = cfg.withDefaults()
 	ft, err := InjectMachineCharacteristics(frameTrain, devTrain)
 	if err != nil {
 		return nil, err

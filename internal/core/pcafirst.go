@@ -27,9 +27,7 @@ type PCAFirstAnalysis struct {
 // AnalyzePCAFirst runs the PCA-first variant of the pipeline on a
 // collected frame.
 func AnalyzePCAFirst(frame *dataset.Frame, cfg Config) (*PCAFirstAnalysis, error) {
-	if cfg.PCAVariance <= 0 || cfg.PCAVariance > 1 {
-		cfg.PCAVariance = 0.96
-	}
+	cfg = cfg.withDefaults()
 	// Split predictors into measured counters (rotated) and
 	// characteristics (passed through).
 	var counterVars, chars []string

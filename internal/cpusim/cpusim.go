@@ -101,9 +101,9 @@ type Workload interface {
 // Profiler profiles CPU workloads into the same Profile records the GPU
 // profiler produces, so core.Tabulate and the whole pipeline apply.
 type Profiler struct {
-	cpu *CPU
-	rng *stats.RNG
-	sig float64
+	cpu  *CPU
+	seed uint64
+	sig  float64
 }
 
 // NewProfiler builds a CPU profiler with the given noise (same semantics
@@ -115,10 +115,12 @@ func NewProfiler(cpu *CPU, noiseSigma float64, seed uint64) *Profiler {
 	if noiseSigma < 0 {
 		noiseSigma = 0
 	}
-	return &Profiler{cpu: cpu, rng: stats.NewRNG(seed ^ 0xc9a), sig: noiseSigma}
+	return &Profiler{cpu: cpu, seed: seed ^ 0xc9a, sig: noiseSigma}
 }
 
-// Run profiles one workload run.
+// Run profiles one workload run. Its noise is drawn from a seed derived
+// from the workload's identity, as on the GPU profiler, so a profile does
+// not depend on which runs came before it and concurrent Runs are safe.
 func (p *Profiler) Run(w Workload) (*profiler.Profile, error) {
 	c := p.cpu
 	tt := w.Totals(c)
@@ -156,8 +158,9 @@ func (p *Profiler) Run(w Workload) (*profiler.Profile, error) {
 
 	measured := timeMS
 	if p.sig > 0 {
-		measured *= math.Exp(p.sig * p.rng.NormFloat64())
-		power *= math.Exp(p.sig * p.rng.NormFloat64())
+		rng := stats.NewRNG(profiler.NoiseSeed(w, p.seed))
+		measured *= math.Exp(p.sig * rng.NormFloat64())
+		power *= math.Exp(p.sig * rng.NormFloat64())
 	}
 
 	ipc := instructions / cycles / threads

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"math"
 	"testing"
 
 	"blackforest/internal/core"
@@ -131,5 +132,36 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Validate(&CPUNeedlemanWunsch{SeqLen: -1}); err == nil {
 		t.Fatal("negative length accepted")
+	}
+}
+
+// TestCPUProfilesIndependentOfRunOrder: a run's noise comes from its
+// workload's identity, not from how many runs the profiler made before,
+// so a sweep profiled forward and in reverse gives every workload the
+// same time and power, to the bit.
+func TestCPUProfilesIndependentOfRunOrder(t *testing.T) {
+	cpu, _ := LookupCPU("XeonE5")
+	var sweep []Workload
+	for n := 64; n <= 1024; n *= 2 {
+		sweep = append(sweep, &CPUReduction{N: n * n}, &CPUMatMul{N: n}, &CPUNeedlemanWunsch{SeqLen: 4 * n})
+	}
+	forward, reverse := NewProfiler(cpu, 0, 7), NewProfiler(cpu, 0, 7)
+	want := make([]*profiler.Profile, len(sweep))
+	for i, w := range sweep {
+		var err error
+		if want[i], err = forward.Run(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := len(sweep) - 1; i >= 0; i-- {
+		got, err := reverse.Run(sweep[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.TimeMS) != math.Float64bits(want[i].TimeMS) ||
+			math.Float64bits(got.PowerW) != math.Float64bits(want[i].PowerW) {
+			t.Fatalf("%s %v: time %v power %v, forward sweep %v / %v", sweep[i].Name(),
+				sweep[i].Characteristics(), got.TimeMS, got.PowerW, want[i].TimeMS, want[i].PowerW)
+		}
 	}
 }

@@ -1,21 +1,6 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// Slot is an interned handle for per-block kernel state (the functional
-// contents of a __shared__ array). Kernels allocate slots once at package
-// init with NewSlot and index the block's state table directly — no string
-// hashing on the instruction hot path.
-type Slot int
-
-var slotCount atomic.Int64
-
-// NewSlot reserves a new block-state slot. Call it from package-level var
-// initialization, one per distinct shared array a kernel family uses.
-func NewSlot() Slot { return Slot(slotCount.Add(1) - 1) }
+import "fmt"
 
 // Block executes one thread block: it owns the block's counter accumulator
 // and L1 view, and the kernel body drives its warps barrier phase by
@@ -32,11 +17,6 @@ type Block struct {
 	l1       *cache
 	l2       *cache
 
-	// state holds kernel-managed per-block data (the functional contents
-	// of shared memory), indexed by Slot. Warps of a block execute one at
-	// a time, so no locking is needed.
-	state []any
-
 	// segScratch is reused by the coalescer to avoid per-instruction
 	// allocation (a warp access touches at most 64 segments).
 	segScratch [64]uint64
@@ -52,37 +32,24 @@ type Block struct {
 // KernelFunc is the body of a kernel, invoked once per block. CUDA's
 // __syncthreads rule (every thread of a block reaches the same barriers)
 // lets it be written as a sequence of phases: one ForEachWarp call per
-// stretch of code between barriers, each followed by a Sync.
+// stretch of code between barriers, each followed by a Sync. The contents
+// of the block's __shared__ arrays belong to the kernel: it allocates them
+// once, not per block, and clears at block start any array it reads
+// before writing. Blocks run one at a time, so one set of arrays serves
+// them all.
 type KernelFunc func(b *Block)
 
-// reset prepares a pooled block workspace for its next simulated block.
-// Identity and wiring are replaced; kernel-visible state is restored to
-// exactly what a fresh Block would present — numeric scratch slices are
-// zeroed in place (BlockState create functions build zeroed slices, so a
-// cleared one is indistinguishable), anything else is dropped and rebuilt
-// on first use. The coalescer and bank-detector scratch carries over: it
-// is overwritten before every read, so reuse cannot change a single
-// counter.
+// reset prepares the pooled block workspace for its next simulated block:
+// identity and wiring are replaced. The coalescer and bank-detector
+// scratch carries over: it is overwritten before every read, so reuse
+// cannot change a single counter. The block holds no kernel data; a
+// kernel's shared arrays are its own and it clears them itself.
 func (b *Block) reset(cfg LaunchConfig, idxX, idxY int, counters *Counters, l1, l2 *cache) {
 	b.cfg = cfg
 	b.idxX, b.idxY = idxX, idxY
 	b.counters = counters
 	b.l1, b.l2 = l1, l2
 	b.warp = Warp{blk: b}
-	for i, v := range b.state {
-		switch t := v.(type) {
-		case []float32:
-			clear(t)
-		case []int32:
-			clear(t)
-		case []uint32:
-			clear(t)
-		case []float64:
-			clear(t)
-		default:
-			b.state[i] = nil
-		}
-	}
 }
 
 // run executes the kernel for the block. A kernel panic ends the block and
@@ -127,47 +94,3 @@ func (b *Block) BlockDim() (x, y int) { return b.cfg.BlockDimX, b.cfg.BlockDimY 
 
 // GridDim returns the grid dimensions in blocks.
 func (b *Block) GridDim() (x, y int) { return b.cfg.GridDimX, b.cfg.GridDimY }
-
-// BlockState returns the per-block state stored in slot, creating it with
-// create on first use. Kernels use this for the functional contents of
-// shared memory (e.g. the reduction scratchpad or matrix tiles), which all
-// warps of a block share. Slots come from NewSlot at package init;
-// indexing a slice beats hashing a string key on every lookup.
-func (b *Block) BlockState(slot Slot, create func() any) any {
-	if int(slot) >= len(b.state) {
-		grown := make([]any, slotCount.Load())
-		copy(grown, b.state)
-		b.state = grown
-	}
-	v := b.state[slot]
-	if v == nil {
-		v = create()
-		b.state[slot] = v
-	}
-	return v
-}
-
-// SharedF32 returns a per-block float32 scratchpad of at least n elements
-// stored in slot — the functional view of a __shared__ float array. A
-// pooled slice from an earlier block is reused (zeroed) when it is big
-// enough and replaced when it is not.
-func (b *Block) SharedF32(slot Slot, n int) []float32 {
-	v := b.BlockState(slot, func() any { return make([]float32, n) }).([]float32)
-	if len(v) < n {
-		v = make([]float32, n)
-		b.state[slot] = v
-	}
-	return v
-}
-
-// SharedI32 returns a per-block int32 scratchpad of at least n elements —
-// the functional view of a __shared__ int array, with the same reuse rule
-// as SharedF32.
-func (b *Block) SharedI32(slot Slot, n int) []int32 {
-	v := b.BlockState(slot, func() any { return make([]int32, n) }).([]int32)
-	if len(v) < n {
-		v = make([]int32, n)
-		b.state[slot] = v
-	}
-	return v
-}

@@ -89,8 +89,8 @@ func TestPanicInLaterPhase(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 3, GridDimY: 1, BlockDimX: 128, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 1024}
+	f := make([]float32, 64)
 	_, err := sim.Launch(cfg, func(b *Block) {
-		f := b.SharedF32(poolF32Slot, 64)
 		b.ForEachWarp(func(w *Warp) {
 			f[w.WarpID()] = 1
 			w.IntOps(FullMask(), 1)
@@ -108,7 +108,7 @@ func TestPanicInLaterPhase(t *testing.T) {
 		t.Fatalf("want block (1,0) warp 2 panic surfaced, got %v", err)
 	}
 
-	kernel := poolProbeKernel(t)
+	kernel := poolProbeKernel()
 	got, err := sim.Launch(cfg, kernel, LaunchOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -60,11 +60,11 @@ type Simulator struct {
 	dev *Device
 	l2  *cache
 	l1s []*cache // one L1 per SM slot, reused by blocks assigned to it
-	// blk is the reusable block workspace: one Block whose scratch state
-	// (shared-memory slices, coalescer and bank scratch) survives across
-	// blocks and launches instead of being reallocated per block. reset
-	// restores everything a kernel can observe, so pooling is invisible
-	// to counters. A Simulator is used from one goroutine at a time.
+	// blk is the reusable block workspace: one Block whose coalescer and
+	// bank scratch survives across blocks and launches instead of being
+	// reallocated per block. reset restores everything a kernel can
+	// observe, so pooling is invisible to counters. A Simulator is used
+	// from one goroutine at a time.
 	blk Block
 }
 

@@ -48,10 +48,9 @@ func TestBarrierSemantics(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	sim := NewSimulator(d)
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: 128, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
-	flagSlot := NewSlot()
+	shared := make([]float32, 1)
 	ok := true
 	_, err := sim.Launch(cfg, func(b *Block) {
-		shared := b.SharedF32(flagSlot, 1)
 		b.ForEachWarp(func(w *Warp) {
 			if w.WarpID() == 3 { // a late warp writes
 				shared[0] = 42

@@ -57,12 +57,6 @@ func (w *Warp) WarpID() int { return w.id }
 // (threadIdx.y*blockDim.x + threadIdx.x in CUDA terms).
 func (w *Warp) LinearTID(lane int) int { return w.id*WarpSize + lane }
 
-// ThreadIdx returns lane's 2-D thread coordinates within the block.
-func (w *Warp) ThreadIdx(lane int) (x, y int) {
-	t := w.LinearTID(lane)
-	return t % w.blk.cfg.BlockDimX, t / w.blk.cfg.BlockDimX
-}
-
 // ValidMask returns the mask of lanes whose linear TID falls inside the
 // block (the last warp of an odd-sized block is partially populated).
 func (w *Warp) ValidMask() Mask {

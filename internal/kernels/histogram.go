@@ -160,6 +160,10 @@ func (h *Histogram) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 func (h *Histogram) kernel() gpusim.KernelFunc {
 	n := h.N
 	variant := h.Variant
+	var priv []uint32 // variant 1's __shared__ private histogram
+	if variant == 1 {
+		priv = make([]uint32, histBins)
+	}
 	return func(b *gpusim.Block) {
 		bins := h.bins.writable(0)
 		bdim, _ := b.BlockDim()
@@ -167,11 +171,10 @@ func (h *Histogram) kernel() gpusim.KernelFunc {
 		bx, _ := b.BlockIdx()
 		stride := bdim * gdim
 
-		var priv []uint32
 		if variant == 1 {
-			priv = b.BlockState(histPrivSlot, func() any { return make([]uint32, histBins) }).([]uint32)
 			// Zero the private histogram cooperatively (256 words,
 			// blockSize threads): histBins/bdim stores per thread.
+			clear(priv)
 			b.ForEachWarp(func(w *gpusim.Warp) {
 				valid := w.ValidMask()
 				tid := laneInts(w.LinearTID)

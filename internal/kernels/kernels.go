@@ -90,12 +90,3 @@ func randomF32(seed, i uint64) float32 {
 func randomI32(seed, i uint64, n int32) int32 {
 	return int32(splitmix64(seed+i) % uint64(n))
 }
-
-// nextPow2 returns the smallest power of two ≥ v (v ≥ 1).
-func nextPow2(v int) int {
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
-}

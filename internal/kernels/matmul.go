@@ -210,19 +210,19 @@ func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
 
 // kernel is the tiled multiply. Only the global addresses (block corner
 // plus the warp's lane offsets) and the arithmetic depend on the block.
-// Each thread's accumulator lives across barriers, so it is kept in a
-// per-block array indexed by linear thread ID.
+// Each thread's accumulator lives across barriers, so it is kept in an
+// array indexed by linear thread ID and cleared at block start; the As
+// and Bs tiles are stored whole before every read.
 func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
 	c := m.c
 	full := gpusim.FullMask() // b² is a multiple of 32, so every lane is live
+	as, bs, accs := make([]float32, b*b), make([]float32, b*b), make([]float32, b*b)
 	return func(blk *gpusim.Block) {
 		bx, by := blk.BlockIdx()
-		as := blk.SharedF32(matmulAsSlot, b*b)
-		bs := blk.SharedF32(matmulBsSlot, b*b)
-		accs := blk.SharedF32(matmulAccSlot, b*b)
+		clear(accs)
 
 		tiles := n / b
 		for t := 0; t < tiles; t++ {

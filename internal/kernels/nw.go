@@ -145,6 +145,7 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 
 	blockWidth := n / nwBlock
 	plan := newNWPlan(dev, cols)
+	shared := new(nwShared)
 	var launches []profiler.Launch
 	mk := func(label string, strip int, blocks int, topLeft bool) profiler.Launch {
 		return profiler.Launch{
@@ -156,7 +157,7 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 				// temp[17][17] + ref[16][16] ints.
 				SharedMemPerBlock: 4 * ((nwBlock+1)*(nwBlock+1) + nwBlock*nwBlock),
 			},
-			Kernel: nw.kernel(plan, strip, blockWidth, topLeft),
+			Kernel: nw.kernel(plan, shared, strip, blockWidth, topLeft),
 		}
 	}
 	for i := 1; i <= blockWidth; i++ {
@@ -198,6 +199,14 @@ type nwStep struct {
 }
 
 type nwCell struct{ diag, ref, west, north, self int }
+
+// nwShared is a tile's __shared__ memory, temp[17][17] and ref_s[16][16],
+// one per Plan for every block of every launch. A block stores each word
+// before it reads it, so the arrays are never cleared.
+type nwShared struct {
+	temp [(nwBlock + 1) * (nwBlock + 1)]int32
+	ref  [nwBlock * nwBlock]int32
+}
 
 func newNWPlan(dev *gpusim.Device, cols int) *nwPlan {
 	const tw = nwBlock + 1
@@ -258,12 +267,13 @@ func newNWStep(dev *gpusim.Device, active gpusim.Mask, m int, cell func(l int) (
 // kernel processes one 16×16 tile per block along anti-diagonal strip i.
 // Each block runs a single 16-thread (half-empty) warp; only its global
 // addresses and the functional DP depend on the block.
-func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
+func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
 	const tw = nwBlock + 1
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
 	score := nw.score
 	active := p.active
+	temp, refS := sh.temp[:], sh.ref[:]
 	return func(b *gpusim.Block) {
 		bx, _ := b.BlockIdx()
 		var bIdxX, bIdxY int
@@ -285,9 +295,6 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, strip, blockWidth int, topLeft bool
 		row0, col0 := bIdxY*nwBlock, bIdxX*nwBlock // matrix cell of temp[0][0]
 		key := bIdxY*blockWidth + bIdxX            // the tile's page
 
-		// temp[17][17] and ref[16][16] in shared memory.
-		temp := b.SharedI32(nwTempSlot, tw*tw)
-		refS := b.SharedI32(nwRefSlot, nwBlock*nwBlock)
 		var addrs [gpusim.WarpSize]uint64
 
 		b.ForEachWarp(func(w *gpusim.Warp) {

@@ -5,25 +5,26 @@ import "blackforest/internal/gpusim"
 // The kernel bodies below are the reduction, transpose and histogram
 // kernels as they were before kernel inputs became index-derived and
 // written buffers paged: they read materialized input arrays and write
-// make-zeroed output arrays. oracle_test.go requires the current kernels
-// to produce equal counters, cycles, breakdowns and outputs.
+// make-zeroed output arrays. Their shared arrays are allocated once per
+// oracle plan, as the kernels' are. oracle_test.go requires the current
+// kernels to produce equal counters, cycles, breakdowns and outputs.
 
-func oracleReduceKernel(variant int, src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func oracleReduceKernel(variant int, src, dst, sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	switch variant {
 	case 0:
-		return oracleReduce0(src, dst, n, srcBase, dstBase)
+		return oracleReduce0(src, dst, sdata, n, srcBase, dstBase)
 	case 1:
-		return oracleReduce1(src, dst, n, srcBase, dstBase)
+		return oracleReduce1(src, dst, sdata, n, srcBase, dstBase)
 	case 2:
-		return oracleReduce2(src, dst, n, srcBase, dstBase)
+		return oracleReduce2(src, dst, sdata, n, srcBase, dstBase)
 	case 3:
-		return oracleReduce3(src, dst, n, srcBase, dstBase)
+		return oracleReduce3(src, dst, sdata, n, srcBase, dstBase)
 	case 4:
-		return oracleReduceUnrolled(src, dst, n, srcBase, dstBase, false, false)
+		return oracleReduceUnrolled(src, dst, sdata, n, srcBase, dstBase, false, false)
 	case 5:
-		return oracleReduceUnrolled(src, dst, n, srcBase, dstBase, true, false)
+		return oracleReduceUnrolled(src, dst, sdata, n, srcBase, dstBase, true, false)
 	default:
-		return oracleReduceUnrolled(src, dst, n, srcBase, dstBase, true, true)
+		return oracleReduceUnrolled(src, dst, sdata, n, srcBase, dstBase, true, true)
 	}
 }
 
@@ -77,11 +78,10 @@ func oracleWriteBlockResult(w *gpusim.Warp, bx int, dst []float32, sdata []float
 }
 
 // oracleReduce0: interleaved addressing with a modulo guard — heavy divergence.
-func oracleReduce0(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func oracleReduce0(src, dst, sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		oracleLoadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
@@ -103,11 +103,10 @@ func oracleReduce0(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.Ke
 
 // oracleReduce1: strided indexing replaces the modulo — divergence-free within
 // early iterations but introduces shared-memory bank conflicts.
-func oracleReduce1(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func oracleReduce1(src, dst, sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		oracleLoadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
@@ -130,11 +129,9 @@ func oracleReduce1(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.Ke
 
 // oracleReduce2: sequential addressing — conflict-free, but half the threads
 // idle from the first iteration.
-func oracleReduce2(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func oracleReduce2(src, dst, sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
-		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		oracleLoadToShared(b, src, sdata, n, srcBase)
 		sequentialReduce(b, sdata, 0)
 		b.ForEachWarp(func(w *gpusim.Warp) { oracleWriteBlockResult(w, bx, dst, sdata, dstBase) })
@@ -142,11 +139,10 @@ func oracleReduce2(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.Ke
 }
 
 // oracleReduce3: halve the grid by adding two elements during the global load.
-func oracleReduce3(src, dst []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func oracleReduce3(src, dst, sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		b.ForEachWarp(func(w *gpusim.Warp) { oracleFirstAddLoad(w, bx, bdim, src, sdata, n, srcBase) })
 		b.Sync()
 		sequentialReduce(b, sdata, 0)
@@ -191,12 +187,11 @@ func oracleFirstAddLoad(w *gpusim.Warp, bx, bdim int, src []float32, sdata []flo
 // oracleReduceUnrolled covers variants 4, 5 and 6: first-add load (or the
 // variant-6 grid-stride accumulation), a sequential reduction down to warp
 // width, and the barrier-free unrolled last warp.
-func oracleReduceUnrolled(src, dst []float32, n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
+func oracleReduceUnrolled(src, dst, sdata []float32, n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		gdim, _ := b.GridDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			if gridStride {
@@ -298,6 +293,7 @@ func oracleTransposeKernel(t *Transpose, in, out []float32) gpusim.KernelFunc {
 		tileW = transTile + 1
 	}
 	full := gpusim.FullMask() // blockDim.x is 32: every lane is live
+	tile := make([]float32, transTile*tileW)
 	return func(b *gpusim.Block) {
 		bx, by := b.BlockIdx()
 
@@ -322,7 +318,6 @@ func oracleTransposeKernel(t *Transpose, in, out []float32) gpusim.KernelFunc {
 			return
 		}
 
-		tile := b.SharedF32(transposeTileSlot, transTile*tileW)
 		// Load phase: tile[(ty+j*8)][tx] = in[(by*32+ty+j*8)*n + bx*32+tx].
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			ty := w.WarpID()
@@ -364,15 +359,18 @@ func oracleTransposeKernel(t *Transpose, in, out []float32) gpusim.KernelFunc {
 func oracleHistogramKernel(h *Histogram, input []uint8, bins []uint32) gpusim.KernelFunc {
 	n := h.N
 	variant := h.Variant
+	var priv []uint32
+	if variant == 1 {
+		priv = make([]uint32, histBins)
+	}
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		gdim, _ := b.GridDim()
 		bx, _ := b.BlockIdx()
 		stride := bdim * gdim
 
-		var priv []uint32
 		if variant == 1 {
-			priv = b.BlockState(histPrivSlot, func() any { return make([]uint32, histBins) }).([]uint32)
+			clear(priv)
 			// Zero the private histogram cooperatively (256 words,
 			// blockSize threads): histBins/bdim stores per thread.
 			b.ForEachWarp(func(w *gpusim.Warp) {

@@ -16,10 +16,12 @@ import "blackforest/internal/gpusim"
 // offsets and the simulator recomputes their conflict degrees per call.
 // Lane values are rebuilt from the thread ID in every barrier phase. It
 // reads the materialized sequences and score matrix of the pre-change
-// Plan (see oracleNeedleArrays).
-func (nw *NeedlemanWunsch) oracleKernel(seq1, seq2, score []int32, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
+// Plan (see oracleNeedleArrays) and keeps temp and ref_s in sh, which the
+// caller allocates once for all launches.
+func (nw *NeedlemanWunsch) oracleKernel(seq1, seq2, score []int32, sh *nwShared, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
+	temp, refS := sh.temp[:], sh.ref[:]
 	return func(b *gpusim.Block) {
 		bx, _ := b.BlockIdx()
 		var bIdxX, bIdxY int
@@ -40,10 +42,6 @@ func (nw *NeedlemanWunsch) oracleKernel(seq1, seq2, score []int32, strip, blockW
 			index = laneInts(func(l int) int { return base + cols + 1 + tid[l] })
 			return w.ValidMask(), tid, index // lanes 0–15
 		}
-
-		// temp[17][17] and ref[16][16] in shared memory.
-		temp := b.SharedI32(nwTempSlot, (nwBlock+1)*(nwBlock+1))
-		refS := b.SharedI32(nwRefSlot, nwBlock*nwBlock)
 
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			active, tid, index := lanes(w)
@@ -204,14 +202,17 @@ func (nw *NeedlemanWunsch) oracleDPStep(w *gpusim.Warp, temp, refS []int32, acti
 // accesses moved into Plan. With blockDim (b, b), each warp covers 32/b
 // consecutive tile rows; lane → (tx, ty) via the linear thread index,
 // rebuilt in every barrier phase. Each thread's accumulator lives across
-// barriers in a per-block array indexed by linear thread ID. It reads
-// materialized input matrices and writes a full-size output matrix.
+// barriers in an array indexed by linear thread ID, cleared at block
+// start. It reads materialized input matrices and writes a full-size
+// output matrix.
 func (m *MatMul) oracleKernel(a, bm, c []float32) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
+	as, bs, accs := make([]float32, b*b), make([]float32, b*b), make([]float32, b*b)
 	return func(blk *gpusim.Block) {
 		bx, by := blk.BlockIdx()
+		clear(accs)
 		lanes := func(w *gpusim.Warp) (tx, ty, row, col [gpusim.WarpSize]int) {
 			for l := 0; l < gpusim.WarpSize; l++ {
 				t := w.LinearTID(l)
@@ -222,10 +223,6 @@ func (m *MatMul) oracleKernel(a, bm, c []float32) gpusim.KernelFunc {
 			}
 			return tx, ty, row, col
 		}
-
-		as := blk.SharedF32(matmulAsSlot, b*b)
-		bs := blk.SharedF32(matmulBsSlot, b*b)
-		accs := blk.SharedF32(matmulAccSlot, b*b)
 
 		tiles := n / b
 		for t := 0; t < tiles; t++ {

@@ -114,15 +114,16 @@ func TestNeedleMatchesOracle(t *testing.T) {
 				got := &NeedlemanWunsch{SeqLen: n, Seed: uint64(n)}
 				launches := plan(t, got, dev)
 				seq1, seq2, score := oracleNeedleArrays(got)
+				shared := new(nwShared)
 				// Plan's launch order: strips 1..w from the top-left, then
 				// w-1..1 toward the bottom-right.
 				bw := n / nwBlock
 				var oracle []gpusim.KernelFunc
 				for i := 1; i <= bw; i++ {
-					oracle = append(oracle, got.oracleKernel(seq1, seq2, score, i, bw, true))
+					oracle = append(oracle, got.oracleKernel(seq1, seq2, score, shared, i, bw, true))
 				}
 				for i := bw - 1; i >= 1; i-- {
-					oracle = append(oracle, got.oracleKernel(seq1, seq2, score, i, bw, false))
+					oracle = append(oracle, got.oracleKernel(seq1, seq2, score, shared, i, bw, false))
 				}
 				diffLaunches(t, name, dev, launches, oracle, maxSim)
 				sameBits(t, name, "score", got.Score(), score)
@@ -165,6 +166,7 @@ func oracleReductionPlan(r *Reduction) (kernels []gpusim.KernelFunc, result func
 	input := oracleF32(r.N, r.Seed)
 	ping := make([]float32, maxInt(1, blocksFor(r.Variant, r.N, r.BlockSize, r.MaxBlocks)))
 	pong := make([]float32, len(ping))
+	sdata := make([]float32, r.BlockSize)
 	src, dst := input, ping
 	srcBase, dstBase := uint64(baseInput), uint64(baseOutput)
 	for count := r.N; count > 1; {
@@ -172,7 +174,7 @@ func oracleReductionPlan(r *Reduction) (kernels []gpusim.KernelFunc, result func
 		if &dst[0] == &pong[0] {
 			nextDst, nextDstBase = ping, baseOutput
 		}
-		kernels = append(kernels, oracleReduceKernel(r.Variant, src, dst, count, srcBase, dstBase))
+		kernels = append(kernels, oracleReduceKernel(r.Variant, src, dst, sdata, count, srcBase, dstBase))
 		src, dst = dst, nextDst
 		srcBase, dstBase = dstBase, nextDstBase
 		count = blocksFor(r.Variant, count, r.BlockSize, r.MaxBlocks)

@@ -161,6 +161,9 @@ func (r *Reduction) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 		return nil, err
 	}
 	r.ping, r.pong = newPaged[float32](reducePage), newPaged[float32](reducePage)
+	// The __shared__ sdata of every block of every launch. A block stores
+	// all of it before reading it, so it is never cleared.
+	sdata := make([]float32, r.BlockSize)
 
 	var launches []profiler.Launch
 	var final *paged[float32]
@@ -182,7 +185,7 @@ func (r *Reduction) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 		launches = append(launches, profiler.Launch{
 			Label:  r.Name(),
 			Config: cfg,
-			Kernel: r.kernel(src, dst, count, srcBase, dstBase),
+			Kernel: r.kernel(src, dst, sdata, count, srcBase, dstBase),
 		})
 		final = dst
 		src, dst = dst.at, nextDst
@@ -229,22 +232,22 @@ func regsForVariant(v int) int {
 	}
 }
 
-func (r *Reduction) kernel(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func (r *Reduction) kernel(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	switch r.Variant {
 	case 0:
-		return reduce0(src, dst, n, srcBase, dstBase)
+		return reduce0(src, dst, sdata, n, srcBase, dstBase)
 	case 1:
-		return reduce1(src, dst, n, srcBase, dstBase)
+		return reduce1(src, dst, sdata, n, srcBase, dstBase)
 	case 2:
-		return reduce2(src, dst, n, srcBase, dstBase)
+		return reduce2(src, dst, sdata, n, srcBase, dstBase)
 	case 3:
-		return reduce3(src, dst, n, srcBase, dstBase)
+		return reduce3(src, dst, sdata, n, srcBase, dstBase)
 	case 4:
-		return reduceUnrolled(src, dst, n, srcBase, dstBase, false, false)
+		return reduceUnrolled(src, dst, sdata, n, srcBase, dstBase, false, false)
 	case 5:
-		return reduceUnrolled(src, dst, n, srcBase, dstBase, true, false)
+		return reduceUnrolled(src, dst, sdata, n, srcBase, dstBase, true, false)
 	default:
-		return reduceUnrolled(src, dst, n, srcBase, dstBase, true, true)
+		return reduceUnrolled(src, dst, sdata, n, srcBase, dstBase, true, true)
 	}
 }
 
@@ -298,11 +301,10 @@ func writeBlockResult(w *gpusim.Warp, bx int, dst *paged[float32], sdata []float
 }
 
 // reduce0: interleaved addressing with a modulo guard — heavy divergence.
-func reduce0(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce0(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		loadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
@@ -324,11 +326,10 @@ func reduce0(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase
 
 // reduce1: strided indexing replaces the modulo — divergence-free within
 // early iterations but introduces shared-memory bank conflicts.
-func reduce1(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce1(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		loadToShared(b, src, sdata, n, srcBase)
 
 		for s := 1; s < bdim; s *= 2 {
@@ -351,11 +352,9 @@ func reduce1(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase
 
 // reduce2: sequential addressing — conflict-free, but half the threads
 // idle from the first iteration.
-func reduce2(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce2(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
-		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		loadToShared(b, src, sdata, n, srcBase)
 		sequentialReduce(b, sdata, 0)
 		b.ForEachWarp(func(w *gpusim.Warp) { writeBlockResult(w, bx, dst, sdata, dstBase) })
@@ -383,11 +382,10 @@ func sequentialReduce(b *gpusim.Block, sdata []float32, stop int) {
 }
 
 // reduce3: halve the grid by adding two elements during the global load.
-func reduce3(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64) gpusim.KernelFunc {
+func reduce3(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 		b.ForEachWarp(func(w *gpusim.Warp) { firstAddLoad(w, bx, bdim, src, sdata, n, srcBase) })
 		b.Sync()
 		sequentialReduce(b, sdata, 0)
@@ -432,12 +430,11 @@ func firstAddLoad(w *gpusim.Warp, bx, bdim int, src func(int) float32, sdata []f
 // reduceUnrolled covers variants 4, 5 and 6: first-add load (or the
 // variant-6 grid-stride accumulation), a sequential reduction down to warp
 // width, and the barrier-free unrolled last warp.
-func reduceUnrolled(src func(int) float32, dst *paged[float32], n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
+func reduceUnrolled(src func(int) float32, dst *paged[float32], sdata []float32, n int, srcBase, dstBase uint64, fullyUnrolled, gridStride bool) gpusim.KernelFunc {
 	return func(b *gpusim.Block) {
 		bdim, _ := b.BlockDim()
 		gdim, _ := b.GridDim()
 		bx, _ := b.BlockIdx()
-		sdata := b.SharedF32(reductionSdataSlot, bdim)
 
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			if gridStride {

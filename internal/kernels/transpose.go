@@ -154,6 +154,10 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 	}
 	full := gpusim.FullMask() // blockDim.x is 32: every lane is live
 	grid := n / transTile
+	var tile []float32 // the tiled variants' __shared__ tile, stored before it is read
+	if variant > 0 {
+		tile = make([]float32, transTile*tileW)
+	}
 	return func(b *gpusim.Block) {
 		bx, by := b.BlockIdx()
 		// The block transposes input tile (by, bx) into output tile
@@ -181,7 +185,6 @@ func (t *Transpose) kernel() gpusim.KernelFunc {
 			return
 		}
 
-		tile := b.SharedF32(transposeTileSlot, transTile*tileW)
 		// Load phase: tile[(ty+j*8)][tx] = in[(by*32+ty+j*8)*n + bx*32+tx].
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			ty := w.WarpID()

@@ -189,10 +189,17 @@ func New(dev *gpusim.Device, opt Options) *Profiler {
 // Device returns the profiled device.
 func (p *Profiler) Device() *gpusim.Device { return p.dev }
 
+// Identity is what names a run for measurement noise and fault
+// injection: every Workload has one, and so does a CPU workload.
+type Identity interface {
+	Name() string
+	Characteristics() map[string]float64
+}
+
 // identityHash folds the workload's identity (name, characteristics,
 // input seed) into an FNV-1a hash. It keys both measurement noise and
 // fault injection, so neither depends on sweep position.
-func identityHash(w Workload) uint64 {
+func identityHash(w Identity) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -220,13 +227,13 @@ func identityHash(w Workload) uint64 {
 	return h
 }
 
-// noiseSeed derives the measurement-noise seed for one run: the identity
-// hash mixed with the profiler seed, splitmix-finalized the same way
-// forest.Fit derives its per-tree seeds. Because position in the sweep
-// never enters the hash, reordering or parallelizing a collection cannot
-// change any profile.
-func (p *Profiler) noiseSeed(w Workload) uint64 {
-	return stats.SplitMix64(identityHash(w) ^ stats.SplitMix64(p.opt.Seed^0x70726f66))
+// NoiseSeed derives the measurement-noise seed for one run of w under a
+// profiler seed: the identity hash mixed with the seed, splitmix-finalized
+// the same way forest.Fit derives its per-tree seeds. Because position in
+// the sweep never enters the hash, reordering or parallelizing a
+// collection cannot change any profile.
+func NoiseSeed(w Identity, seed uint64) uint64 {
+	return stats.SplitMix64(identityHash(w) ^ stats.SplitMix64(seed^0x70726f66))
 }
 
 // Run profiles one workload run end to end, consulting Options.Cache
@@ -289,7 +296,7 @@ func (p *Profiler) run(w Workload, attempt, lane int) (*Profile, error) {
 	measured := modelTime
 	power := averagePower(energyMJ, modelTime)
 	if p.opt.NoiseSigma > 0 {
-		rng := stats.NewRNG(p.noiseSeed(w))
+		rng := stats.NewRNG(NoiseSeed(w, p.opt.Seed))
 		measured *= math.Exp(p.opt.NoiseSigma * rng.NormFloat64())
 		power *= math.Exp(p.opt.NoiseSigma * rng.NormFloat64())
 	}

@@ -30,12 +30,6 @@ type Params struct {
 	RNG *stats.RNG
 }
 
-// DefaultParams returns the parameters used by the paper: node size 5,
-// unlimited depth, all features considered (MTry is set by the forest).
-func DefaultParams() Params {
-	return Params{MinNodeSize: 5}
-}
-
 // node is one tree node in the flattened node array. Leaves have
 // feature == -1.
 type node struct {
