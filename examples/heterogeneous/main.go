@@ -59,13 +59,11 @@ func main() {
 	cp := blackforest.NewCPUProfiler(cpu, 0, 7)
 	var cpuProfiles []*blackforest.Profile
 	for n := 1 << 14; n <= 1<<24; n = n * 3 / 2 {
-		for r := 0; r < 2; r++ {
-			prof, err := cp.Run(&blackforest.CPUReduction{N: n})
-			if err != nil {
-				log.Fatal(err)
-			}
-			cpuProfiles = append(cpuProfiles, prof)
+		prof, err := cp.Run(&blackforest.CPUReduction{N: n})
+		if err != nil {
+			log.Fatal(err)
 		}
+		cpuProfiles = append(cpuProfiles, prof)
 	}
 	cpuFrame, err := blackforest.FrameFromProfiles(cpuProfiles)
 	if err != nil {

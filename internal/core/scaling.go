@@ -328,17 +328,17 @@ func (ps *ProblemScaler) PredictDetailAll(rows []map[string]float64) (times []fl
 	if len(xs) == 0 {
 		return times, counters, errs
 	}
+	// PredictAll fails only on a row of the wrong width, and assembleVector
+	// builds every row with one entry per reduced predictor: the forest's
+	// width, checked when the scaler was fitted or imported. So err is nil
+	// unless that invariant breaks, and then every batched row reports it.
 	preds, err := ps.Reduced.Forest.PredictAll(xs)
-	if err != nil {
-		// The batch path refused a malformed vector: fall back to the
-		// per-row error path so each row fails or succeeds on its own.
-		for j, i := range idx {
-			times[i], errs[i] = ps.Reduced.Forest.PredictVector(xs[j])
-		}
-		return times, counters, errs
-	}
 	for j, i := range idx {
-		times[i] = preds[j]
+		if err != nil {
+			errs[i] = err
+		} else {
+			times[i] = preds[j]
+		}
 	}
 	return times, counters, errs
 }

@@ -86,14 +86,14 @@ func TestBlackForestOnCPU(t *testing.T) {
 	cpu, _ := LookupCPU("XeonE5")
 	p := NewProfiler(cpu, 0, 7)
 	var profiles []*profiler.Profile
-	for r := 0; r < 3; r++ {
-		for n := 64; n <= 1024; n *= 2 {
-			prof, err := p.Run(&CPUMatMul{N: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			profiles = append(profiles, prof)
+	// CPU workloads carry no input seed, so a repeated size would profile
+	// to an exact copy: sweep distinct sizes instead.
+	for n := 64; n <= 1024; n += 64 {
+		prof, err := p.Run(&CPUMatMul{N: n})
+		if err != nil {
+			t.Fatal(err)
 		}
+		profiles = append(profiles, prof)
 	}
 	frame, _, err := core.Tabulate(profiles, 0)
 	if err != nil {

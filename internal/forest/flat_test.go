@@ -83,8 +83,9 @@ func TestFlatDifferential(t *testing.T) {
 		}
 
 		batch := predictAll(t, f, queries)
+		pf := mustRegrow(t, f)
 		for i, q := range queries {
-			oracle := f.PredictPointer(q)
+			oracle := pf.predict(q)
 			flat := f.Predict(q)
 			saved, err := loaded.PredictVector(q)
 			if err != nil {
@@ -123,8 +124,9 @@ func TestPredictAllWorkerInvariance(t *testing.T) {
 		got := predictAll(t, f, queries)
 		if want == nil {
 			want = got
+			pf := mustRegrow(t, f)
 			for i, q := range queries {
-				if math.Float64bits(got[i]) != math.Float64bits(f.PredictPointer(q)) {
+				if math.Float64bits(got[i]) != math.Float64bits(pf.predict(q)) {
 					t.Fatalf("row %d: batch differs from pointer oracle", i)
 				}
 			}
@@ -140,18 +142,15 @@ func TestPredictAllWorkerInvariance(t *testing.T) {
 
 // exportTrees returns f's trees in the older per-node tree form, which
 // Export no longer writes but Import still reads.
-func exportTrees(f *Forest) []*rtree.ExportedTree {
-	out := make([]*rtree.ExportedTree, len(f.trees))
-	for i, t := range f.trees {
-		out[i] = t.Export()
-	}
-	return out
+func exportTrees(t testing.TB, f *Forest) []*rtree.ExportedTree {
+	return mustRegrow(t, f).trees
 }
 
 // TestQuantizedBundleProperties: the exported bundle carries only the flat
 // encoding with its losslessly quantized values, is smaller than the same
 // forest in tree form, still answers importance queries from the shell
-// metadata, and refuses the pointer-walk APIs that need per-tree nodes.
+// metadata, and has no pointer form: it keeps neither per-tree nodes nor
+// the training data they could be regrown from.
 func TestQuantizedBundleProperties(t *testing.T) {
 	rng := stats.NewRNG(11)
 	x, y, names := randomProblem(rng, 50, 3)
@@ -168,7 +167,7 @@ func TestQuantizedBundleProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	treeForm := *e
-	treeForm.Flat, treeForm.Trees = nil, exportTrees(f)
+	treeForm.Flat, treeForm.Trees = nil, exportTrees(t, f)
 	treeJSON, err := json.Marshal(&treeForm)
 	if err != nil {
 		t.Fatal(err)
@@ -183,12 +182,9 @@ func TestQuantizedBundleProperties(t *testing.T) {
 	if loaded.NumTrees() != f.NumTrees() {
 		t.Fatalf("NumTrees = %d, want %d", loaded.NumTrees(), f.NumTrees())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PredictPointer on a flat-only bundle did not panic")
-		}
-	}()
-	loaded.PredictPointer(x[0])
+	if _, err := regrow(loaded); err == nil {
+		t.Fatal("pointer oracle built from a flat-only bundle")
+	}
 }
 
 // TestImportCrossValidatesFlat: when a bundle carries both trees and a flat
@@ -202,7 +198,7 @@ func TestImportCrossValidatesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := f.Export()
-	e.Trees = exportTrees(f)
+	e.Trees = exportTrees(t, f)
 	if _, err := Import(e); err != nil {
 		t.Fatalf("consistent trees+flat bundle rejected: %v", err)
 	}

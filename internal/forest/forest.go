@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,13 +48,11 @@ func DefaultConfig() Config {
 
 // Forest is a fitted random forest regression model.
 //
-// Prediction runs on a flat compiled engine: after Fit (or Import) all trees
-// are compiled into one contiguous node array (rtree.FlatForest) and
-// Predict/PredictAll route through it. The pointer-linked trees are retained
-// for out-of-bag error, permutation importance and partial dependence; the
-// tests also walk them as the differential oracle of the flat engine.
+// Its trees live only in one flat compiled node array (rtree.FlatForest),
+// built by Fit (or Import) from the grown trees. Predict and PredictAll walk
+// the whole forest on it; out-of-bag error, permutation importance and
+// partial dependence walk it tree by tree (FlatForest.PredictTree).
 type Forest struct {
-	trees    []*rtree.Tree
 	flat     *rtree.FlatForest
 	oobIdx   [][]int // per-tree out-of-bag sample indices
 	names    []string
@@ -99,9 +98,6 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Forest, error
 	if cfg.MinNodeSize <= 0 {
 		cfg.MinNodeSize = 5
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 
 	// Reject non-finite inputs up front: a NaN/Inf cell (e.g. a buggy
 	// imputation of a degraded collection) would otherwise poison split
@@ -124,20 +120,43 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Forest, error
 	// permutation importance, and partial dependence, all of which would
 	// silently corrupt if the caller mutated its slices after Fit.
 	f := &Forest{
-		trees:    make([]*rtree.Tree, cfg.NTrees),
-		oobIdx:   make([][]int, cfg.NTrees),
 		names:    append([]string(nil), names...),
-		x:        copyRows(x),
+		x:        copyRowsFlat(x),
 		y:        append([]float64(nil), y...),
 		cfg:      cfg,
 		nSamples: len(x),
 	}
 	f.minResp, f.maxResp = stats.Min(f.y), stats.Max(f.y)
 
+	trees, oobIdx, seeds, err := grow(f.x, f.y, cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.oobIdx = oobIdx
+	// The compiled node array is the forest's only copy of its trees; the
+	// grown trees are dropped once their purity gains are read.
+	if f.flat, err = rtree.CompileFlat(trees); err != nil {
+		return nil, err
+	}
+	gains := make([][]float64, len(trees))
+	for t, tree := range trees {
+		gains[t] = tree.PurityGain()
+	}
+
+	f.computeOOB()
+	f.computeImportance(seeds, gains)
+	return f, nil
+}
+
+// grow grows cfg.NTrees trees on validated training data, each on its own
+// bootstrap sample, under a config Fit has completed with its defaults. It
+// returns the trees, each tree's out-of-bag row indices, and each tree's
+// RNG seed (importance derives its permutation streams from it).
+func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.Tree, oobIdx [][]int, seeds []uint64, err error) {
 	// Pre-derive one RNG seed per tree from the master seed so tree
 	// construction is order-independent and parallelizable.
 	master := stats.NewRNG(cfg.Seed)
-	seeds := make([]uint64, cfg.NTrees)
+	seeds = make([]uint64, cfg.NTrees)
 	for i := range seeds {
 		seeds[i] = master.Uint64()
 	}
@@ -145,61 +164,73 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Forest, error
 	// Preprocess the design matrix once (column-major copy + per-feature
 	// sorted orderings); every tree shares it, so growing the forest does
 	// no per-tree sorting on presortable features.
-	m, err := rtree.NewMatrix(f.x)
+	m, err := rtree.NewMatrix(x)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
-	var wg sync.WaitGroup
+	trees = make([]*rtree.Tree, cfg.NTrees)
+	oobIdx = make([][]int, cfg.NTrees)
 	errs := make([]error, cfg.NTrees)
-	sem := make(chan struct{}, cfg.Workers)
-	for t := 0; t < cfg.NTrees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	forEach(cfg.Workers, cfg.NTrees, func() func(int) {
+		return func(t int) {
 			rng := stats.NewRNG(seeds[t])
-			inBag, oob := rng.Bootstrap(f.nSamples)
-			tree, err := rtree.FitMatrix(m, f.y, inBag, rtree.Params{
+			inBag, oob := rng.Bootstrap(len(y))
+			trees[t], errs[t] = rtree.FitMatrix(m, y, inBag, rtree.Params{
 				MinNodeSize: cfg.MinNodeSize,
 				MaxDepth:    cfg.MaxDepth,
 				MTry:        cfg.MTry,
 				RNG:         rng,
 			})
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			f.trees[t] = tree
-			f.oobIdx[t] = oob
-		}(t)
-	}
-	wg.Wait()
+			oobIdx[t] = oob
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
-
-	// Compile the serving engine: one flat node array over all trees.
-	f.flat, err = rtree.CompileFlat(f.trees)
-	if err != nil {
-		return nil, err
-	}
-
-	f.computeOOB()
-	f.computeImportance(seeds)
-	return f, nil
+	return trees, oobIdx, seeds, nil
 }
 
-// copyRows deep-copies a design matrix, rows included.
-func copyRows(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		out[i] = append([]float64(nil), row...)
+// forEach calls the function worker returns for every index in [0, n), on
+// at most workers goroutines (all CPUs when workers <= 0) that take indices
+// in increasing order from a shared counter. worker runs once per
+// goroutine, so each goroutine can own its scratch. With one worker, or one
+// index, everything runs inline on the calling goroutine. Callers write
+// only per-index outputs, so results never depend on the worker count.
+func forEach(workers, n int, worker func() func(i int)) {
+	if n == 0 {
+		return
 	}
-	return out
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, n)
+	if workers == 1 {
+		do := worker()
+		for i := 0; i < n; i++ {
+			do(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do := worker()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // copyRowsFlat deep-copies a design matrix into one flat backing array.
@@ -217,54 +248,26 @@ func copyRowsFlat(x [][]float64) [][]float64 {
 	return out
 }
 
-// forEachGridPoint evaluates fn for every partial-dependence grid point,
-// spreading points over Config.Workers goroutines. Each worker receives its
-// own mutable copy of the training rows plus a per-tree scratch slice, and
-// every grid point writes only its own output index, so results are
-// bit-identical for any worker count.
+// forEachGridPoint evaluates fn for every partial-dependence grid point on
+// the forest's workers. Each worker receives its own mutable copy of the
+// training rows plus a per-tree scratch slice, and every grid point writes
+// only its own output index, so results are bit-identical for any worker
+// count.
 func (f *Forest) forEachGridPoint(grid []float64, fn func(g int, v float64, rows [][]float64, perTree []float64)) {
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(grid) {
-		workers = len(grid)
-	}
-	if workers <= 1 {
+	forEach(f.cfg.Workers, len(grid), func() func(int) {
 		rows := copyRowsFlat(f.x)
-		perTree := make([]float64, len(f.trees))
-		for g, v := range grid {
-			fn(g, v, rows, perTree)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows := copyRowsFlat(f.x)
-			perTree := make([]float64, len(f.trees))
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(grid) {
-					return
-				}
-				fn(g, grid[g], rows, perTree)
-			}
-		}()
-	}
-	wg.Wait()
+		perTree := make([]float64, f.flat.NumTrees())
+		return func(g int) { fn(g, grid[g], rows, perTree) }
+	})
 }
 
 // computeOOB fills the OOB predictions and the derived error statistics.
 func (f *Forest) computeOOB() {
 	sum := make([]float64, f.nSamples)
 	cnt := make([]int, f.nSamples)
-	for t, tree := range f.trees {
-		for _, i := range f.oobIdx[t] {
-			sum[i] += tree.Predict(f.x[i])
+	for t, oob := range f.oobIdx {
+		for _, i := range oob {
+			sum[i] += f.flat.PredictTree(t, f.x[i])
 			cnt[i]++
 		}
 	}
@@ -292,8 +295,9 @@ func (f *Forest) computeOOB() {
 
 // computeImportance computes permutation importance tree by tree, exactly
 // as described in §4.1.1 of the paper: for each tree, the OOB MSE is
-// compared with the OOB MSE after permuting one predictor's values.
-func (f *Forest) computeImportance(seeds []uint64) {
+// compared with the OOB MSE after permuting one predictor's values. gains
+// holds each tree's per-feature purity gain.
+func (f *Forest) computeImportance(seeds []uint64, gains [][]float64) {
 	p := len(f.names)
 	sumInc := make([]float64, p)
 	sumIncSq := make([]float64, p)
@@ -303,22 +307,14 @@ func (f *Forest) computeImportance(seeds []uint64) {
 	// in tree order: float addition is not associative, so summing in
 	// goroutine-completion order would make the low bits of the importance
 	// scores (and with them near-tied rankings) run-dependent.
-	incs := make([][]float64, len(f.trees))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, f.cfg.Workers)
-	for t := range f.trees {
-		if len(f.oobIdx[t]) == 0 {
-			continue
+	incs := make([][]float64, len(seeds))
+	forEach(f.cfg.Workers, len(incs), func() func(int) {
+		return func(t int) {
+			if len(f.oobIdx[t]) > 0 {
+				incs[t] = f.treeImportance(t, stats.NewRNG(seeds[t]^0x5bf03635), gains[t])
+			}
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			incs[t] = f.treeImportance(t, stats.NewRNG(seeds[t]^0x5bf03635))
-		}(t)
-	}
-	wg.Wait()
+	})
 	for _, inc := range incs {
 		if inc == nil {
 			continue
@@ -346,30 +342,30 @@ func (f *Forest) computeImportance(seeds []uint64) {
 		}
 		f.impSE[j] = math.Sqrt(varJ / n)
 	}
-	for _, tree := range f.trees {
-		for j, g := range tree.PurityGain() {
-			f.purity[j] += g
+	for _, g := range gains {
+		for j := range g {
+			f.purity[j] += g[j]
 		}
 	}
 }
 
 // treeImportance returns, for tree t, the increase in OOB MSE caused by
-// permuting each predictor in turn.
-func (f *Forest) treeImportance(t int, rng *stats.RNG) []float64 {
+// permuting each predictor in turn. used is the tree's per-feature purity
+// gain, zero exactly for the features the tree never splits on.
+func (f *Forest) treeImportance(t int, rng *stats.RNG, used []float64) []float64 {
 	oob := f.oobIdx[t]
-	tree := f.trees[t]
 	p := len(f.names)
 
 	var baseSSE float64
 	for _, i := range oob {
-		d := tree.Predict(f.x[i]) - f.y[i]
+		d := f.flat.PredictTree(t, f.x[i]) - f.y[i]
 		baseSSE += d * d
 	}
 	baseMSE := baseSSE / float64(len(oob))
 
 	// Copy the OOB rows once; for each predictor, overwrite just that
 	// column with permuted values and restore it afterwards. The buffer
-	// passed to Predict holds exactly the values the seed implementation
+	// passed to PredictTree holds exactly the values the seed implementation
 	// assembled per row (original row with column j replaced), but the
 	// O(p²·n) per-feature row copies collapse to O(p·n) total.
 	inc := make([]float64, p)
@@ -380,7 +376,6 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG) []float64 {
 		rows[k] = flat[k*p : (k+1)*p]
 		copy(rows[k], f.x[i])
 	}
-	used := tree.PurityGain()
 	for j := 0; j < p; j++ {
 		copy(perm, oob)
 		rng.ShuffleInts(perm)
@@ -395,7 +390,7 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG) []float64 {
 		for k, i := range oob {
 			save := rows[k][j]
 			rows[k][j] = f.x[perm[k]][j]
-			d := tree.Predict(rows[k]) - f.y[i]
+			d := f.flat.PredictTree(t, rows[k]) - f.y[i]
 			rows[k][j] = save
 			sse += d * d
 		}
@@ -434,10 +429,6 @@ func (f *Forest) Engine() string {
 	return "flat"
 }
 
-// predictAllSeqThreshold is the batch size below which PredictAll stays
-// sequential: goroutine startup costs more than a handful of tree walks.
-const predictAllSeqThreshold = 4
-
 // predictBlockRows is the row-block width of the tree-major batch mode:
 // each worker walks every tree across one block of this many rows, keeping
 // the current tree's node array cache-hot for the whole block.
@@ -445,52 +436,23 @@ const predictBlockRows = 256
 
 // PredictAll returns predictions for each row of xs. Batches run tree-major
 // on the flat engine (every tree visits a whole row block before the next
-// tree starts) and large batches are spread block-wise over a worker pool
-// (Config.Workers goroutines, or all CPUs for loaded models); per row, tree
-// contributions accumulate in tree order, so the result is bit-identical to
-// calling Predict per row, for every worker count and block size. A row
-// with the wrong feature count fails the whole batch with an error.
+// tree starts) and batches of more than one block are spread block-wise
+// over the forest's workers (Config.Workers, or all CPUs for loaded
+// models); a one-block batch runs inline. Per row, tree contributions
+// accumulate in tree order, so the result is bit-identical to calling
+// Predict per row, for every worker count and block size. A row with the
+// wrong feature count fails the whole batch with an error.
 func (f *Forest) PredictAll(xs [][]float64) ([]float64, error) {
 	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out, nil
-	}
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	blocks := (len(xs) + predictBlockRows - 1) / predictBlockRows
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 || len(xs) < predictAllSeqThreshold {
-		if err := f.flat.PredictBatch(xs, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	errs := make([]error, blocks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				lo := b * predictBlockRows
-				hi := lo + predictBlockRows
-				if hi > len(xs) {
-					hi = len(xs)
-				}
-				errs[b] = f.flat.PredictBatch(xs[lo:hi], out[lo:hi])
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(f.cfg.Workers, blocks, func() func(int) {
+		return func(b int) {
+			lo := b * predictBlockRows
+			hi := min(lo+predictBlockRows, len(xs))
+			errs[b] = f.flat.PredictBatch(xs[lo:hi], out[lo:hi])
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -573,6 +535,24 @@ func (f *Forest) TopPredictors(k int) []string {
 	return out
 }
 
+// pdGrid is the preamble PartialDependence and PartialDependenceCI share:
+// it returns the named predictor's column and gridSize (at least 2) points
+// spanning the predictor's observed range.
+func (f *Forest) pdGrid(name string, gridSize int) (j int, grid []float64, err error) {
+	if f.x == nil {
+		return 0, nil, errors.New("forest: partial dependence needs the training data (unavailable on a loaded model)")
+	}
+	j = slices.Index(f.names, name)
+	if j < 0 {
+		return 0, nil, fmt.Errorf("forest: no predictor %q", name)
+	}
+	col := make([]float64, f.nSamples)
+	for i, row := range f.x {
+		col[i] = row[j]
+	}
+	return j, stats.Linspace(stats.Min(col), stats.Max(col), max(gridSize, 2)), nil
+}
+
 // PartialDependenceCI extends PartialDependence with pointwise confidence
 // bands (the paper's §7 suggestion: "Integrating confidence intervals into
 // the partial dependence plots would help interpretation"): at each grid
@@ -580,42 +560,25 @@ func (f *Forest) TopPredictors(k int) []string {
 // (1−level)/2 and (1+level)/2 quantiles — the spread of the ensemble's
 // member opinions.
 func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (grid, response, lo, hi []float64, err error) {
-	if f.x == nil {
-		return nil, nil, nil, nil, errors.New("forest: partial dependence needs the training data (unavailable on a loaded model)")
-	}
 	if level <= 0 || level >= 1 {
 		level = 0.9
 	}
-	j := -1
-	for k, n := range f.names {
-		if n == name {
-			j = k
-			break
-		}
+	j, grid, err := f.pdGrid(name, gridSize)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	if j < 0 {
-		return nil, nil, nil, nil, fmt.Errorf("forest: no predictor %q", name)
-	}
-	if gridSize < 2 {
-		gridSize = 2
-	}
-	col := make([]float64, f.nSamples)
-	for i, row := range f.x {
-		col[i] = row[j]
-	}
-	grid = stats.Linspace(stats.Min(col), stats.Max(col), gridSize)
-	response = make([]float64, gridSize)
-	lo = make([]float64, gridSize)
-	hi = make([]float64, gridSize)
+	response = make([]float64, len(grid))
+	lo = make([]float64, len(grid))
+	hi = make([]float64, len(grid))
 
 	f.forEachGridPoint(grid, func(g int, v float64, rows [][]float64, perTree []float64) {
 		for i := range rows {
 			rows[i][j] = v
 		}
-		for t, tree := range f.trees {
+		for t := range perTree {
 			var s float64
 			for _, row := range rows {
-				s += tree.Predict(row)
+				s += f.flat.PredictTree(t, row)
 			}
 			perTree[t] = s / float64(f.nSamples)
 		}
@@ -631,29 +594,11 @@ func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (
 // the forest prediction averaged over the training set with that predictor
 // forced to v (Friedman's partial dependence function).
 func (f *Forest) PartialDependence(name string, gridSize int) (grid, response []float64, err error) {
-	if f.x == nil {
-		return nil, nil, errors.New("forest: partial dependence needs the training data (unavailable on a loaded model)")
+	j, grid, err := f.pdGrid(name, gridSize)
+	if err != nil {
+		return nil, nil, err
 	}
-	j := -1
-	for k, n := range f.names {
-		if n == name {
-			j = k
-			break
-		}
-	}
-	if j < 0 {
-		return nil, nil, fmt.Errorf("forest: no predictor %q", name)
-	}
-	if gridSize < 2 {
-		gridSize = 2
-	}
-	col := make([]float64, f.nSamples)
-	for i, row := range f.x {
-		col[i] = row[j]
-	}
-	lo, hi := stats.Min(col), stats.Max(col)
-	grid = stats.Linspace(lo, hi, gridSize)
-	response = make([]float64, gridSize)
+	response = make([]float64, len(grid))
 	f.forEachGridPoint(grid, func(g int, v float64, rows [][]float64, _ []float64) {
 		var s float64
 		for i := range rows {

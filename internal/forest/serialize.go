@@ -79,7 +79,6 @@ func Import(e *Exported) (*Forest, error) {
 		}
 	}
 	f := &Forest{
-		trees:    make([]*rtree.Tree, len(e.Trees)),
 		names:    append([]string(nil), e.Names...),
 		oobMSE:   e.OOBMSE,
 		varExpl:  e.VarExpl,
@@ -90,6 +89,9 @@ func Import(e *Exported) (*Forest, error) {
 		maxResp:  e.MaxResp,
 		nSamples: e.NSamples, // the count only: training rows are not persisted
 	}
+	// Trees of an older tree-form bundle are kept only until they are
+	// compiled into the forest's node array.
+	trees := make([]*rtree.Tree, len(e.Trees))
 	for i, et := range e.Trees {
 		t, err := rtree.Import(et)
 		if err != nil {
@@ -98,13 +100,13 @@ func Import(e *Exported) (*Forest, error) {
 		if t.NumFeatures() != p {
 			return nil, fmt.Errorf("forest: tree %d has %d features, model has %d", i, t.NumFeatures(), p)
 		}
-		f.trees[i] = t
+		trees[i] = t
 	}
 	if len(e.Trees) > 0 {
 		// The trees are authoritative: compile the serving engine from them,
 		// and if the bundle also carries a flat encoding, insist it matches
 		// bit for bit — a disagreement means a corrupted or tampered bundle.
-		compiled, err := rtree.CompileFlat(f.trees)
+		compiled, err := rtree.CompileFlat(trees)
 		if err != nil {
 			return nil, fmt.Errorf("forest: compiling flat engine: %w", err)
 		}

@@ -1,20 +1,22 @@
 package rtree
 
-// Flat compiled forest inference. A fitted forest of pointer-linked *Tree
-// objects is compiled once into a single contiguous structure-of-arrays
-// (feature index, threshold-or-leaf-value, left/right child offsets relative
-// to the forest-global node array), with a per-tree root-offset index.
-// Traversal is then a tight loop over four flat slices with no per-node
-// pointer chasing, which makes single predicts ns-scale and lets batch
-// prediction walk one tree's nodes across a whole row block before moving to
-// the next tree (cache locality; see forest.PredictAll).
+// Flat compiled forest inference. Fitted trees are compiled once into a
+// single contiguous structure-of-arrays (feature index, threshold-or-leaf
+// value, left/right child offsets relative to the forest-global node array),
+// with a per-tree root-offset index. Traversal is then a tight loop over four
+// flat slices, which makes single predicts ns-scale and lets batch prediction
+// walk one tree's nodes across a whole row block before moving to the next
+// tree (cache locality; see forest.PredictAll). The same loop walks single
+// trees (PredictTree) for out-of-bag error, permutation importance and
+// partial-dependence bands, so a fitted forest keeps no other copy of its
+// nodes.
 //
 // Bit-identity: the compiler copies every threshold and leaf value verbatim
-// and the traversal applies exactly the comparison Tree.Predict applies
-// (x[feature] <= threshold goes left), so a FlatForest reproduces the
-// pointer walker's predictions bit for bit. The quantized export encoding
-// (ExportedValues) is only ever chosen when it is lossless, so a bundle
-// round trip preserves that guarantee.
+// and the traversal sends x[feature] <= threshold left, the rule the trees
+// were grown with, so a FlatForest reproduces a node-by-node walk of the
+// grown trees bit for bit (the rtree tests keep that walk as the oracle).
+// The export encoding (ExportedValues) is only ever chosen when it is
+// lossless, so a bundle round trip preserves that guarantee.
 
 import (
 	"errors"
@@ -114,8 +116,17 @@ func (f *FlatForest) predictTree(i int32, x []float64) float64 {
 	}
 }
 
+// PredictTree returns tree t's response for x, walking the tree's span with
+// the loop Predict and PredictBatch use. It panics if x has the wrong length.
+func (f *FlatForest) PredictTree(t int, x []float64) float64 {
+	if len(x) != f.nFeatures {
+		panic(fmt.Sprintf("rtree: predicting with %d features, forest has %d", len(x), f.nFeatures))
+	}
+	return f.predictTree(f.roots[t], x)
+}
+
 // Predict returns the forest prediction (mean of tree predictions, summed in
-// tree order) for x. Unlike Tree.Predict, a malformed input returns an error
+// tree order) for x. Unlike PredictTree, a malformed input returns an error
 // instead of panicking: the flat engine is the serving path, and one bad
 // vector must never take the server down.
 func (f *FlatForest) Predict(x []float64) (float64, error) {

@@ -37,7 +37,8 @@ func fitTestTrees(t testing.TB, seed uint64, nTrees, rows, features int) ([]*Tre
 
 // TestFlatMatchesPointerWalker: the compiled engine must reproduce the
 // pointer walker bit for bit — same comparisons, verbatim leaf values,
-// tree-order summation.
+// tree-order summation — for the whole forest and tree by tree, on the
+// training rows and on rows that sit exactly on a split threshold.
 func TestFlatMatchesPointerWalker(t *testing.T) {
 	trees, x := fitTestTrees(t, 1, 7, 120, 4)
 	flat, err := CompileFlat(trees)
@@ -61,14 +62,26 @@ func TestFlatMatchesPointerWalker(t *testing.T) {
 		t.Fatalf("in-process compile reports encoding %q, want \"\"", flat.Encoding())
 	}
 
+	// On a threshold, x[feature] <= threshold must go left.
+	for i := range flat.feature {
+		if flat.feature[i] >= 0 {
+			row := append([]float64(nil), x[i%len(x)]...)
+			row[flat.feature[i]] = flat.thresh[i]
+			x = append(x, row)
+		}
+	}
 	out := make([]float64, len(x))
 	if err := flat.PredictBatch(x, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range x {
 		var s float64
-		for _, tr := range trees {
-			s += tr.Predict(row)
+		for k, tr := range trees {
+			want := tr.Predict(row)
+			if got := flat.PredictTree(k, row); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d tree %d: flat %v != pointer %v", i, k, got, want)
+			}
+			s += want
 		}
 		want := s / float64(len(trees))
 		got, err := flat.Predict(row)

@@ -470,26 +470,6 @@ func (b *builder) candidateFeatures() []int {
 	return b.cand[:b.p.MTry]
 }
 
-// Predict returns the tree's response for the feature vector x.
-// It panics if x has the wrong length.
-func (t *Tree) Predict(x []float64) float64 {
-	if len(x) != t.nFeatures {
-		panic(fmt.Sprintf("rtree: predicting with %d features, tree has %d", len(x), t.nFeatures))
-	}
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
 // NumFeatures returns the number of predictors the tree was trained on.
 func (t *Tree) NumFeatures() int { return t.nFeatures }
 
