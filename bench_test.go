@@ -498,7 +498,7 @@ func benchPredictForest(b *testing.B) (*forest.Forest, [][]float64) {
 	return f, queries
 }
 
-// BenchmarkForestPredict walks the flat compiled engine (the serving path).
+// BenchmarkForestPredict walks the flat engine (the serving path).
 func BenchmarkForestPredict(b *testing.B) {
 	f, queries := benchPredictForest(b)
 	probe := queries[0]

@@ -259,6 +259,8 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), `"version":1`, `"version":1,"predictors":["x"]`, 1)))
 	legacy, _ := legacyFixture(f)
 	f.Add(legacy)
+	// A tree-form bundle with a null tree must be an error, not a panic.
+	f.Add([]byte(strings.Replace(string(legacy), `"trees":[`, `"trees":[null,`, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ps, err := LoadProblemScaler(bytes.NewReader(data))
 		if err != nil {
@@ -422,7 +424,7 @@ func TestSaveFileQuantizedRoundTrip(t *testing.T) {
 
 // TestLegacyTreeBundle: a bundle in the older tree form still loads,
 // predicts the bits it predicted when it was written, and serves through
-// the flat engine compiled from its trees.
+// the flat engine read from its trees.
 func TestLegacyTreeBundle(t *testing.T) {
 	bundle, want := legacyFixture(t)
 	var b Bundle

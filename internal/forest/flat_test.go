@@ -188,7 +188,7 @@ func TestQuantizedBundleProperties(t *testing.T) {
 }
 
 // TestImportCrossValidatesFlat: when a bundle carries both trees and a flat
-// encoding, the flat half must match what the trees compile to; a tampered
+// encoding, the flat half must match what the trees read into; a tampered
 // flat encoding is a corrupted bundle and must be rejected.
 func TestImportCrossValidatesFlat(t *testing.T) {
 	rng := stats.NewRNG(13)

@@ -36,8 +36,9 @@ type Config struct {
 	// Seed seeds the deterministic RNG driving bootstrapping and feature
 	// subsetting. Two fits with the same seed and data are identical.
 	Seed uint64
-	// Workers is the number of goroutines used to grow trees
-	// (default runtime.NumCPU()).
+	// Workers bounds the goroutines of every parallel step: growing the
+	// trees, permutation importance, partial dependence and PredictAll.
+	// Zero or less means runtime.NumCPU().
 	Workers int
 }
 
@@ -48,10 +49,11 @@ func DefaultConfig() Config {
 
 // Forest is a fitted random forest regression model.
 //
-// Its trees live only in one flat compiled node array (rtree.FlatForest),
-// built by Fit (or Import) from the grown trees. Predict and PredictAll walk
-// the whole forest on it; out-of-bag error, permutation importance and
-// partial dependence walk it tree by tree (FlatForest.PredictTree).
+// Its trees are one flat node array (rtree.FlatForest): Fit joins the trees
+// the CART builder grows straight into that layout, and Import decodes
+// either bundle form into it. Predict and PredictAll walk the whole forest
+// on it; out-of-bag error, permutation importance and partial dependence
+// walk it tree by tree (FlatForest.PredictTree).
 type Forest struct {
 	flat     *rtree.FlatForest
 	oobIdx   [][]int // per-tree out-of-bag sample indices
@@ -128,19 +130,13 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Forest, error
 	}
 	f.minResp, f.maxResp = stats.Min(f.y), stats.Max(f.y)
 
-	trees, oobIdx, seeds, err := grow(f.x, f.y, cfg)
+	trees, gains, oobIdx, seeds, err := grow(f.x, f.y, cfg)
 	if err != nil {
 		return nil, err
 	}
 	f.oobIdx = oobIdx
-	// The compiled node array is the forest's only copy of its trees; the
-	// grown trees are dropped once their purity gains are read.
-	if f.flat, err = rtree.CompileFlat(trees); err != nil {
+	if f.flat, err = rtree.Join(trees); err != nil {
 		return nil, err
-	}
-	gains := make([][]float64, len(trees))
-	for t, tree := range trees {
-		gains[t] = tree.PurityGain()
 	}
 
 	f.computeOOB()
@@ -150,9 +146,10 @@ func Fit(x [][]float64, y []float64, names []string, cfg Config) (*Forest, error
 
 // grow grows cfg.NTrees trees on validated training data, each on its own
 // bootstrap sample, under a config Fit has completed with its defaults. It
-// returns the trees, each tree's out-of-bag row indices, and each tree's
-// RNG seed (importance derives its permutation streams from it).
-func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.Tree, oobIdx [][]int, seeds []uint64, err error) {
+// returns the trees (one-tree flat forests, for Join), each tree's purity
+// gains, each tree's out-of-bag row indices, and each tree's RNG seed
+// (importance derives its permutation streams from it).
+func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.FlatForest, gains [][]float64, oobIdx [][]int, seeds []uint64, err error) {
 	// Pre-derive one RNG seed per tree from the master seed so tree
 	// construction is order-independent and parallelizable.
 	master := stats.NewRNG(cfg.Seed)
@@ -166,17 +163,18 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.Tree, oobIdx [
 	// no per-tree sorting on presortable features.
 	m, err := rtree.NewMatrix(x)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 
-	trees = make([]*rtree.Tree, cfg.NTrees)
+	trees = make([]*rtree.FlatForest, cfg.NTrees)
+	gains = make([][]float64, cfg.NTrees)
 	oobIdx = make([][]int, cfg.NTrees)
 	errs := make([]error, cfg.NTrees)
 	forEach(cfg.Workers, cfg.NTrees, func() func(int) {
 		return func(t int) {
 			rng := stats.NewRNG(seeds[t])
 			inBag, oob := rng.Bootstrap(len(y))
-			trees[t], errs[t] = rtree.FitMatrix(m, y, inBag, rtree.Params{
+			trees[t], gains[t], errs[t] = rtree.FitMatrix(m, y, inBag, rtree.Params{
 				MinNodeSize: cfg.MinNodeSize,
 				MaxDepth:    cfg.MaxDepth,
 				MTry:        cfg.MTry,
@@ -187,10 +185,10 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.Tree, oobIdx [
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
-	return trees, oobIdx, seeds, nil
+	return trees, gains, oobIdx, seeds, nil
 }
 
 // forEach calls the function worker returns for every index in [0, n), on
@@ -400,9 +398,9 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG, used []float64) []float64
 }
 
 // Predict returns the forest prediction (mean of tree predictions) for x.
-// It routes through the flat compiled engine and, like Tree.Predict, panics
-// on a feature-count mismatch; serving paths should use PredictVector, which
-// returns an error instead.
+// It routes through the flat engine and, like FlatForest.PredictTree,
+// panics on a feature-count mismatch; serving paths should use
+// PredictVector, which returns an error instead.
 func (f *Forest) Predict(x []float64) float64 {
 	v, err := f.flat.Predict(x)
 	if err != nil {
@@ -417,11 +415,11 @@ func (f *Forest) PredictVector(x []float64) (float64, error) {
 	return f.flat.Predict(x)
 }
 
-// Engine names the active prediction engine: "flat" for the compiled
-// contiguous-array engine, with the bundle value encoding appended (e.g.
+// Engine names the active prediction engine: "flat" for the contiguous
+// node-array engine, with the bundle value encoding appended (e.g.
 // "flat(dict16)") when the forest was decoded from a bundle's flat
-// encoding. A fitted forest, and one compiled from an older tree-form
-// bundle, report plain "flat".
+// encoding. A fitted forest, and one read from an older tree-form bundle,
+// report plain "flat".
 func (f *Forest) Engine() string {
 	if enc := f.flat.Encoding(); enc != "" {
 		return "flat(" + enc + ")"

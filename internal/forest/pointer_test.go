@@ -12,7 +12,8 @@ import (
 
 // pointerForest is the frozen reference implementation the flat engine is
 // differentially tested against: the trees grow returns for a fitted
-// forest, walked node by node in their grown form.
+// forest, rebuilt in the tree-form node-list layout and walked node by
+// node.
 type pointerForest struct {
 	trees []*rtree.ExportedTree
 	oob   [][]int
@@ -21,28 +22,54 @@ type pointerForest struct {
 
 // regrow grows f's trees again through grow, the function Fit grows them
 // with, from f's retained training data and completed config, and checks
-// that they compile to f's node array. A forest loaded from a bundle keeps
+// that they join into f's node array. A forest loaded from a bundle keeps
 // no training data, so it has no pointer form.
 func regrow(f *Forest) (*pointerForest, error) {
 	if f.x == nil {
 		return nil, errors.New("forest: pointer engine unavailable (loaded from a bundle)")
 	}
-	trees, oob, seeds, err := grow(f.x, f.y, f.cfg)
+	trees, gains, oob, seeds, err := grow(f.x, f.y, f.cfg)
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := rtree.CompileFlat(trees)
+	joined, err := rtree.Join(trees)
 	if err != nil {
 		return nil, err
 	}
-	if !compiled.Equal(f.flat) {
+	if !joined.Equal(f.flat) {
 		return nil, errors.New("forest: regrown trees differ from the fitted forest")
 	}
 	pf := &pointerForest{trees: make([]*rtree.ExportedTree, len(trees)), oob: oob, seeds: seeds}
 	for i, t := range trees {
-		pf.trees[i] = t.Export()
+		pf.trees[i] = nodeList(t.Export(), gains[i])
 	}
 	return pf, nil
+}
+
+// nodeList rewrites a one-tree flat forest in the tree-form node list: a
+// leaf's value goes to v, an internal node's threshold to t, and the
+// children keep their offsets (one tree's offsets are local).
+func nodeList(e *rtree.ExportedFlatForest, purity []float64) *rtree.ExportedTree {
+	vals := make([]float64, len(e.Feature))
+	for i := range vals {
+		switch v := e.Values; v.Enc {
+		case "dict16":
+			vals[i] = v.Table[v.Idx[i]]
+		case "f32":
+			vals[i] = float64(v.F32[i])
+		default:
+			vals[i] = v.F64[i]
+		}
+	}
+	t := &rtree.ExportedTree{NFeatures: e.NFeatures, PurityGain: purity}
+	for i, f := range e.Feature {
+		n := rtree.ExportedNode{Feature: int(f), Value: vals[i]}
+		if f >= 0 {
+			n = rtree.ExportedNode{Feature: int(f), Threshold: vals[i], Left: e.Left[i], Right: e.Right[i]}
+		}
+		t.Nodes = append(t.Nodes, n)
+	}
+	return t
 }
 
 // mustRegrow is regrow for fitted forests: an error fails the test.
@@ -55,8 +82,8 @@ func mustRegrow(t testing.TB, f *Forest) *pointerForest {
 	return pf
 }
 
-// predictTree is rtree's Tree.Predict oracle over the exported node array:
-// x[feature] <= threshold goes left.
+// predictTree walks a tree-form node list node by node: x[feature] <=
+// threshold goes left.
 func predictTree(e *rtree.ExportedTree, x []float64) float64 {
 	if len(x) != e.NFeatures {
 		panic(fmt.Sprintf("rtree: predicting with %d features, tree has %d", len(x), e.NFeatures))

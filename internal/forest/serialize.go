@@ -15,10 +15,11 @@ import (
 // forest predicts and reports importance; partial dependence (which needs
 // the training distribution) is unavailable and returns an error.
 //
-// Export writes the forest as Flat, the compiled node arrays with values
-// under the smallest lossless encoding, and never writes Trees. Trees is
-// read so that bundles written in the older per-node tree form still load;
-// when a bundle carries both, Import verifies they describe the same forest.
+// Export writes the forest as Flat, its node arrays with values under the
+// smallest lossless encoding, and never writes Trees. Trees is read so that
+// bundles written in the older per-node tree form still load: they decode
+// into the same node arrays through the same validation (rtree.ImportTrees).
+// When a bundle carries both, Import verifies they describe the same forest.
 type Exported struct {
 	Version  int                       `json:"version"`
 	Names    []string                  `json:"names"`
@@ -89,47 +90,32 @@ func Import(e *Exported) (*Forest, error) {
 		maxResp:  e.MaxResp,
 		nSamples: e.NSamples, // the count only: training rows are not persisted
 	}
-	// Trees of an older tree-form bundle are kept only until they are
-	// compiled into the forest's node array.
-	trees := make([]*rtree.Tree, len(e.Trees))
-	for i, et := range e.Trees {
-		t, err := rtree.Import(et)
-		if err != nil {
-			return nil, fmt.Errorf("forest: tree %d: %w", i, err)
-		}
-		if t.NumFeatures() != p {
-			return nil, fmt.Errorf("forest: tree %d has %d features, model has %d", i, t.NumFeatures(), p)
-		}
-		trees[i] = t
-	}
+	var fl *rtree.FlatForest
+	var err error
 	if len(e.Trees) > 0 {
-		// The trees are authoritative: compile the serving engine from them,
-		// and if the bundle also carries a flat encoding, insist it matches
-		// bit for bit — a disagreement means a corrupted or tampered bundle.
-		compiled, err := rtree.CompileFlat(trees)
-		if err != nil {
-			return nil, fmt.Errorf("forest: compiling flat engine: %w", err)
+		// The trees are authoritative: the serving engine is read from
+		// them, and if the bundle also carries a flat encoding it must
+		// match bit for bit — a disagreement means a corrupted or tampered
+		// bundle.
+		if fl, err = rtree.ImportTrees(e.Trees); err != nil {
+			return nil, fmt.Errorf("forest: %w", err)
 		}
 		if e.Flat != nil {
 			imported, err := rtree.ImportFlat(e.Flat)
 			if err != nil {
 				return nil, fmt.Errorf("forest: flat encoding: %w", err)
 			}
-			if !imported.Equal(compiled) {
+			if !imported.Equal(fl) {
 				return nil, errors.New("forest: flat encoding disagrees with the trees")
 			}
 		}
-		f.flat = compiled
-	} else {
-		fl, err := rtree.ImportFlat(e.Flat)
-		if err != nil {
-			return nil, fmt.Errorf("forest: flat encoding: %w", err)
-		}
-		if fl.NumFeatures() != p {
-			return nil, fmt.Errorf("forest: flat encoding has %d features, model has %d", fl.NumFeatures(), p)
-		}
-		f.flat = fl
+	} else if fl, err = rtree.ImportFlat(e.Flat); err != nil {
+		return nil, fmt.Errorf("forest: flat encoding: %w", err)
 	}
+	if fl.NumFeatures() != p {
+		return nil, fmt.Errorf("forest: trees have %d features, model has %d", fl.NumFeatures(), p)
+	}
+	f.flat = fl
 	return f, nil
 }
 

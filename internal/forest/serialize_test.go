@@ -69,6 +69,9 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 		// Tree splitting on a feature the model does not have.
 		`{"version": 1, "names": ["a"], "importance":[0], "importance_se":[0], "purity":[0],
 		  "trees": [{"nodes":[{"f":3,"t":1,"l":0,"r":0,"v":1,"n":2}],"features":4}]}`,
+		// A null tree.
+		`{"version": 1, "names": ["a"], "importance":[0], "importance_se":[0], "purity":[0],
+		  "trees": [null]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

@@ -9,9 +9,9 @@ import (
 // TestFitAllocsIndependentOfNodeCount asserts the per-builder workspace
 // actually eliminates per-node allocation: growing a ~4000-node tree may
 // allocate only marginally more than growing a 7-node tree on the same
-// data — the difference is the node slice doubling a dozen times, not
-// anything proportional to node count. Before the presorted rewrite every
-// node allocated fresh sort buffers, so this would differ by thousands.
+// data. The node arrays are allocated once at the 2n-1 node bound, so the
+// two should allocate alike. Before the presorted rewrite every node
+// allocated fresh sort buffers, so this would differ by thousands.
 func TestFitAllocsIndependentOfNodeCount(t *testing.T) {
 	rng := stats.NewRNG(31)
 	n, p := 2000, 8
@@ -33,7 +33,7 @@ func TestFitAllocsIndependentOfNodeCount(t *testing.T) {
 	measure := func(params Params) (float64, int) {
 		var nodes int
 		allocs := testing.AllocsPerRun(10, func() {
-			tree, err := FitMatrix(m, y, nil, params)
+			tree, _, err := FitMatrix(m, y, nil, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +47,7 @@ func TestFitAllocsIndependentOfNodeCount(t *testing.T) {
 	if deepNodes < 50*shallowNodes {
 		t.Fatalf("test premise broken: deep tree %d nodes vs shallow %d", deepNodes, shallowNodes)
 	}
-	// ~40 covers the node-slice doublings plus slack; per-node allocation
-	// would cost thousands here.
+	// 40 is slack; per-node allocation would cost thousands here.
 	if deep > shallow+40 {
 		t.Fatalf("Fit allocates per node: %.0f allocs for %d nodes vs %.0f for %d",
 			deep, deepNodes, shallow, shallowNodes)

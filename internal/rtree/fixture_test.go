@@ -3,7 +3,8 @@ package rtree
 // Tree-identity regression tests: the fig2 golden-file pattern applied to
 // the learner itself. testdata/tree_fixture.json holds trees fitted by the
 // pre-optimization implementation (legacyFit, frozen in legacy_test.go);
-// the production Fit must reproduce them byte for byte. Any change to split
+// the production builder (FitMatrix, rebuilt into node-list form by
+// fitTree) must reproduce them byte for byte. Any change to split
 // finding that alters even one threshold ULP or one purity-gain bit fails
 // here before it can silently shift every figure downstream.
 
@@ -106,7 +107,7 @@ func marshalFixture(entries []fixtureEntry) []byte {
 }
 
 // TestUpdateTreeFixture regenerates the pinned fixture from the FROZEN
-// legacy implementation. It never runs the production Fit, so the fixture
+// legacy implementation. It never runs the production builder, so the fixture
 // always encodes pre-optimization behavior:
 //
 //	UPDATE_TREE_FIXTURE=1 go test ./internal/rtree -run TestUpdateTreeFixture
@@ -127,7 +128,7 @@ func TestUpdateTreeFixture(t *testing.T) {
 }
 
 // TestFitMatchesPinnedFixture is the learner-level golden test: trees grown
-// by the current Fit must serialize byte-identically to the committed
+// by the current FitMatrix must serialize byte-identically to the committed
 // pre-optimization fixture.
 func TestFitMatchesPinnedFixture(t *testing.T) {
 	golden, err := os.ReadFile(treeFixturePath)
@@ -136,7 +137,7 @@ func TestFitMatchesPinnedFixture(t *testing.T) {
 	}
 	var entries []fixtureEntry
 	for _, c := range fixtureCases() {
-		entries = append(entries, fixtureEntry{Name: c.Name, Tree: fitFixtureCase(t, c, Fit).Export()})
+		entries = append(entries, fixtureEntry{Name: c.Name, Tree: fitFixtureCase(t, c, fitTree).Export()})
 	}
 	got := marshalFixture(entries)
 	if string(got) != string(golden) {
@@ -160,7 +161,7 @@ func TestFitMatchesPinnedFixture(t *testing.T) {
 	}
 }
 
-// TestFitMatchesLegacyReference differentially checks the presorted Fit
+// TestFitMatchesLegacyReference differentially checks the presorted builder
 // against the frozen per-node-sort reference on freshly generated data —
 // wider coverage than the static fixture, same bit-identity bar.
 func TestFitMatchesLegacyReference(t *testing.T) {
@@ -185,11 +186,11 @@ func TestFitMatchesLegacyReference(t *testing.T) {
 			},
 		}
 		want := fitFixtureCase(t, c, legacyFit).Export()
-		got := fitFixtureCase(t, c, Fit).Export()
+		got := fitFixtureCase(t, c, fitTree).Export()
 		w, _ := json.Marshal(want)
 		g, _ := json.Marshal(got)
 		if string(w) != string(g) {
-			t.Fatalf("trial %d (n=%d p=%d %+v): presorted Fit diverged from legacy reference\ngot:  %s\nwant: %s",
+			t.Fatalf("trial %d (n=%d p=%d %+v): presorted builder diverged from legacy reference\ngot:  %s\nwant: %s",
 				trial, n, p, c.Params, g, w)
 		}
 	}

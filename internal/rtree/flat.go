@@ -1,22 +1,23 @@
 package rtree
 
-// Flat compiled forest inference. Fitted trees are compiled once into a
-// single contiguous structure-of-arrays (feature index, threshold-or-leaf
-// value, left/right child offsets relative to the forest-global node array),
-// with a per-tree root-offset index. Traversal is then a tight loop over four
-// flat slices, which makes single predicts ns-scale and lets batch prediction
-// walk one tree's nodes across a whole row block before moving to the next
-// tree (cache locality; see forest.PredictAll). The same loop walks single
-// trees (PredictTree) for out-of-bag error, permutation importance and
-// partial-dependence bands, so a fitted forest keeps no other copy of its
-// nodes.
+// Flat forest layout: the only tree representation. FitMatrix grows each
+// tree straight into a single structure-of-arrays (feature index,
+// threshold-or-leaf value, left/right child offsets), Join assembles the
+// grown trees into one forest-global node array with a per-tree
+// root-offset index, and bundles of either form (ImportFlat, ImportTrees)
+// decode into it through one node-graph validator. Traversal is a tight
+// loop over four flat slices, which makes single predicts ns-scale and lets
+// batch prediction walk one tree's nodes across a whole row block before
+// moving to the next tree (cache locality; see forest.PredictAll). The same
+// loop walks single trees (PredictTree) for out-of-bag error, permutation
+// importance and partial-dependence bands.
 //
-// Bit-identity: the compiler copies every threshold and leaf value verbatim
-// and the traversal sends x[feature] <= threshold left, the rule the trees
-// were grown with, so a FlatForest reproduces a node-by-node walk of the
-// grown trees bit for bit (the rtree tests keep that walk as the oracle).
-// The export encoding (ExportedValues) is only ever chosen when it is
-// lossless, so a bundle round trip preserves that guarantee.
+// Bit-identity: thresholds and leaf values are stored as the builder
+// computed them and the traversal sends x[feature] <= threshold left, the
+// rule the trees were grown with, so a FlatForest reproduces a node-by-node
+// walk of the grown trees bit for bit (the rtree tests keep that walk as
+// the oracle). The export encoding (ExportedValues) is only ever chosen
+// when it is lossless, so a bundle round trip preserves that guarantee.
 
 import (
 	"errors"
@@ -25,73 +26,65 @@ import (
 	"slices"
 )
 
-// FlatForest is a forest compiled into one contiguous node array. Tree t's
-// nodes occupy the half-open span [roots[t], roots[t+1]) (the last tree runs
-// to the end of the array) with the root first; within a span children
-// always come after their parent, the same invariant Import enforces for
-// single trees, so any walk terminates. A FlatForest is immutable and safe
-// for concurrent use.
+// FlatForest is a forest in one contiguous node array. Tree t's nodes
+// occupy the half-open span [roots[t], roots[t+1]) (the last tree runs to
+// the end of the array) with the root first; within a span children always
+// come after their parent, the invariant validate enforces on imported
+// bundles, so any walk terminates. A FlatForest is immutable and safe for
+// concurrent use.
 type FlatForest struct {
 	nFeatures int
-	enc       string    // value encoding this forest was decoded from ("" = compiled in-process)
+	enc       string    // value encoding this forest was decoded from ("" = grown or tree-form)
 	roots     []int32   // per-tree root index into the node arrays
 	feature   []int32   // split feature, or -1 for a leaf
 	thresh    []float64 // split threshold, or the leaf value when feature < 0
-	left      []int32   // forest-global left-child index (unused on leaves)
-	right     []int32   // forest-global right-child index (unused on leaves)
+	left      []int32   // forest-global left-child index (zero on leaves)
+	right     []int32   // forest-global right-child index (zero on leaves)
 }
 
-// CompileFlat compiles fitted trees into a FlatForest. All trees must share
-// a feature count; the per-tree node order (children after parents) is
-// preserved, so the compiled layout satisfies the Import invariants by
-// construction.
-func CompileFlat(trees []*Tree) (*FlatForest, error) {
-	if len(trees) == 0 {
-		return nil, errors.New("rtree: no trees to compile")
+// Join assembles forests, in order, into one: every tree keeps its nodes
+// in their order, and roots and child offsets are rebased onto the joined
+// node array. All parts must share a feature count. Fit joins the one-tree
+// forests FitMatrix grows; ImportTrees joins the trees of a tree-form
+// bundle.
+func Join(parts []*FlatForest) (*FlatForest, error) {
+	if len(parts) == 0 {
+		return nil, errors.New("rtree: no trees to join")
 	}
-	nf := trees[0].nFeatures
-	total := 0
-	for i, t := range trees {
-		if t == nil {
-			return nil, fmt.Errorf("rtree: nil tree %d", i)
+	nf := parts[0].nFeatures
+	nodes, trees := 0, 0
+	for i, p := range parts {
+		if p.nFeatures != nf {
+			return nil, fmt.Errorf("rtree: part %d has %d features, part 0 has %d", i, p.nFeatures, nf)
 		}
-		if t.nFeatures != nf {
-			return nil, fmt.Errorf("rtree: tree %d has %d features, tree 0 has %d", i, t.nFeatures, nf)
-		}
-		if len(t.nodes) == 0 {
-			return nil, fmt.Errorf("rtree: tree %d has no nodes", i)
-		}
-		total += len(t.nodes)
+		nodes += len(p.feature)
+		trees += len(p.roots)
 	}
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("rtree: forest has %d nodes, flat index limit is %d", total, math.MaxInt32)
+	if nodes > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: forest has %d nodes, flat index limit is %d", nodes, math.MaxInt32)
 	}
 	f := &FlatForest{
 		nFeatures: nf,
-		roots:     make([]int32, len(trees)),
-		feature:   make([]int32, 0, total),
-		thresh:    make([]float64, 0, total),
-		left:      make([]int32, 0, total),
-		right:     make([]int32, 0, total),
+		roots:     make([]int32, 0, trees),
+		feature:   make([]int32, 0, nodes),
+		thresh:    make([]float64, 0, nodes),
+		left:      make([]int32, 0, nodes),
+		right:     make([]int32, 0, nodes),
 	}
-	for ti, t := range trees {
+	for _, p := range parts {
 		base := int32(len(f.feature))
-		f.roots[ti] = base
-		for i := range t.nodes {
-			n := &t.nodes[i]
-			if n.feature < 0 {
-				// Leaves reuse the threshold slot for the leaf value and
-				// carry zeroed child offsets (never read by traversal).
-				f.feature = append(f.feature, -1)
-				f.thresh = append(f.thresh, n.value)
-				f.left = append(f.left, 0)
-				f.right = append(f.right, 0)
-			} else {
-				f.feature = append(f.feature, int32(n.feature))
-				f.thresh = append(f.thresh, n.threshold)
-				f.left = append(f.left, base+n.left)
-				f.right = append(f.right, base+n.right)
+		for _, r := range p.roots {
+			f.roots = append(f.roots, base+r)
+		}
+		f.feature = append(f.feature, p.feature...)
+		f.thresh = append(f.thresh, p.thresh...)
+		for i, ft := range p.feature {
+			l, r := p.left[i], p.right[i]
+			if ft >= 0 {
+				l, r = l+base, r+base
 			}
+			f.left = append(f.left, l)
+			f.right = append(f.right, r)
 		}
 	}
 	return f, nil
@@ -167,7 +160,7 @@ func (f *FlatForest) PredictBatch(rows [][]float64, out []float64) error {
 	return nil
 }
 
-// NumTrees returns the number of compiled trees.
+// NumTrees returns the number of trees.
 func (f *FlatForest) NumTrees() int { return len(f.roots) }
 
 // NumFeatures returns the number of predictors.
@@ -177,7 +170,7 @@ func (f *FlatForest) NumFeatures() int { return f.nFeatures }
 func (f *FlatForest) NumNodes() int { return len(f.feature) }
 
 // Encoding returns the bundle value encoding this forest was decoded from
-// ("dict16", "f32" or "f64"), or "" for a forest compiled in-process.
+// ("dict16", "f32" or "f64"), or "" for a grown or tree-form forest.
 func (f *FlatForest) Encoding() string { return f.enc }
 
 // Equal reports whether two flat forests are structurally identical with
@@ -349,55 +342,64 @@ func (f *FlatForest) Export() *ExportedFlatForest {
 	}
 }
 
-// ImportFlat reconstructs a FlatForest from its exported form, validating
-// the node graph so a corrupted or hostile bundle cannot cause out-of-range
-// or cyclic walks: roots must start at 0 and strictly increase, and every
-// internal node's children must lie after it inside the same tree span.
+// ImportFlat reconstructs a FlatForest from its exported form, through the
+// node-graph validation every imported forest passes (see validate).
 func ImportFlat(e *ExportedFlatForest) (*FlatForest, error) {
 	if e == nil {
 		return nil, errors.New("rtree: nil exported flat forest")
 	}
-	if e.NFeatures <= 0 {
-		return nil, fmt.Errorf("rtree: invalid feature count %d", e.NFeatures)
-	}
-	n := len(e.Feature)
-	if n == 0 {
-		return nil, errors.New("rtree: exported flat forest has no nodes")
-	}
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("rtree: %d nodes exceed the flat index limit", n)
-	}
-	if len(e.Left) != n || len(e.Right) != n {
-		return nil, fmt.Errorf("rtree: node arrays disagree (%d features, %d left, %d right)",
-			n, len(e.Left), len(e.Right))
-	}
-	if len(e.Roots) == 0 {
-		return nil, errors.New("rtree: exported flat forest has no trees")
-	}
-	vals, err := e.Values.decode(n)
+	vals, err := e.Values.decode(len(e.Feature))
 	if err != nil {
 		return nil, err
-	}
-	for t, r := range e.Roots {
-		if t == 0 {
-			if r != 0 {
-				return nil, fmt.Errorf("rtree: first tree root is %d, want 0", r)
-			}
-		} else if r <= e.Roots[t-1] {
-			return nil, fmt.Errorf("rtree: tree roots not strictly increasing at tree %d", t)
-		}
-		if int(r) >= n {
-			return nil, fmt.Errorf("rtree: tree %d root %d out of range %d", t, r, n)
-		}
 	}
 	f := &FlatForest{
 		nFeatures: e.NFeatures,
 		enc:       e.Values.Enc,
-		roots:     append([]int32(nil), e.Roots...),
-		feature:   append([]int32(nil), e.Feature...),
+		roots:     slices.Clone(e.Roots),
+		feature:   slices.Clone(e.Feature),
 		thresh:    vals,
-		left:      make([]int32, n),
-		right:     make([]int32, n),
+		left:      slices.Clone(e.Left),
+		right:     slices.Clone(e.Right),
+	}
+	if err := f.validate(); err != nil {
+		return nil, fmt.Errorf("rtree: %w", err)
+	}
+	return f, nil
+}
+
+// validate checks the node graph of an imported forest, so a corrupted or
+// hostile bundle of either form cannot cause an out-of-range or cyclic
+// walk: roots must start at 0 and strictly increase, split features must
+// index the declared feature count, and every internal node's children
+// must lie after it inside the same tree span. Leaf child offsets are
+// never read; validate zeroes them so Equal does not depend on serialized
+// junk.
+func (f *FlatForest) validate() error {
+	n := len(f.feature)
+	switch {
+	case f.nFeatures <= 0 || f.nFeatures > math.MaxInt32:
+		return fmt.Errorf("invalid feature count %d", f.nFeatures)
+	case n == 0:
+		return errors.New("forest has no nodes")
+	case n > math.MaxInt32:
+		return fmt.Errorf("%d nodes exceed the flat index limit", n)
+	case len(f.thresh) != n || len(f.left) != n || len(f.right) != n:
+		return fmt.Errorf("node arrays disagree (%d features, %d values, %d left, %d right)",
+			n, len(f.thresh), len(f.left), len(f.right))
+	case len(f.roots) == 0:
+		return errors.New("forest has no trees")
+	}
+	for t, r := range f.roots {
+		if t == 0 {
+			if r != 0 {
+				return fmt.Errorf("first tree root is %d, want 0", r)
+			}
+		} else if r <= f.roots[t-1] {
+			return fmt.Errorf("tree roots not strictly increasing at tree %d", t)
+		}
+		if int(r) >= n {
+			return fmt.Errorf("tree %d root %d out of range %d", t, r, n)
+		}
 	}
 	for t := range f.roots {
 		end := int32(n)
@@ -406,22 +408,20 @@ func ImportFlat(e *ExportedFlatForest) (*FlatForest, error) {
 		}
 		for i := f.roots[t]; i < end; i++ {
 			ft := f.feature[i]
-			if ft >= int32(e.NFeatures) {
-				return nil, fmt.Errorf("rtree: node %d splits on feature %d of %d", i, ft, e.NFeatures)
+			if int(ft) >= f.nFeatures {
+				return fmt.Errorf("node %d splits on feature %d of %d", i, ft, f.nFeatures)
 			}
 			if ft < 0 {
-				// Leaf: child offsets are never read; normalize them to zero
-				// so Equal comparisons are independent of serialized junk.
+				f.left[i], f.right[i] = 0, 0
 				continue
 			}
 			// Children after their parent, confined to the tree span: this
-			// bounds every index and makes cycles impossible, so Predict on
-			// any imported flat forest terminates.
-			if e.Left[i] <= i || e.Left[i] >= end || e.Right[i] <= i || e.Right[i] >= end {
-				return nil, fmt.Errorf("rtree: node %d has invalid children (%d, %d)", i, e.Left[i], e.Right[i])
+			// bounds every index and makes cycles impossible, so every walk
+			// of a validated forest terminates.
+			if l, r := f.left[i], f.right[i]; l <= i || l >= end || r <= i || r >= end {
+				return fmt.Errorf("node %d has invalid children (%d, %d)", i, l, r)
 			}
-			f.left[i], f.right[i] = e.Left[i], e.Right[i]
 		}
 	}
-	return f, nil
+	return nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // fitTestTrees grows nTrees CART trees on bootstrap resamples of a random
-// regression problem, mimicking how forest.Fit produces the trees that
-// CompileFlat consumes.
-func fitTestTrees(t testing.TB, seed uint64, nTrees, rows, features int) ([]*Tree, [][]float64) {
+// regression problem, as forest.Fit does, and returns them joined into a
+// forest, each rebuilt in node-list form as the oracle, and the rows.
+func fitTestTrees(t testing.TB, seed uint64, nTrees, rows, features int) (*FlatForest, []*Tree, [][]float64) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	x := make([][]float64, rows)
@@ -23,28 +23,36 @@ func fitTestTrees(t testing.TB, seed uint64, nTrees, rows, features int) ([]*Tre
 		}
 		y[i] = x[i][0]*3 - x[i][features-1] + rng.NormFloat64()
 	}
-	trees := make([]*Tree, nTrees)
-	for k := range trees {
-		inBag, _ := rng.Bootstrap(rows)
-		tr, err := Fit(x, y, inBag, Params{MinNodeSize: 3, MTry: features, RNG: rng})
-		if err != nil {
-			t.Fatalf("fitting tree %d: %v", k, err)
-		}
-		trees[k] = tr
-	}
-	return trees, x
-}
-
-// TestFlatMatchesPointerWalker: the compiled engine must reproduce the
-// pointer walker bit for bit — same comparisons, verbatim leaf values,
-// tree-order summation — for the whole forest and tree by tree, on the
-// training rows and on rows that sit exactly on a split threshold.
-func TestFlatMatchesPointerWalker(t *testing.T) {
-	trees, x := fitTestTrees(t, 1, 7, 120, 4)
-	flat, err := CompileFlat(trees)
+	m, err := NewMatrix(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts := make([]*FlatForest, nTrees)
+	trees := make([]*Tree, nTrees)
+	for k := range trees {
+		inBag, _ := rng.Bootstrap(rows)
+		part, purity, err := FitMatrix(m, y, inBag, Params{MinNodeSize: 3, MTry: features, RNG: rng})
+		if err != nil {
+			t.Fatalf("fitting tree %d: %v", k, err)
+		}
+		if trees[k], err = rebuild(part, purity, x, y, inBag); err != nil {
+			t.Fatalf("rebuilding tree %d: %v", k, err)
+		}
+		parts[k] = part
+	}
+	flat, err := Join(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat, trees, x
+}
+
+// TestFlatMatchesPointerWalker: the flat engine must reproduce the
+// node-list walker bit for bit — same comparisons, verbatim leaf values,
+// tree-order summation — for the whole forest and tree by tree, on the
+// training rows and on rows that sit exactly on a split threshold.
+func TestFlatMatchesPointerWalker(t *testing.T) {
+	flat, trees, x := fitTestTrees(t, 1, 7, 120, 4)
 	if flat.NumTrees() != len(trees) {
 		t.Fatalf("NumTrees = %d, want %d", flat.NumTrees(), len(trees))
 	}
@@ -53,13 +61,13 @@ func TestFlatMatchesPointerWalker(t *testing.T) {
 	}
 	wantNodes := 0
 	for _, tr := range trees {
-		wantNodes += tr.NumNodes()
+		wantNodes += len(tr.nodes)
 	}
 	if flat.NumNodes() != wantNodes {
 		t.Fatalf("NumNodes = %d, want %d", flat.NumNodes(), wantNodes)
 	}
 	if flat.Encoding() != "" {
-		t.Fatalf("in-process compile reports encoding %q, want \"\"", flat.Encoding())
+		t.Fatalf("grown forest reports encoding %q, want \"\"", flat.Encoding())
 	}
 
 	// On a threshold, x[feature] <= threshold must go left.
@@ -97,26 +105,48 @@ func TestFlatMatchesPointerWalker(t *testing.T) {
 	}
 }
 
-func TestCompileFlatRejects(t *testing.T) {
-	trees, _ := fitTestTrees(t, 2, 2, 40, 3)
-	if _, err := CompileFlat(nil); err == nil {
-		t.Fatal("compiled an empty forest")
+// TestImportTreesRejects: every malformed or hostile tree-form forest is
+// rejected by the tree-form reader, never walked.
+func TestImportTreesRejects(t *testing.T) {
+	const (
+		leaf  = `{"nodes":[{"f":-1,"v":1,"n":1}],"features":2}`
+		split = `{"nodes":[{"f":1,"t":0.5,"l":1,"r":2,"v":1,"n":2},{"f":-1,"v":0,"n":1},{"f":-1,"v":2,"n":1}],"features":2,"purity":[0,1]}`
+	)
+	read := func(trees string) error {
+		var e []*ExportedTree
+		if err := json.Unmarshal([]byte(trees), &e); err != nil {
+			t.Fatalf("%s: %v", trees, err)
+		}
+		_, err := ImportTrees(e)
+		return err
 	}
-	if _, err := CompileFlat([]*Tree{trees[0], nil}); err == nil {
-		t.Fatal("compiled a nil tree")
+	if err := read(`[` + leaf + `,` + split + `]`); err != nil {
+		t.Fatalf("baseline forest rejected: %v", err)
 	}
-	other, _ := fitTestTrees(t, 3, 1, 40, 2)
-	if _, err := CompileFlat([]*Tree{trees[0], other[0]}); err == nil {
-		t.Fatal("compiled trees with mismatched feature counts")
+	for _, c := range []struct{ name, trees string }{
+		{"no trees", `[]`},
+		{"nil tree", `[` + leaf + `,null]`},
+		{"mismatched feature counts", `[` + leaf + `,{"nodes":[{"f":-1,"v":1,"n":1}],"features":3}]`},
+		{"empty node list", `[{"nodes":[],"features":2}]`},
+		{"no features", `[{"nodes":[{"f":-1,"v":1,"n":1}],"features":0}]`},
+		{"feature out of range", `[{"nodes":[{"f":2,"t":0.5,"l":1,"r":2},{"f":-1,"v":0},{"f":-1,"v":2}],"features":2}]`},
+		{"feature 1<<32", `[{"nodes":[{"f":4294967296,"t":0.5,"l":1,"r":2},{"f":-1,"v":0},{"f":-1,"v":2}],"features":2}]`},
+		{"feature count beyond int32", `[{"nodes":[{"f":4294967296,"t":0.5,"l":1,"r":2},{"f":-1,"v":0},{"f":-1,"v":2}],"features":4294967297}]`},
+		{"purity length mismatch", `[{"nodes":[{"f":-1,"v":1,"n":1}],"features":2,"purity":[1,2,3]}]`},
+		{"self cycle", `[{"nodes":[{"f":0,"t":0.5,"l":0,"r":0}],"features":2}]`},
+		{"backward edge", `[{"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"f":0,"t":1,"l":0,"r":2},{"f":-1,"v":2}],"features":2}]`},
+		{"child out of range", `[{"nodes":[{"f":0,"t":0.5,"l":1,"r":3},{"f":-1,"v":0},{"f":-1,"v":2}],"features":2}]`},
+		{"child offset near MaxInt32", `[{"nodes":[{"f":0,"t":0.5,"l":1,"r":2147483647},{"f":-1,"v":0},{"f":-1,"v":2}],"features":2}]`},
+		{"child offset near MaxInt32 past tree 0", `[` + leaf + `,{"nodes":[{"f":0,"t":0.5,"l":1,"r":2147483647},{"f":-1,"v":0},{"f":-1,"v":2}],"features":2}]`},
+	} {
+		if err := read(c.trees); err == nil {
+			t.Errorf("%s: hostile forest accepted", c.name)
+		}
 	}
 }
 
 func TestFlatPredictErrors(t *testing.T) {
-	trees, x := fitTestTrees(t, 4, 3, 60, 3)
-	flat, err := CompileFlat(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat, _, x := fitTestTrees(t, 4, 3, 60, 3)
 	if _, err := flat.Predict([]float64{1, 2}); err == nil {
 		t.Fatal("predicted with a short vector")
 	}
@@ -136,11 +166,7 @@ func TestFlatPredictErrors(t *testing.T) {
 // encoding must reconstruct the same structure (Equal) and the same
 // predictions, bit for bit.
 func TestFlatExportImportRoundTrip(t *testing.T) {
-	trees, x := fitTestTrees(t, 5, 5, 100, 4)
-	flat, err := CompileFlat(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat, _, x := fitTestTrees(t, 5, 5, 100, 4)
 	blob, err := json.Marshal(flat.Export())
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +313,7 @@ func TestImportFlatRejectsHostile(t *testing.T) {
 }
 
 // TestImportFlatNormalizesLeafChildren: serialized junk in leaf child slots
-// must not survive import (it would break Equal against a compiled forest).
+// must not survive import (it would break Equal against a grown forest).
 func TestImportFlatNormalizesLeafChildren(t *testing.T) {
 	e := &ExportedFlatForest{
 		NFeatures: 1,

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// FuzzImport: arbitrary JSON must never panic Import, and any tree that
-// imports successfully must terminate and stay in range on Predict — the
-// child>parent invariant is what makes a walk through a hostile node array
-// safe, so this fuzz target is its regression test.
+// FuzzImport: arbitrary JSON must never panic the tree-form reader
+// (ImportTrees), and any tree that loads must predict, on the probe
+// vectors, exactly what a node-by-node walk of the same exported tree
+// returns. The child>parent invariant is what makes a walk through a
+// hostile node array safe, so this fuzz target is its regression test.
 func FuzzImport(f *testing.F) {
 	// Seed with a genuine exported tree...
 	x := [][]float64{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {6, 3}, {7, 3}}
 	y := []float64{0, 0, 1, 1, 4, 4, 9, 9}
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 2})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,29 +32,67 @@ func FuzzImport(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"f":-1,"v":3,"n":8}],"features":1,"purity":[1,2,3]}`))
 	f.Add([]byte(`{"nodes":[],"features":1}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"nodes":[{"f":4294967296,"t":1,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}],"features":2}`))
+	f.Add([]byte(`{"nodes":[{"f":1,"t":1,"l":1,"r":2},{"f":-1,"v":1},{"f":-1,"v":2}],"features":2,"purity":[1]}`))
+	f.Add([]byte(`{"nodes":[{"f":0,"t":1,"l":1,"r":2147483647},{"f":-1,"v":1},{"f":-1,"v":2}],"features":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var e ExportedTree
+		var e *ExportedTree
 		if err := json.Unmarshal(data, &e); err != nil {
 			return
 		}
-		tr, err := Import(&e)
+		ff, err := ImportTrees([]*ExportedTree{e})
 		if err != nil {
 			return
 		}
-		// The imported tree must walk to a leaf on any input without
-		// panicking or looping: probe a few vectors of the declared width.
-		for _, fill := range []float64{0, 1e9, -1e9, math.NaN()} {
-			probe := make([]float64, e.NFeatures)
+		if got := ff.NumNodes(); got != len(e.Nodes) {
+			t.Fatalf("imported tree has %d nodes, exported %d", got, len(e.Nodes))
+		}
+		if e.NFeatures > 1<<12 {
+			return // probing would allocate the declared width
+		}
+		// Probe with constant vectors and with every split threshold.
+		fills := []float64{0, 1e9, -1e9}
+		for _, n := range e.Nodes {
+			if n.Feature >= 0 {
+				fills = append(fills, n.Threshold)
+			}
+		}
+		probe := make([]float64, e.NFeatures)
+		for _, fill := range fills {
 			for i := range probe {
 				probe[i] = fill
 			}
-			tr.Predict(probe)
+			got := ff.PredictTree(0, probe)
+			if want := walkExported(e, probe); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("probe %v: imported tree predicts %v, node walk %v", fill, got, want)
+			}
 		}
-		if got := tr.NumNodes(); got != len(e.Nodes) {
-			t.Fatalf("imported tree has %d nodes, exported %d", got, len(e.Nodes))
+		// NaN compares false both ways, outside the x <= t rule the oracle
+		// states; the walk must still terminate.
+		for i := range probe {
+			probe[i] = math.NaN()
 		}
+		ff.PredictTree(0, probe)
 	})
+}
+
+// walkExported walks an exported tree node by node: x[feature] <= threshold
+// goes left, and a leaf (negative feature) answers its value.
+func walkExported(e *ExportedTree, x []float64) float64 {
+	i := int32(0)
+	for {
+		n := &e.Nodes[i]
+		if n.Feature < 0 {
+			return n.Value
+		}
+		if x[n.Feature] <= n.Threshold {
+			i = n.Left
+		} else {
+			i = n.Right
+		}
+	}
 }
 
 // FuzzImportFlat: the flat bundle decoder must never panic on arbitrary
@@ -62,18 +101,22 @@ func FuzzImport(f *testing.F) {
 // what makes a walk through a hostile node array safe; cycles and
 // out-of-range child offsets must be rejected at import, never walked.
 func FuzzImportFlat(f *testing.F) {
-	// Seed with a genuine compiled forest...
+	// Seed with a genuine grown forest...
 	x := [][]float64{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {6, 3}, {7, 3}}
 	y := []float64{0, 0, 1, 1, 4, 4, 9, 9}
-	var trees []*Tree
+	m, err := NewMatrix(x)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var trees []*FlatForest
 	for i := 0; i < 3; i++ {
-		tree, err := Fit(x, y, []int{i, i + 1, i + 2, i + 3, i + 4, 0, 1, 2}, Params{MinNodeSize: 2})
+		tree, _, err := FitMatrix(m, y, []int{i, i + 1, i + 2, i + 3, i + 4, 0, 1, 2}, Params{MinNodeSize: 2})
 		if err != nil {
 			f.Fatal(err)
 		}
 		trees = append(trees, tree)
 	}
-	flat, err := CompileFlat(trees)
+	flat, err := Join(trees)
 	if err != nil {
 		f.Fatal(err)
 	}

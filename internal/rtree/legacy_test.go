@@ -1,7 +1,7 @@
 package rtree
 
 // This file freezes the pre-optimization CART implementation (per-node
-// sort.Slice split finding) as a reference oracle. The production Fit was
+// sort.Slice split finding) as a reference oracle. The production builder was
 // rewritten around presorted columnar feature orderings; the determinism
 // guarantee of that rewrite is "same trees as this reference, bit for bit"
 // on any training set whose tied feature values carry tied responses
@@ -18,7 +18,7 @@ import (
 	"sort"
 )
 
-// legacyFit is the seed implementation of Fit, kept verbatim.
+// legacyFit is the seed implementation of the builder, kept verbatim.
 func legacyFit(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
 	if len(x) == 0 {
 		return nil, errors.New("rtree: empty training set")

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"blackforest/internal/stats"
 )
@@ -28,26 +27,6 @@ type Params struct {
 	MTry int
 	// RNG supplies randomness for MTry subsetting. Required when MTry > 0.
 	RNG *stats.RNG
-}
-
-// node is one tree node in the flattened node array. Leaves have
-// feature == -1.
-type node struct {
-	feature   int     // split feature index, or -1 for a leaf
-	threshold float64 // split point s: x[feature] <= s goes left
-	left      int32   // index of the left child in Tree.nodes
-	right     int32   // index of the right child
-	value     float64 // mean response of samples reaching this node
-	count     int     // number of training samples at this node
-}
-
-// Tree is a fitted regression tree.
-type Tree struct {
-	nodes      []node
-	nFeatures  int
-	minResp    float64 // smallest training response (prediction lower bound)
-	maxResp    float64 // largest training response (prediction upper bound)
-	purityGain []float64
 }
 
 // Matrix is a training design matrix preprocessed for fast tree growth: a
@@ -120,37 +99,26 @@ func (m *Matrix) NumRows() int { return m.nrows }
 // NumFeatures returns the number of predictors.
 func (m *Matrix) NumFeatures() int { return m.nf }
 
-// Fit grows a regression tree on rows X (each of equal length) and
-// responses y, using only the sample indices in idx (with multiplicity, as
-// produced by bootstrap sampling). If idx is nil, all rows are used.
-//
-// When fitting many trees on the same rows (a forest), build a Matrix once
-// with NewMatrix and call FitMatrix per tree to share the preprocessing.
-func Fit(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
-	if len(x) != 0 && len(x) != len(y) {
-		return nil, fmt.Errorf("rtree: %d rows but %d responses", len(x), len(y))
-	}
-	m, err := NewMatrix(x)
-	if err != nil {
-		return nil, err
-	}
-	return FitMatrix(m, y, idx, p)
-}
-
-// FitMatrix grows a regression tree against a preprocessed Matrix. See Fit.
-func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*Tree, error) {
+// FitMatrix grows a regression tree against a preprocessed Matrix, using
+// only the sample indices in idx (with multiplicity, as produced by
+// bootstrap sampling); a nil idx uses every row. The tree comes back as a
+// one-tree FlatForest whose nodes are in preorder (a node, then its left
+// subtree, then its right subtree), together with its per-feature purity
+// gains: the total SSE decrease of the splits on each feature (R's
+// IncNodePurity). Join assembles a forest from such trees.
+func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*FlatForest, []float64, error) {
 	if m.nrows != len(y) {
-		return nil, fmt.Errorf("rtree: %d rows but %d responses", m.nrows, len(y))
+		return nil, nil, fmt.Errorf("rtree: %d rows but %d responses", m.nrows, len(y))
 	}
 	nf := m.nf
 	if p.MinNodeSize <= 0 {
 		p.MinNodeSize = 5
 	}
 	if p.MTry < 0 || p.MTry > nf {
-		return nil, fmt.Errorf("rtree: mtry %d out of range [0,%d]", p.MTry, nf)
+		return nil, nil, fmt.Errorf("rtree: mtry %d out of range [0,%d]", p.MTry, nf)
 	}
 	if p.MTry > 0 && p.RNG == nil {
-		return nil, errors.New("rtree: MTry > 0 requires an RNG")
+		return nil, nil, errors.New("rtree: MTry > 0 requires an RNG")
 	}
 	if idx == nil {
 		idx = make([]int, m.nrows)
@@ -159,25 +127,17 @@ func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*Tree, error) {
 		}
 	}
 	if len(idx) == 0 {
-		return nil, errors.New("rtree: empty sample index set")
-	}
-
-	t := &Tree{nFeatures: nf, purityGain: make([]float64, nf)}
-	t.minResp, t.maxResp = math.Inf(1), math.Inf(-1)
-	for _, i := range idx {
-		if y[i] < t.minResp {
-			t.minResp = y[i]
-		}
-		if y[i] > t.maxResp {
-			t.maxResp = y[i]
-		}
+		return nil, nil, errors.New("rtree: empty sample index set")
 	}
 
 	n := len(idx)
+	// A split never leaves a side empty, so a tree over n samples has at
+	// most n leaves and 2n-1 nodes: node arrays allocated at that bound
+	// never grow.
+	maxNodes := 2*n - 1
 	b := &builder{
 		y:       y,
 		p:       p,
-		tree:    t,
 		m:       m,
 		nrows:   m.nrows,
 		n:       n,
@@ -189,6 +149,11 @@ func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*Tree, error) {
 		tmp:     make([]int32, n),
 		side:    make([]uint8, m.nrows),
 		cand:    make([]int, nf),
+		feature: make([]int32, 0, maxNodes),
+		thresh:  make([]float64, 0, maxNodes),
+		left:    make([]int32, 0, maxNodes),
+		right:   make([]int32, 0, maxNodes),
+		purity:  make([]float64, nf),
 	}
 	for i, v := range idx {
 		b.samples[i] = int32(v)
@@ -213,7 +178,14 @@ func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*Tree, error) {
 	}
 	b.presort()
 	b.grow(0, n, 0)
-	return t, nil
+	return &FlatForest{
+		nFeatures: nf,
+		roots:     []int32{0},
+		feature:   slices.Clone(b.feature),
+		thresh:    slices.Clone(b.thresh),
+		left:      slices.Clone(b.left),
+		right:     slices.Clone(b.right),
+	}, b.purity, nil
 }
 
 // builder carries shared state during recursive growth.
@@ -225,13 +197,12 @@ func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*Tree, error) {
 // place as it recurses, so split scans on presorted ("safe") features never
 // sort. Features whose tied values carry unequal responses fall back to an
 // exact per-node sort (see presort for why). All per-node scratch (order,
-// tmp, side, cand) is preallocated once per tree — growing a node allocates
-// nothing beyond the appended tree node itself.
+// tmp, side, cand) and the node arrays are preallocated once per tree, so
+// growing a node allocates nothing.
 type builder struct {
-	y    []float64
-	p    Params
-	tree *Tree
-	m    *Matrix
+	y []float64
+	p Params
+	m *Matrix
 
 	nrows   int       // rows in the full design matrix
 	n       int       // in-bag sample count (len(idx), with multiplicity)
@@ -246,6 +217,14 @@ type builder struct {
 
 	sortBase int                  // column offset for sortCmp
 	sortCmp  func(a, c int32) int // fallback comparator (built once per tree)
+
+	// The tree in the FlatForest layout, one entry per node in preorder:
+	// split feature (-1 on a leaf), split threshold or leaf value, and
+	// tree-local child indices (zero on a leaf).
+	feature     []int32
+	thresh      []float64
+	left, right []int32
+	purity      []float64 // per feature: SSE decrease of its splits
 }
 
 // presort builds, for every feature, the in-bag ids sorted by feature value
@@ -278,7 +257,7 @@ func (b *builder) presort() {
 	for _, id := range b.samples {
 		count[id]++
 	}
-	for f := 0; f < b.tree.nFeatures; f++ {
+	for f := 0; f < b.m.nf; f++ {
 		full := b.m.ord[f*b.nrows : (f+1)*b.nrows]
 		dst := b.ford[f*b.n : (f+1)*b.n]
 		base := f * b.nrows
@@ -309,19 +288,20 @@ func (b *builder) presort() {
 }
 
 // grow builds the subtree over samples[start:end] at the given depth and
-// returns the node's index in the flattened array.
+// returns the node's index in the tree.
 func (b *builder) grow(start, end, depth int) int32 {
-	me := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, node{feature: -1})
-
 	var sum float64
 	for _, id := range b.samples[start:end] {
 		sum += b.y[id]
 	}
 	n := end - start
 	mean := sum / float64(n)
-	b.tree.nodes[me].value = mean
-	b.tree.nodes[me].count = n
+	// The node is a leaf holding its mean response until a split is found.
+	me := int32(len(b.feature))
+	b.feature = append(b.feature, -1)
+	b.thresh = append(b.thresh, mean)
+	b.left = append(b.left, 0)
+	b.right = append(b.right, 0)
 
 	if n < b.p.MinNodeSize*2 || (b.p.MaxDepth > 0 && depth >= b.p.MaxDepth) {
 		return me
@@ -350,19 +330,17 @@ func (b *builder) grow(start, end, depth int) int32 {
 	// order survive the split, so child nodes need no re-sorting. Unsafe
 	// features re-sort per node anyway, so their orderings are not kept up.
 	b.partition(b.samples[start:end], nl)
-	for f := 0; f < b.tree.nFeatures; f++ {
+	for f := 0; f < b.m.nf; f++ {
 		if b.safe[f] {
 			b.partition(b.ford[f*b.n+start:f*b.n+end], nl)
 		}
 	}
 
-	b.tree.purityGain[feat] += gain
+	b.purity[feat] += gain
 	l := b.grow(start, start+nl, depth+1)
 	r := b.grow(start+nl, end, depth+1)
-	b.tree.nodes[me].feature = feat
-	b.tree.nodes[me].threshold = thresh
-	b.tree.nodes[me].left = l
-	b.tree.nodes[me].right = r
+	b.feature[me], b.thresh[me] = int32(feat), thresh
+	b.left[me], b.right[me] = l, r
 	return me
 }
 
@@ -462,77 +440,10 @@ func (b *builder) bestSplit(start, end int, mean float64) (feat int, thresh, gai
 // It reuses the per-builder cand buffer; the MTry path consumes the RNG
 // stream exactly as SampleWithoutReplacement (Perm then truncate) did.
 func (b *builder) candidateFeatures() []int {
-	nf := b.tree.nFeatures
+	nf := b.m.nf
 	if b.p.MTry == 0 || b.p.MTry >= nf {
 		return b.cand
 	}
 	b.p.RNG.PermInto(b.cand)
 	return b.cand[:b.p.MTry]
-}
-
-// NumFeatures returns the number of predictors the tree was trained on.
-func (t *Tree) NumFeatures() int { return t.nFeatures }
-
-// NumNodes returns the total node count (internal + leaves).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// NumLeaves returns the number of terminal nodes.
-func (t *Tree) NumLeaves() int {
-	c := 0
-	for i := range t.nodes {
-		if t.nodes[i].feature < 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// Depth returns the maximum root-to-leaf depth (a single leaf has depth 0).
-func (t *Tree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(0)
-}
-
-// ResponseRange returns the [min, max] of training responses; every
-// prediction lies within this interval (leaves are training means).
-func (t *Tree) ResponseRange() (lo, hi float64) { return t.minResp, t.maxResp }
-
-// PurityGain returns, per feature, the total SSE decrease contributed by
-// splits on that feature (R's IncNodePurity). The slice is a copy.
-func (t *Tree) PurityGain() []float64 {
-	out := make([]float64, len(t.purityGain))
-	copy(out, t.purityGain)
-	return out
-}
-
-// String renders the tree structure for debugging.
-func (t *Tree) String() string {
-	var b strings.Builder
-	var walk func(i int32, indent string)
-	walk = func(i int32, indent string) {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			fmt.Fprintf(&b, "%sleaf value=%.4g n=%d\n", indent, n.value, n.count)
-			return
-		}
-		fmt.Fprintf(&b, "%sx[%d] <= %.4g (n=%d)\n", indent, n.feature, n.threshold, n.count)
-		walk(n.left, indent+"  ")
-		walk(n.right, indent+"  ")
-	}
-	walk(0, "")
-	return b.String()
 }

@@ -25,7 +25,7 @@ func stepData() ([][]float64, []float64) {
 
 func TestFitStepFunction(t *testing.T) {
 	x, y := stepData()
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 2})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +35,15 @@ func TestFitStepFunction(t *testing.T) {
 	if got := tree.Predict([]float64{15}); got != 10 {
 		t.Fatalf("right region: got %v, want 10", got)
 	}
+	leaves := 0
+	for _, n := range tree.nodes {
+		if n.feature < 0 {
+			leaves++
+		}
+	}
+	if leaves < 2 || leaves != (len(tree.nodes)+1)/2 {
+		t.Fatalf("%d leaves in %d nodes, want at least 2 in a binary tree", leaves, len(tree.nodes))
+	}
 }
 
 func TestPureNodeIsLeaf(t *testing.T) {
@@ -43,12 +52,12 @@ func TestPureNodeIsLeaf(t *testing.T) {
 	for i := range y {
 		y[i] = 7 // constant response
 	}
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 2})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumNodes() != 1 {
-		t.Fatalf("constant response grew %d nodes", tree.NumNodes())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("constant response grew %d nodes", len(tree.nodes))
 	}
 	if tree.Predict([]float64{42}) != 7 {
 		t.Fatal("constant prediction wrong")
@@ -57,13 +66,13 @@ func TestPureNodeIsLeaf(t *testing.T) {
 
 func TestMinNodeSizeRespected(t *testing.T) {
 	x, y := stepData()
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 20})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 20 samples < 2*MinNodeSize → no split possible.
-	if tree.NumNodes() != 1 {
-		t.Fatalf("oversized MinNodeSize still split: %d nodes", tree.NumNodes())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("oversized MinNodeSize still split: %d nodes", len(tree.nodes))
 	}
 }
 
@@ -77,19 +86,19 @@ func TestMaxDepth(t *testing.T) {
 		x = append(x, []float64{v})
 		y = append(y, math.Sin(v)*10)
 	}
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 2, MaxDepth: 3})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 2, MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() > 3 {
-		t.Fatalf("depth %d exceeds cap 3", tree.Depth())
+	if tree.depth(0) > 3 {
+		t.Fatalf("depth %d exceeds cap 3", tree.depth(0))
 	}
-	deep, err := Fit(x, y, nil, Params{MinNodeSize: 2})
+	deep, err := fitTree(x, y, nil, Params{MinNodeSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deep.Depth() <= 3 {
-		t.Fatalf("unlimited tree suspiciously shallow: %d", deep.Depth())
+	if deep.depth(0) <= 3 {
+		t.Fatalf("unlimited tree suspiciously shallow: %d", deep.depth(0))
 	}
 }
 
@@ -108,11 +117,11 @@ func TestMultiFeatureSplitSelection(t *testing.T) {
 			y = append(y, 0)
 		}
 	}
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 5})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains := tree.PurityGain()
+	gains := tree.purityGain
 	if gains[1] <= gains[0] {
 		t.Fatalf("informative feature gained %v, noise %v", gains[1], gains[0])
 	}
@@ -125,7 +134,7 @@ func TestBootstrapIndices(t *testing.T) {
 	x, y := stepData()
 	// Train only on the left region via idx; predictions stay ≈1.
 	idx := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
-	tree, err := Fit(x, y, idx, Params{MinNodeSize: 2})
+	tree, err := fitTree(x, y, idx, Params{MinNodeSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,49 +144,44 @@ func TestBootstrapIndices(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil, nil, Params{}); err == nil {
+	if _, err := fitTree(nil, nil, nil, Params{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, nil, Params{}); err == nil {
+	if _, err := fitTree([][]float64{{1}}, []float64{1, 2}, nil, Params{}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {2, 3}}, []float64{1, 2}, nil, Params{}); err == nil {
+	if _, err := fitTree([][]float64{{1}, {2, 3}}, []float64{1, 2}, nil, Params{}); err == nil {
 		t.Fatal("ragged rows accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{1, 2}, []int{}, Params{}); err == nil {
+	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, []int{}, Params{}); err == nil {
 		t.Fatal("empty index set accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{1, 2}, nil, Params{MTry: 1}); err == nil {
+	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, nil, Params{MTry: 1}); err == nil {
 		t.Fatal("MTry without RNG accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{1, 2}, nil, Params{MTry: 5}); err == nil {
+	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, nil, Params{MTry: 5}); err == nil {
 		t.Fatal("MTry > features accepted")
 	}
 }
 
+// TestPredictPanicsOnWrongWidth: PredictTree, the walk behind out-of-bag
+// error, importance and partial dependence, panics on a wrong-width row.
 func TestPredictPanicsOnWrongWidth(t *testing.T) {
 	x, y := stepData()
-	tree, _ := Fit(x, y, nil, Params{})
+	m, err := NewMatrix(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := FitMatrix(m, y, nil, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on wrong feature count")
 		}
 	}()
-	tree.Predict([]float64{1, 2})
-}
-
-func TestNumLeavesAndString(t *testing.T) {
-	x, y := stepData()
-	tree, _ := Fit(x, y, nil, Params{MinNodeSize: 2})
-	if tree.NumLeaves() < 2 {
-		t.Fatal("expected at least 2 leaves")
-	}
-	if tree.NumLeaves()+0 >= tree.NumNodes()+1 {
-		t.Fatal("leaves must be < nodes+1")
-	}
-	if tree.String() == "" {
-		t.Fatal("empty String()")
-	}
+	f.PredictTree(0, []float64{1, 2})
 }
 
 // Property: predictions are bounded by the training response range.
@@ -195,11 +199,11 @@ func TestPredictionBounds(t *testing.T) {
 			x = append(x, []float64{rng.Float64() * 10, float64(i)})
 			y = append(y, v)
 		}
-		tree, err := Fit(x, y, nil, Params{MinNodeSize: 2})
+		tree, err := fitTree(x, y, nil, Params{MinNodeSize: 2})
 		if err != nil {
 			return false
 		}
-		lo, hi := tree.ResponseRange()
+		lo, hi := tree.minResp, tree.maxResp
 		for _, p := range probe {
 			if math.IsNaN(p) || math.IsInf(p, 0) {
 				return true
@@ -228,7 +232,7 @@ func TestTrainingFitBeatsMean(t *testing.T) {
 		x = append(x, []float64{v})
 		y = append(y, 3*v+rng.NormFloat64())
 	}
-	tree, err := Fit(x, y, nil, Params{MinNodeSize: 5})
+	tree, err := fitTree(x, y, nil, Params{MinNodeSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ type ModelInfo struct {
 	CharNames     []string `json:"char_names"`
 	TestR2        float64  `json:"test_r2"`
 	// Engine names the forest inference engine answering predictions:
-	// "flat" for the compiled contiguous-array engine, with the bundle
+	// "flat" for the contiguous node-array engine, with the bundle
 	// value encoding appended when the forest was loaded from a bundle's
 	// flat encoding, e.g. "flat(dict16)"; an in-process fit, or an older
 	// tree-form bundle, reports plain "flat".
