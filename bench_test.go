@@ -564,6 +564,34 @@ func BenchmarkSimulatorNW(b *testing.B) {
 	}
 }
 
+// benchQuickSweep collects a Quick-scale sweep the way the study's cold
+// pass does: MaxSimBlocks 8 (experiments.Quick), one run at a time
+// through a one-slot gate, every run released after it finishes. A fresh
+// sweep per iteration keeps each run's Plan inside the measured loop.
+func benchQuickSweep(b *testing.B, sweep func(experiments.Options) []blackforest.Workload) {
+	for _, name := range []string{"GTX580", "K20m"} {
+		b.Run(name, func(b *testing.B) {
+			dev, err := blackforest.LookupDevice(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := blackforest.CollectOptions{MaxSimBlocks: 8, Gate: blackforest.NewGate(1)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := blackforest.Collect(dev, sweep(benchOpts(1)), opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkQuickSweepNW and BenchmarkQuickSweepMatMul simulate the Quick
+// NW and matmul sweeps (16 and 15 runs) on both devices of the
+// hardware-scaling study: the simulation share of a cold analysis pass.
+func BenchmarkQuickSweepNW(b *testing.B)     { benchQuickSweep(b, experiments.NWSweep) }
+func BenchmarkQuickSweepMatMul(b *testing.B) { benchQuickSweep(b, experiments.MatMulSweep) }
+
 // --- tiny helpers ---
 
 func isqrt(n int) int {

@@ -30,7 +30,7 @@ func TestEnergyModelBounds(t *testing.T) {
 func TestEnergyGrowsWithTraffic(t *testing.T) {
 	d, _ := LookupDevice("GTX580")
 	cfg := LaunchConfig{GridDimX: 16, GridDimY: 1, BlockDimX: 64, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 256}
-	run := func(loads int) *LaunchResult {
+	run := func(loads int) LaunchResult {
 		sim := NewSimulator(d)
 		res, err := sim.Launch(cfg, func(b *Block) {
 			bx, _ := b.BlockIdx()

@@ -66,6 +66,11 @@ type Simulator struct {
 	// observe, so pooling is invisible to counters. A Simulator is used
 	// from one goroutine at a time.
 	blk Block
+	// counters accumulates the current launch's events, and blocks holds
+	// the indices of the blocks it simulates; both are reused across
+	// launches.
+	counters Counters
+	blocks   []int
 }
 
 // NewSimulator builds a simulator for the device.
@@ -93,57 +98,57 @@ func (s *Simulator) ResetCaches() {
 }
 
 // Launch runs the kernel over the grid described by cfg and returns the
-// modeled counters and time.
-func (s *Simulator) Launch(cfg LaunchConfig, kernel KernelFunc, opts LaunchOptions) (*LaunchResult, error) {
+// modeled counters and time. The result is a value, so a launch allocates
+// nothing once the simulator has served one of its size.
+func (s *Simulator) Launch(cfg LaunchConfig, kernel KernelFunc, opts LaunchOptions) (LaunchResult, error) {
 	occ, err := ComputeOccupancy(s.dev, cfg)
 	if err != nil {
-		return nil, err
+		return LaunchResult{}, err
 	}
 	total := cfg.Blocks()
-	simBlocks := pickBlocks(total, opts.MaxSimBlocks)
+	s.blocks = pickBlocks(s.blocks[:0], total, opts.MaxSimBlocks)
+	simBlocks := s.blocks
 
-	var counters Counters
+	s.counters = Counters{}
 	s.blk.dev = s.dev
 	for _, bi := range simBlocks {
-		s.blk.reset(cfg, bi%cfg.GridDimX, bi/cfg.GridDimX, &counters, s.l1s[bi%len(s.l1s)], s.l2)
+		s.blk.reset(cfg, bi%cfg.GridDimX, bi/cfg.GridDimX, &s.counters, s.l1s[bi%len(s.l1s)], s.l2)
 		if err := s.blk.run(kernel); err != nil {
-			return nil, err
+			return LaunchResult{}, err
 		}
 	}
 	if len(simBlocks) < total {
-		counters.Scale(float64(total) / float64(len(simBlocks)))
+		s.counters.Scale(float64(total) / float64(len(simBlocks)))
 	}
 
-	res := &LaunchResult{
+	res := LaunchResult{
 		Device:            s.dev,
 		Config:            cfg,
 		Occupancy:         occ,
 		AchievedOccupancy: AchievedOccupancy(s.dev, cfg, occ),
-		Counters:          counters,
+		Counters:          s.counters,
 		SimulatedBlocks:   len(simBlocks),
 		TotalBlocks:       total,
 	}
-	s.model(res)
+	s.model(&res)
 	return res, nil
 }
 
-// pickBlocks selects which block indices to simulate: all of them, or an
-// even sample across the grid so boundary blocks and interior blocks are
-// both represented.
-func pickBlocks(total, maxSim int) []int {
+// pickBlocks appends to buf the block indices to simulate and returns it:
+// all of them, or an even sample across the grid so boundary blocks and
+// interior blocks are both represented.
+func pickBlocks(buf []int, total, maxSim int) []int {
 	if maxSim <= 0 || maxSim >= total {
-		out := make([]int, total)
-		for i := range out {
-			out[i] = i
+		for i := 0; i < total; i++ {
+			buf = append(buf, i)
 		}
-		return out
+		return buf
 	}
-	out := make([]int, maxSim)
 	stride := float64(total) / float64(maxSim)
-	for i := range out {
-		out[i] = int(float64(i) * stride)
+	for i := 0; i < maxSim; i++ {
+		buf = append(buf, int(float64(i)*stride))
 	}
-	return out
+	return buf
 }
 
 // model fills in the bottleneck-based timing estimate. The kernel time is

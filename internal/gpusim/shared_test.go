@@ -7,7 +7,7 @@ import (
 )
 
 // oneWarp launches kernel as a single 32-thread block on dev.
-func oneWarp(dev *Device, kernel KernelFunc) (*LaunchResult, error) {
+func oneWarp(dev *Device, kernel KernelFunc) (LaunchResult, error) {
 	cfg := LaunchConfig{GridDimX: 1, GridDimY: 1, BlockDimX: WarpSize, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 4096}
 	return NewSimulator(dev).Launch(cfg, kernel, LaunchOptions{})
 }

@@ -115,6 +115,112 @@ func (w *Warp) Branch(mask, taken Mask) {
 // reads accessBytes at its byte address. The coalescer and cache hierarchy
 // account the resulting transactions, hits, misses, and replays.
 func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32) {
+	segment := uint64(32)
+	if w.blk.dev.GlobalLoadsUseL1 {
+		segment = 128
+	}
+	w.chargeLoad(mask, accessBytes, 0, coalesce(w.blk.segScratch[:0], mask, addrs, accessBytes, segment))
+}
+
+// GlobalStore records one warp global-store instruction. Stores write
+// through L2 toward DRAM; transactions are counted per touched 128-byte
+// span (the paper's global_store_transaction: 32–128 bytes each) and per
+// 32-byte L2 segment.
+func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32) {
+	segs := coalesce(w.blk.segScratch[:0], mask, addrs, accessBytes, 32)
+	w.chargeStore(mask, accessBytes, 0, segs, spanCount(segs))
+}
+
+// GlobalAccess is a warp global-memory access whose mask and per-lane
+// byte offsets are fixed before the launch, so that only its base address
+// depends on the block. Coalescing is invariant under a shift by whole
+// 128-byte lines: the lines and segments of base+offset are base&^127
+// plus those of (base mod 128)+offset, in the same first-seen lane order.
+// A GlobalAccess therefore coalesces its pattern once per base alignment,
+// on first use, and GlobalLoadAt/GlobalStoreAt charge exactly what
+// GlobalLoad and GlobalStore would for the addresses base+offset. The
+// cache lookups still run per access, because cache state does. The
+// table fills as blocks are charged, so a GlobalAccess belongs to one
+// Plan and is charged on one simulator at a time. Accesses whose
+// offsets depend on data or on the block keep the per-call form.
+type GlobalAccess struct {
+	mask        Mask
+	accessBytes uint32
+	offsets     [WarpSize]uint64
+	// slot[r] is 1 + the index in patterns of the pattern for a base ≡ r
+	// (mod 128), or 0 before a base with that alignment was charged.
+	slot     [128]uint8
+	patterns []globalPattern
+}
+
+// globalPattern is a GlobalAccess coalesced at one base alignment, as
+// offsets from the base's 128-byte line.
+type globalPattern struct {
+	lines []uint64 // 128-byte lines, in coalesce's order
+	segs  []uint64 // 32-byte segments, in coalesce's order
+	spans int      // spanCount(segs): the store transactions
+}
+
+// NewGlobalAccess describes the access of the active lanes in mask to
+// accessBytes each at base+byteOffsets[lane], for the bases it is later
+// charged at.
+func NewGlobalAccess(mask Mask, byteOffsets *[WarpSize]uint64, accessBytes uint32) *GlobalAccess {
+	return &GlobalAccess{mask: mask, accessBytes: accessBytes, offsets: *byteOffsets}
+}
+
+// at returns the pattern of a base with base's alignment, coalescing it
+// on first use.
+func (a *GlobalAccess) at(base uint64) *globalPattern {
+	r := base & 127
+	if i := a.slot[r]; i != 0 {
+		return &a.patterns[i-1]
+	}
+	var addrs [WarpSize]uint64
+	for l, off := range a.offsets {
+		addrs[l] = r + off
+	}
+	var lineBuf, segBuf [64]uint64
+	lines := coalesce(lineBuf[:0], a.mask, &addrs, a.accessBytes, 128)
+	segs := coalesce(segBuf[:0], a.mask, &addrs, a.accessBytes, 32)
+	deltas := append(append(make([]uint64, 0, len(lines)+len(segs)), lines...), segs...)
+	a.patterns = append(a.patterns, globalPattern{
+		lines: deltas[:len(lines):len(lines)],
+		segs:  deltas[len(lines):],
+		spans: spanCount(segs),
+	})
+	a.slot[r] = uint8(len(a.patterns))
+	return &a.patterns[len(a.patterns)-1]
+}
+
+// GlobalLoadAt records the load a at base, exactly as GlobalLoad would
+// for the addresses base+offset.
+func (w *Warp) GlobalLoadAt(a *GlobalAccess, base uint64) {
+	if a.mask == 0 {
+		return
+	}
+	p := a.at(base)
+	txns := p.segs
+	if w.blk.dev.GlobalLoadsUseL1 {
+		txns = p.lines
+	}
+	w.chargeLoad(a.mask, a.accessBytes, base&^127, txns)
+}
+
+// GlobalStoreAt records the store a at base, exactly as GlobalStore would
+// for the addresses base+offset.
+func (w *Warp) GlobalStoreAt(a *GlobalAccess, base uint64) {
+	if a.mask == 0 {
+		return
+	}
+	p := a.at(base)
+	w.chargeStore(a.mask, a.accessBytes, base&^127, p.segs, p.spans)
+}
+
+// chargeLoad is the one accounting path of a warp global load whose
+// coalesced transactions are origin+t for t in txns: 128-byte L1 lines on
+// a device whose loads go through L1, 32-byte L2 segments otherwise. An
+// empty mask issues nothing.
+func (w *Warp) chargeLoad(mask Mask, accessBytes uint32, origin uint64, txns []uint64) {
 	if mask == 0 {
 		return
 	}
@@ -130,8 +236,8 @@ func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32
 	if b.dev.GlobalLoadsUseL1 {
 		// Fermi: 128-byte L1 lines; every miss fetches four 32-byte L2
 		// segments; L2 misses go to DRAM.
-		lines := coalesce(b.segScratch[:0], mask, addrs, accessBytes, 128)
-		for _, line := range lines {
+		for _, line := range txns {
+			line += origin
 			if b.l1.access(line) {
 				c.L1GlobalLoadHit++
 				continue
@@ -144,22 +250,21 @@ func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32
 				}
 			}
 		}
-		replays := uint64(len(lines) - 1)
+		replays := uint64(len(txns) - 1)
 		c.GlobalReplay += replays
 		c.InstIssued += 1 + replays
 		return
 	}
 
 	// Kepler: global loads bypass L1; 32-byte L2 segments.
-	segs := coalesce(b.segScratch[:0], mask, addrs, accessBytes, 32)
-	for _, seg := range segs {
+	for _, seg := range txns {
 		c.L2ReadTransactions++
-		if !b.l2.access(seg) {
+		if !b.l2.access(origin + seg) {
 			c.DRAMReadBytes += 32
 		}
 	}
 	// Replays happen per extra 128-byte-equivalent group of segments.
-	groups := (len(segs) + 3) / 4
+	groups := (len(txns) + 3) / 4
 	replays := uint64(0)
 	if groups > 1 {
 		replays = uint64(groups - 1)
@@ -168,11 +273,10 @@ func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32
 	c.InstIssued += 1 + replays
 }
 
-// GlobalStore records one warp global-store instruction. Stores write
-// through L2 toward DRAM; transactions are counted per touched 128-byte
-// span (the paper's global_store_transaction: 32–128 bytes each) and per
-// 32-byte L2 segment.
-func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32) {
+// chargeStore is the one accounting path of a warp global store whose
+// 32-byte segments are origin+s for s in segs, touching spans 128-byte
+// spans. An empty mask issues nothing.
+func (w *Warp) chargeStore(mask Mask, accessBytes uint32, origin uint64, segs []uint64, spans int) {
 	if mask == 0 {
 		return
 	}
@@ -185,16 +289,14 @@ func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint3
 	c.LdstThreadOps += uint64(active)
 	c.RequestedGstBytes += uint64(active) * uint64(accessBytes)
 
-	segs := coalesce(b.segScratch[:0], mask, addrs, accessBytes, 32)
-	nLines := spanCount(segs)
-	c.GlobalStoreTransaction += uint64(nLines)
+	c.GlobalStoreTransaction += uint64(spans)
 	for _, seg := range segs {
 		// Write-allocate in L2; modeled as write-through for DRAM traffic.
-		b.l2.access(seg)
+		b.l2.access(origin + seg)
 		c.L2WriteTransactions++
 		c.DRAMWriteBytes += 32
 	}
-	replays := uint64(nLines - 1)
+	replays := uint64(spans - 1)
 	c.GlobalReplay += replays
 	c.InstIssued += 1 + replays
 }

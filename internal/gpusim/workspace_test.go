@@ -179,7 +179,7 @@ func TestPickBlocksEdgeCases(t *testing.T) {
 		{total: 100, maxSim: 3, want: []int{0, 33, 66}},
 	}
 	for _, c := range cases {
-		got := pickBlocks(c.total, c.maxSim)
+		got := pickBlocks(nil, c.total, c.maxSim)
 		if len(got) != len(c.want) {
 			t.Errorf("pickBlocks(%d,%d) = %v, want %v", c.total, c.maxSim, got, c.want)
 			continue
@@ -199,7 +199,7 @@ func TestPickBlocksEdgeCases(t *testing.T) {
 func TestPickBlocksSampleInvariants(t *testing.T) {
 	for total := 1; total <= 40; total++ {
 		for maxSim := 1; maxSim <= 40; maxSim++ {
-			got := pickBlocks(total, maxSim)
+			got := pickBlocks(nil, total, maxSim)
 			wantLen := maxSim
 			if wantLen > total {
 				wantLen = total
@@ -259,5 +259,40 @@ func TestCountersScaleRounding(t *testing.T) {
 	z.Scale(123.456)
 	if z != (Counters{}) {
 		t.Errorf("Scale left zero counters nonzero: %+v", z)
+	}
+}
+
+// TestLaunchAllocatesNothingInSteadyState: once a simulator has served a
+// launch of its size, a sampled launch allocates nothing. The counter
+// accumulator and the sampled block indices live in the Simulator, the
+// result is returned by value, and a GlobalAccess coalesces a base
+// alignment only the first time it sees it.
+func TestLaunchAllocatesNothingInSteadyState(t *testing.T) {
+	for _, name := range []string{"GTX580", "K20m"} {
+		d, _ := LookupDevice(name)
+		sim := NewSimulator(d)
+		var offs [WarpSize]uint64
+		for l := range offs {
+			offs[l] = 4 * uint64(l)
+		}
+		a := NewGlobalAccess(FullMask(), &offs, 4)
+		kernel := func(b *Block) {
+			bx, _ := b.BlockIdx()
+			b.ForEachWarp(func(w *Warp) {
+				base := uint64(4 * (bx*WarpSize + w.LinearTID(0)))
+				w.GlobalLoadAt(a, base)
+				w.GlobalStoreAt(a, base+4)
+			})
+			b.Sync()
+		}
+		cfg := LaunchConfig{GridDimX: 64, GridDimY: 1, BlockDimX: 64, BlockDimY: 1, RegsPerThread: 8, SharedMemPerBlock: 64}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := sim.Launch(cfg, kernel, LaunchOptions{MaxSimBlocks: 8}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a steady-state launch allocates %v objects, want 0", name, allocs)
+		}
 	}
 }

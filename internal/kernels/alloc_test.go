@@ -90,3 +90,47 @@ func TestPooledProfilerRunsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedPagesComeBackZeroed: Release hands a store's pages and page
+// map to the free list, and a later store of that element type and page
+// size reuses them: a recycled page is cleared, so it reads as zero like a
+// new one, no page of the released store shows through the reused map,
+// and a page in use is never handed out twice. The free list lives in a
+// sync.Pool, which may drop it (at garbage collection, or at random under
+// the race detector), so reuse is required in some trial, not in every
+// one. The page size (64) is one no kernel uses, so no other store shares
+// this free list.
+func TestReleasedPagesComeBackZeroed(t *testing.T) {
+	reused := false
+	for trial := 0; trial < 20; trial++ {
+		a := newPaged[int32](64)
+		dirty := a.writable(3)
+		for i := range dirty {
+			dirty[i] = int32(i + 1)
+		}
+		a.release()
+		a.release() // a second release has nothing left to hand back
+		if a.page(3) != nil {
+			t.Fatal("a released store still holds its page")
+		}
+
+		b := newPaged[int32](64)
+		if b.page(3) != nil {
+			t.Fatal("a recycled page map kept the released store's page")
+		}
+		pg := b.writable(7)
+		reused = reused || &pg[0] == &dirty[0]
+		for i, v := range pg {
+			if v != 0 {
+				t.Fatalf("recycled page element %d = %d, want 0", i, v)
+			}
+		}
+		if other := b.writable(8); &other[0] == &pg[0] {
+			t.Fatal("a page in use was handed out again")
+		}
+		b.release()
+	}
+	if !reused {
+		t.Fatal("no released page was reused in 20 trials")
+	}
+}

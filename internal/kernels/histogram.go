@@ -109,7 +109,7 @@ func (h *Histogram) in(i int) uint8 {
 func (h *Histogram) Input() []uint8 { return materialize(h.N, h.in) }
 
 // Release drops the histogram.
-func (h *Histogram) Release() { h.bins = nil }
+func (h *Histogram) Release() { h.bins.release(); h.bins = nil }
 
 // CPUHistogram is the reference histogram.
 func CPUHistogram(data []uint8) []uint32 {

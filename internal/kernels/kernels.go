@@ -43,16 +43,6 @@ func addrs4(base uint64, idx *[gpusim.WarpSize]int) [gpusim.WarpSize]uint64 {
 	return out
 }
 
-// addrsFrom fills out with per-lane byte addresses base + 4·(start +
-// rel[lane]), for accesses whose per-lane offsets rel are fixed at plan
-// time. It fills in place: returning the 256-byte array costs a copy per
-// warp instruction.
-func addrsFrom(out *[gpusim.WarpSize]uint64, base uint64, start int, rel *[gpusim.WarpSize]int) {
-	for lane := range out {
-		out[lane] = base + 4*uint64(start+rel[lane])
-	}
-}
-
 // sharedAt precomputes a warp's shared-memory access by the lanes in mask
 // to the 4-byte words word(lane), on dev's banks.
 func sharedAt(dev *gpusim.Device, mask gpusim.Mask, word func(lane int) int) gpusim.SharedAccess {

@@ -108,7 +108,7 @@ func (m *MatMul) B() []float32 { return materialize(m.N*m.N, m.b) }
 func (m *MatMul) C() []float32 { return tiled(m.c, m.N, m.Tile) }
 
 // Release drops the product so sweeps do not accumulate it.
-func (m *MatMul) Release() { m.c = nil }
+func (m *MatMul) Release() { m.c.release(); m.c = nil }
 
 // CPUMatMul is the reference n×n row-major multiply.
 func CPUMatMul(a, b []float32, n int) []float32 {
@@ -175,6 +175,7 @@ type matmulWarp struct {
 	// in A, B and C. tile[l] = ty·b + tx is its As/Bs word; rowBase[l] =
 	// ty·b starts its As row.
 	rel, tile, rowBase, tx [gpusim.WarpSize]int
+	global                 *gpusim.GlobalAccess  // A, B and C at rel from a tile corner
 	store                  gpusim.SharedAccess   // As[ty][tx], Bs[ty][tx]
 	loadA, loadB           []gpusim.SharedAccess // per k: As[ty][k], Bs[k][tx]
 }
@@ -190,13 +191,16 @@ func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
 	for id := range warps {
 		p := &warps[id]
 		var ty [gpusim.WarpSize]int
+		var offs [gpusim.WarpSize]uint64
 		for l := range ty {
 			t := id*gpusim.WarpSize + l
 			p.tx[l], ty[l] = t%b, t/b
 			p.rel[l] = ty[l]*n + p.tx[l]
 			p.tile[l] = ty[l]*b + p.tx[l]
 			p.rowBase[l] = ty[l] * b
+			offs[l] = 4 * uint64(p.rel[l])
 		}
+		p.global = gpusim.NewGlobalAccess(full, &offs, 4)
 		p.store = sharedAt(dev, full, func(l int) int { return p.tile[l] })
 		p.loadA = make([]gpusim.SharedAccess, b)
 		p.loadB = make([]gpusim.SharedAccess, b)
@@ -208,8 +212,8 @@ func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
 	return warps
 }
 
-// kernel is the tiled multiply. Only the global addresses (block corner
-// plus the warp's lane offsets) and the arithmetic depend on the block.
+// kernel is the tiled multiply. Only the global accesses' base (the
+// block's tile corner) and the arithmetic depend on the block.
 // Each thread's accumulator lives across barriers, so it is kept in an
 // array indexed by linear thread ID and cleared at block start; the As
 // and Bs tiles are stored whole before every read.
@@ -234,12 +238,9 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 				if t == 0 {
 					w.IntOps(full, 4) // index arithmetic for row/col
 				}
-				var aAddrs, bAddrs [gpusim.WarpSize]uint64
-				addrsFrom(&aAddrs, baseA, aStart, &p.rel)
-				addrsFrom(&bAddrs, baseB, bStart, &p.rel)
 				w.IntOps(full, 4)
-				w.GlobalLoad(full, &aAddrs, 4)
-				w.GlobalLoad(full, &bAddrs, 4)
+				w.GlobalLoadAt(p.global, baseA+4*uint64(aStart))
+				w.GlobalLoadAt(p.global, baseB+4*uint64(bStart))
 				for l, s := range p.tile {
 					as[s] = m.a(aStart + p.rel[l])
 					bs[s] = m.b(bStart + p.rel[l])
@@ -271,10 +272,8 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 		out := c.writable(by*tiles + bx)
 		blk.ForEachWarp(func(w *gpusim.Warp) {
 			p := &warps[w.WarpID()]
-			var cAddrs [gpusim.WarpSize]uint64
-			addrsFrom(&cAddrs, baseC, cStart, &p.rel)
 			w.IntOps(full, 2)
-			w.GlobalStore(full, &cAddrs, 4)
+			w.GlobalStoreAt(p.global, baseC+4*uint64(cStart))
 			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
 				out[p.tile[l]] = v
 			}

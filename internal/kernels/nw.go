@@ -68,7 +68,7 @@ func (nw *NeedlemanWunsch) Score() []int32 {
 }
 
 // Release drops the score tiles so sweeps do not accumulate them.
-func (nw *NeedlemanWunsch) Release() { nw.score = nil }
+func (nw *NeedlemanWunsch) Release() { nw.score.release(); nw.score = nil }
 
 // border returns the score of cell (i, 0) and of cell (0, i).
 func (nw *NeedlemanWunsch) border(i int) int32 { return int32(-i) * nw.Penalty }
@@ -146,7 +146,7 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	blockWidth := n / nwBlock
 	plan := newNWPlan(dev, cols)
 	shared := new(nwShared)
-	var launches []profiler.Launch
+	launches := make([]profiler.Launch, 0, 2*blockWidth-1)
 	mk := func(label string, strip int, blocks int, topLeft bool) profiler.Launch {
 		return profiler.Launch{
 			Label: label,
@@ -172,33 +172,35 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 // nwPlan holds everything in a needle tile's instruction stream that
 // depends only on the lane and the wavefront step, never on the block:
 // the shared-memory accesses, with their bank-conflict degrees computed
-// once per Plan, the functional DP's per-cell indices, and the lane
-// offsets of the global accesses. Every block is one 16-thread warp
-// (lanes 0–15), so every block runs the same plan.
+// once per Plan, the wavefront's strides, and the lane patterns of the
+// global accesses. Every block is one 16-thread warp (lanes 0–15), so
+// every block runs the same plan.
 type nwPlan struct {
 	active, lane0 gpusim.Mask
-	// lanes[l] = l and column[l] = cols·l: a lane's global-index offset
-	// along a score-matrix row and down a column.
-	lanes, column [gpusim.WarpSize]int
+	// The global accesses, charged at the byte address of a block's first
+	// cell: row is lanes 0–15 along a matrix row (the ref_s rows, the north
+	// row and the write-back), column lanes 0–15 down a column (the west
+	// column) and corner lane 0 alone (temp[0][0]).
+	row, column, corner *gpusim.GlobalAccess
 
-	corner    gpusim.SharedAccess          // temp[0][0] = input[index_nw]
-	refFill   [nwBlock]gpusim.SharedAccess // ref_s[ty][tid] = reference[…]
-	westFill  gpusim.SharedAccess          // temp[tid+1][0] = input[…]
-	northFill gpusim.SharedAccess          // temp[0][tid+1] = input[index_n]
-	steps     [2*nwBlock - 1]nwStep        // forward, then backward wavefront
-	writeBack [nwBlock]gpusim.SharedAccess // input[…] = temp[ty+1][tid+1]
+	cornerFill gpusim.SharedAccess          // temp[0][0] = input[index_nw]
+	refFill    [nwBlock]gpusim.SharedAccess // ref_s[ty][tid] = reference[…]
+	westFill   gpusim.SharedAccess          // temp[tid+1][0] = input[…]
+	northFill  gpusim.SharedAccess          // temp[0][tid+1] = input[index_n]
+	steps      [2*nwBlock - 1]nwStep        // forward, then backward wavefront
+	writeBack  [nwBlock]gpusim.SharedAccess // input[…] = temp[ty+1][tid+1]
 }
 
-// nwStep is one anti-diagonal step of the tile's wavefront: the lanes
-// whose cell lies on it, the five shared accesses of the DP update, and
-// each active lane's temp/ref_s word indices.
+// nwStep is one anti-diagonal step of the tile's wavefront. Lanes
+// 0..lanes−1 are on it, and lane l updates temp word self0−16l from ref_s
+// word ref0−15l and its diagonal, west and north neighbours, temp words
+// self−18, self−1 and self−17; the five shared accesses of the update
+// are planned from the same strides.
 type nwStep struct {
 	mask                         gpusim.Mask
+	lanes, self0, ref0           int
 	diag, ref, west, north, self gpusim.SharedAccess
-	cells                        []nwCell
 }
-
-type nwCell struct{ diag, ref, west, north, self int }
 
 // nwShared is a tile's __shared__ memory, temp[17][17] and ref_s[16][16],
 // one per Plan for every block of every launch. A block stores each word
@@ -212,55 +214,44 @@ func newNWPlan(dev *gpusim.Device, cols int) *nwPlan {
 	const tw = nwBlock + 1
 	p := &nwPlan{active: gpusim.MaskFirstN(nwBlock)}
 	p.lane0 = p.active & gpusim.MaskFirstN(1)
-	for l := range p.lanes {
-		p.lanes[l] = l
-		p.column[l] = cols * l
+	var row, column [gpusim.WarpSize]uint64
+	for l := range row {
+		row[l] = 4 * uint64(l)
+		column[l] = 4 * uint64(cols*l)
 	}
-	p.corner = sharedAt(dev, p.lane0, func(int) int { return 0 })
+	p.row = gpusim.NewGlobalAccess(p.active, &row, 4)
+	p.column = gpusim.NewGlobalAccess(p.active, &column, 4)
+	p.corner = gpusim.NewGlobalAccess(p.lane0, &row, 4)
+	p.cornerFill = sharedAt(dev, p.lane0, func(int) int { return 0 })
 	for ty := 0; ty < nwBlock; ty++ {
 		p.refFill[ty] = sharedAt(dev, p.active, func(l int) int { return ty*nwBlock + l })
 		p.writeBack[ty] = sharedAt(dev, p.active, func(l int) int { return (ty+1)*tw + l + 1 })
 	}
 	p.westFill = sharedAt(dev, p.active, func(l int) int { return (l + 1) * tw })
 	p.northFill = sharedAt(dev, p.active, func(l int) int { return l + 1 })
+	// Forward diagonal m: lane l updates temp[m−l+1][l+1] from
+	// ref_s[m−l][l]. Backward diagonal m: temp[16−l][l+16−m] from
+	// ref_s[15−l][l+15−m].
 	for m := 0; m < nwBlock; m++ {
-		p.steps[m] = newNWStep(dev, p.active, m, func(l int) (x, y int) { return l + 1, m - l + 1 })
+		p.steps[m] = newNWStep(dev, p.active, m, (m+1)*tw+1, m*nwBlock)
 	}
 	for m := nwBlock - 2; m >= 0; m-- {
-		p.steps[2*nwBlock-2-m] = newNWStep(dev, p.active, m, func(l int) (x, y int) { return l + nwBlock - m, nwBlock - l })
+		p.steps[2*nwBlock-2-m] = newNWStep(dev, p.active, m, nwBlock*tw+nwBlock-m, nwBlock*nwBlock-1-m)
 	}
 	return p
 }
 
-// newNWStep plans the step of diagonal m, where lane l (if l ≤ m) updates
-// cell(l) = (t_x, t_y) of temp. Lane 0 is on every diagonal, so no step
-// is empty.
-func newNWStep(dev *gpusim.Device, active gpusim.Mask, m int, cell func(l int) (x, y int)) nwStep {
+// newNWStep plans the step of diagonal m, whose lanes 0..m update temp
+// words self0−16l from ref_s words ref0−15l. Lane 0 is on every diagonal,
+// so no step is empty.
+func newNWStep(dev *gpusim.Device, active gpusim.Mask, m, self0, ref0 int) nwStep {
 	const tw = nwBlock + 1
-	s := nwStep{mask: active & gpusim.MaskWhere(func(l int) bool { return l <= m })}
-	var byLane [gpusim.WarpSize]nwCell
-	for l := range byLane {
-		if !s.mask.Active(l) {
-			continue
-		}
-		x, y := cell(l)
-		byLane[l] = nwCell{
-			diag:  (y-1)*tw + (x - 1),
-			ref:   (y-1)*nwBlock + (x - 1),
-			west:  y*tw + (x - 1),
-			north: (y-1)*tw + x,
-			self:  y*tw + x,
-		}
-		s.cells = append(s.cells, byLane[l])
+	s := nwStep{mask: active & gpusim.MaskFirstN(m+1), lanes: m + 1, self0: self0, ref0: ref0}
+	from := func(d int) gpusim.SharedAccess {
+		return sharedAt(dev, s.mask, func(l int) int { return self0 - (tw-1)*l - d })
 	}
-	at := func(word func(c nwCell) int) gpusim.SharedAccess {
-		return sharedAt(dev, s.mask, func(l int) int { return word(byLane[l]) })
-	}
-	s.diag = at(func(c nwCell) int { return c.diag })
-	s.ref = at(func(c nwCell) int { return c.ref })
-	s.west = at(func(c nwCell) int { return c.west })
-	s.north = at(func(c nwCell) int { return c.north })
-	s.self = at(func(c nwCell) int { return c.self })
+	s.diag, s.west, s.north, s.self = from(tw+1), from(1), from(tw), from(0)
+	s.ref = sharedAt(dev, s.mask, func(l int) int { return ref0 - (nwBlock-1)*l })
 	return s
 }
 
@@ -294,16 +285,14 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 		index := base + cols + 1
 		row0, col0 := bIdxY*nwBlock, bIdxX*nwBlock // matrix cell of temp[0][0]
 		key := bIdxY*blockWidth + bIdxX            // the tile's page
-
-		var addrs [gpusim.WarpSize]uint64
+		addrOf := func(region uint64, i int) uint64 { return region + 4*uint64(i) }
 
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			w.IntOps(active, 6) // index arithmetic
 
 			// temp[0][0] = input[index_nw] (lane 0 only).
 			w.Branch(active, p.lane0)
-			addrsFrom(&addrs, baseScore, base, &p.lanes)
-			w.GlobalLoad(p.lane0, &addrs, 4)
+			w.GlobalLoadAt(p.corner, addrOf(baseScore, base))
 			switch {
 			case bIdxY == 0:
 				temp[0] = nw.border(col0)
@@ -312,7 +301,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 			default:
 				temp[0] = cellOf(score.page(key-blockWidth-1), nwBlock*nwBlock-1)
 			}
-			w.SharedStoreAt(p.corner)
+			w.SharedStoreAt(p.cornerFill)
 
 			// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
 			var colRes [nwBlock]int32 // seq2 residues of the tile's columns
@@ -320,8 +309,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 				colRes[l] = nw.seq2(col0 + 1 + l)
 			}
 			for ty := 0; ty < nwBlock; ty++ {
-				addrsFrom(&addrs, baseRef, index+cols*ty, &p.lanes)
-				w.GlobalLoad(active, &addrs, 4)
+				w.GlobalLoadAt(p.row, addrOf(baseRef, index+cols*ty))
 				similarity := &nw.blosum[nw.seq1(row0+1+ty)]
 				for l, r := range colRes {
 					refS[ty*nwBlock+l] = similarity[r]
@@ -333,8 +321,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 
 		// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
 		b.ForEachWarp(func(w *gpusim.Warp) {
-			addrsFrom(&addrs, baseScore, base+cols, &p.column)
-			w.GlobalLoad(active, &addrs, 4)
+			w.GlobalLoadAt(p.column, addrOf(baseScore, base+cols))
 			if bIdxX == 0 {
 				for l := 0; l < nwBlock; l++ {
 					temp[(l+1)*tw] = nw.border(row0 + 1 + l)
@@ -351,8 +338,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 
 		// temp[0][tid+1] = input[index_n]: coalesced north row.
 		b.ForEachWarp(func(w *gpusim.Warp) {
-			addrsFrom(&addrs, baseScore, base+1, &p.lanes)
-			w.GlobalLoad(active, &addrs, 4)
+			w.GlobalLoadAt(p.row, addrOf(baseScore, base+1))
 			north := temp[1 : nwBlock+1]
 			if bIdxY == 0 {
 				for l := range north {
@@ -379,12 +365,14 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 				w.SharedLoadAt(s.west)
 				w.SharedLoadAt(s.north)
 				w.IntOps(s.mask, 4) // two subtractions, two max ops
-				for _, c := range s.cells {
-					temp[c.self] = max3(
-						temp[c.diag]+refS[c.ref],
-						temp[c.west]-penalty,
-						temp[c.north]-penalty,
+				self, ref := s.self0, s.ref0
+				for range s.lanes {
+					temp[self] = max3(
+						temp[self-tw-1]+refS[ref],
+						temp[self-1]-penalty,
+						temp[self-tw]-penalty,
 					)
+					self, ref = self-(tw-1), ref-(nwBlock-1)
 				}
 				w.SharedStoreAt(s.self)
 			})
@@ -395,9 +383,8 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 		out := score.writable(key)
 		b.ForEachWarp(func(w *gpusim.Warp) {
 			for ty := 0; ty < nwBlock; ty++ {
-				addrsFrom(&addrs, baseScore, index+cols*ty, &p.lanes)
 				w.SharedLoadAt(p.writeBack[ty])
-				w.GlobalStore(active, &addrs, 4)
+				w.GlobalStoreAt(p.row, addrOf(baseScore, index+cols*ty))
 				copy(out[ty*nwBlock:][:nwBlock], temp[(ty+1)*tw+1:])
 			}
 		})

@@ -3,9 +3,11 @@ package kernels
 import "blackforest/internal/gpusim"
 
 // The needle and matmul kernel bodies below are the differential oracles
-// for the shared-access hoisting in nw.go and matmul.go: they build every
-// shared-memory offset per block and charge it through the per-call
-// SharedLoad/SharedStore path. They also read the materialized input
+// for the access hoisting in nw.go and matmul.go: they build every
+// shared-memory offset and global address per block and charge it through
+// the per-call SharedLoad/SharedStore and GlobalLoad/GlobalStore paths,
+// where the kernels charge precomputed SharedAccess and GlobalAccess
+// handles. Their wavefront walks per-cell indices, not strides. They also read the materialized input
 // arrays and write the full-size output arrays that Plan built before
 // inputs became index-derived and outputs paged. oracle_test.go requires
 // the current kernels to produce equal counters, cycles, breakdowns and

@@ -134,7 +134,11 @@ func (r *Reduction) Input() []float32 { return materialize(r.N, r.in) }
 
 // Release drops the partial-sum buffers so sweeps over many runs do not
 // accumulate them; the workload must be re-Planned before reuse.
-func (r *Reduction) Release() { r.ping, r.pong = nil, nil }
+func (r *Reduction) Release() {
+	r.ping.release()
+	r.pong.release()
+	r.ping, r.pong = nil, nil
+}
 
 func (r *Reduction) validate() error {
 	if r.Variant < 0 || r.Variant > 6 {

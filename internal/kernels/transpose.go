@@ -96,7 +96,7 @@ func (t *Transpose) In() []float32  { return materialize(t.N*t.N, t.in) }
 func (t *Transpose) Out() []float32 { return tiled(t.out, t.N, transTile) }
 
 // Release drops the output so sweeps do not accumulate it.
-func (t *Transpose) Release() { t.out = nil }
+func (t *Transpose) Release() { t.out.release(); t.out = nil }
 
 // CPUTranspose is the reference row-major transpose.
 func CPUTranspose(in []float32, n int) []float32 {
