@@ -7,8 +7,8 @@
 //     validation             — Analyze (80:20 split, forest fit, test metrics)
 //  3. Variable importance    — Analysis.Importance, Analysis.Reduce (top-k
 //     refit with predictive-power check), partial dependence
-//  4. Refinement with PCA    — Analysis.PCARefine (components, loadings,
-//     varimax)
+//  4. Refinement with PCA    — Analysis.PCARefine (components and their
+//     unrotated loadings)
 //  5. Results interpretation — bottleneck classification (bottleneck.go),
 //     counter models in problem characteristics (scaling.go), problem-
 //     and hardware-scaling prediction (scaling.go, hwscale.go)

@@ -217,10 +217,6 @@ func TestPCARefine(t *testing.T) {
 	if len(ref.Labels) != ref.Components {
 		t.Fatal("labels/components mismatch")
 	}
-	vars := ref.MostEffectiveVariables(2)
-	if len(vars) != 2 {
-		t.Fatalf("MostEffectiveVariables: %v", vars)
-	}
 	// "size" must be excluded from PCA when includeChars is false.
 	for _, ld := range ref.Loadings[0] {
 		if ld.Variable == "size" {

@@ -120,20 +120,4 @@ func TestAnalyzePCAFirst(t *testing.T) {
 	if res.VarExplained < 0.5 {
 		t.Fatalf("PCA-first %%var explained %.2f", res.VarExplained)
 	}
-	// Importance over components traces back to counters.
-	for _, imp := range res.Importance {
-		if strings.HasPrefix(imp.Name, "PC") {
-			ld, err := res.ComponentMeaning(imp.Name, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ld) != 3 {
-				t.Fatalf("component meaning %v", ld)
-			}
-			break
-		}
-	}
-	if _, err := res.ComponentMeaning("size", 3); err == nil {
-		t.Fatal("non-component name accepted")
-	}
 }

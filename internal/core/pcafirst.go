@@ -87,21 +87,3 @@ func AnalyzePCAFirst(frame *dataset.Frame, cfg Config) (*PCAFirstAnalysis, error
 	}
 	return &PCAFirstAnalysis{Analysis: a, PCA: p, Components: k}, nil
 }
-
-// ComponentMeaning returns the strongest-loaded original counters of the
-// named component score (e.g. "PC2"), so importance over components can be
-// traced back to counters.
-func (p *PCAFirstAnalysis) ComponentMeaning(name string, topN int) ([]pca.Loading, error) {
-	var idx int
-	if _, err := fmt.Sscanf(name, "PC%d", &idx); err != nil {
-		return nil, fmt.Errorf("core: %q is not a component score", name)
-	}
-	ld, err := p.PCA.ComponentLoadings(idx - 1)
-	if err != nil {
-		return nil, err
-	}
-	if topN < len(ld) {
-		ld = ld[:topN]
-	}
-	return ld, nil
-}

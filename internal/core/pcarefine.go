@@ -68,35 +68,6 @@ func (a *Analysis) PCARefine(includeChars bool) (*PCARefinement, error) {
 	return ref, nil
 }
 
-// MostEffectiveVariables implements the paper's pathological-case recipe:
-// when the forest's importance does not separate predictors cleanly, select
-// variables by their factor loadings on the retained components — the
-// strongest-loaded variable of each component, deduplicated, up to k names.
-func (r *PCARefinement) MostEffectiveVariables(k int) []string {
-	seen := make(map[string]bool)
-	var out []string
-	// Round-robin over components, taking the next strongest loading of
-	// each, so every retained component contributes.
-	for rank := 0; len(out) < k; rank++ {
-		progressed := false
-		for c := 0; c < r.Components && len(out) < k; c++ {
-			if rank >= len(r.Loadings[c]) {
-				continue
-			}
-			progressed = true
-			name := r.Loadings[c][rank].Variable
-			if !seen[name] {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-	return out
-}
-
 // componentThemes maps counter-name fragments to the interpretation themes
 // the paper assigns to components (§5.2: memory intensity, MIMD/ILP
 // parallelism, SIMD efficiency, memory subsystem throughput).

@@ -10,12 +10,7 @@
 // bypassing L1 leaves the l1_global_load_* counters meaningless there.
 package counters
 
-import (
-	"fmt"
-	"sort"
-
-	"blackforest/internal/gpusim"
-)
+import "blackforest/internal/gpusim"
 
 // Meta describes one counter or metric.
 type Meta struct {
@@ -79,16 +74,6 @@ func All() []Meta {
 	return out
 }
 
-// Lookup returns the metadata for a counter name.
-func Lookup(name string) (Meta, error) {
-	for _, m := range registry {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Meta{}, fmt.Errorf("counters: unknown counter %q", name)
-}
-
 // availableOn reports whether the counter exists on the architecture.
 func (m Meta) availableOn(arch gpusim.Arch) bool {
 	switch arch {
@@ -99,32 +84,6 @@ func (m Meta) availableOn(arch gpusim.Arch) bool {
 	default:
 		return false
 	}
-}
-
-// Available returns the names of counters exposed by the architecture,
-// sorted for determinism.
-func Available(arch gpusim.Arch) []string {
-	var out []string
-	for _, m := range registry {
-		if m.availableOn(arch) {
-			out = append(out, m.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Common returns counter names available on both architectures — the
-// vocabulary usable for cross-architecture (hardware-scaling) models.
-func Common() []string {
-	var out []string
-	for _, m := range registry {
-		if m.OnFermi && m.OnKepler {
-			out = append(out, m.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Sample holds the aggregate measurements of one profiled workload run

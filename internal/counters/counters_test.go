@@ -1,10 +1,48 @@
 package counters
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"blackforest/internal/gpusim"
 )
+
+// Lookup returns the metadata for a counter name.
+func Lookup(name string) (Meta, error) {
+	for _, m := range registry {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	return Meta{}, fmt.Errorf("counters: unknown counter %q", name)
+}
+
+// Available returns the names of counters exposed by the architecture,
+// sorted for determinism.
+func Available(arch gpusim.Arch) []string {
+	var out []string
+	for _, m := range registry {
+		if m.availableOn(arch) {
+			out = append(out, m.Name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Common returns counter names available on both architectures — the
+// vocabulary usable for cross-architecture (hardware-scaling) models.
+func Common() []string {
+	var out []string
+	for _, m := range registry {
+		if m.OnFermi && m.OnKepler {
+			out = append(out, m.Name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestRegistryLookup(t *testing.T) {
 	m, err := Lookup("shared_replay_overhead")

@@ -27,19 +27,6 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// SaveCSV writes the frame to the named file.
-func (f *Frame) SaveCSV(path string) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := f.WriteCSV(file); err != nil {
-		return err
-	}
-	return file.Close()
-}
-
 // ReadCSV parses a CSV stream with a header row into a frame. Every data
 // cell must parse as a float64.
 func ReadCSV(r io.Reader) (*Frame, error) {

@@ -125,34 +125,6 @@ func (f *Frame) At(i int, name string) (float64, error) {
 	return c[i], nil
 }
 
-// Row returns row i as a map from column name to value.
-func (f *Frame) Row(i int) (map[string]float64, error) {
-	if i < 0 || i >= f.nrows {
-		return nil, fmt.Errorf("dataset: row %d out of range [0,%d)", i, f.nrows)
-	}
-	out := make(map[string]float64, len(f.cols))
-	for j, name := range f.names {
-		out[name] = f.cols[j][i]
-	}
-	return out, nil
-}
-
-// RowVector returns row i restricted to the given columns, in order.
-func (f *Frame) RowVector(i int, columns []string) ([]float64, error) {
-	if i < 0 || i >= f.nrows {
-		return nil, fmt.Errorf("dataset: row %d out of range [0,%d)", i, f.nrows)
-	}
-	out := make([]float64, len(columns))
-	for k, name := range columns {
-		j, ok := f.index[name]
-		if !ok {
-			return nil, fmt.Errorf("dataset: no column %q", name)
-		}
-		out[k] = f.cols[j][i]
-	}
-	return out, nil
-}
-
 // AppendRow appends one observation given as a name→value map. The map must
 // cover exactly the frame's columns; an empty frame adopts the map's keys
 // (sorted for determinism).
@@ -193,28 +165,6 @@ func (f *Frame) Select(columns ...string) (*Frame, error) {
 			return nil, err
 		}
 		if err := out.AddColumn(name, c); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Drop returns a new frame without the named columns. Dropping a column
-// that does not exist is an error.
-func (f *Frame) Drop(columns ...string) (*Frame, error) {
-	dropped := make(map[string]bool, len(columns))
-	for _, c := range columns {
-		if !f.Has(c) {
-			return nil, fmt.Errorf("dataset: no column %q", c)
-		}
-		dropped[c] = true
-	}
-	out := New()
-	for j, name := range f.names {
-		if dropped[name] {
-			continue
-		}
-		if err := out.AddColumn(name, f.cols[j]); err != nil {
 			return nil, err
 		}
 	}

@@ -95,17 +95,6 @@ func RunOptimizer(o Options) (*OptimizerStudy, error) {
 	return out, nil
 }
 
-// AcceptedOn counts validated improvements found on one device.
-func (s *OptimizerStudy) AcceptedOn(device string) int {
-	n := 0
-	for _, r := range s.Rows {
-		if r.Device == device {
-			n += r.Result.Accepted
-		}
-	}
-	return n
-}
-
 // Render writes the summary table plus one decision line per accepted
 // transformation.
 func (s *OptimizerStudy) Render(w io.Writer) error {

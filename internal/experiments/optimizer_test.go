@@ -9,6 +9,17 @@ import (
 	"blackforest/internal/obs"
 )
 
+// AcceptedOn counts validated improvements found on one device.
+func (s *OptimizerStudy) AcceptedOn(device string) int {
+	n := 0
+	for _, r := range s.Rows {
+		if r.Device == device {
+			n += r.Result.Accepted
+		}
+	}
+	return n
+}
+
 // TestRunOptimizerQuick: the closed-loop search finds at least one
 // validated launch-config improvement on each device model, and the
 // report renders every row.

@@ -466,22 +466,11 @@ func (f *Forest) OOBMSE() float64 { return f.oobMSE }
 // matching R randomForest's "% Var explained" (as a fraction).
 func (f *Forest) VarExplained() float64 { return f.varExpl }
 
-// OOBPredictions returns per-sample OOB predictions (NaN where a sample was
-// in-bag for every tree). The slice is a copy.
-func (f *Forest) OOBPredictions() []float64 {
-	out := make([]float64, len(f.oobPred))
-	copy(out, f.oobPred)
-	return out
-}
-
 // NumTrees returns the number of trees in the forest.
 func (f *Forest) NumTrees() int { return f.flat.NumTrees() }
 
 // Names returns the predictor names.
 func (f *Forest) Names() []string { return append([]string(nil), f.names...) }
-
-// ResponseRange returns [min, max] of the training response.
-func (f *Forest) ResponseRange() (lo, hi float64) { return f.minResp, f.maxResp }
 
 // Importance is one predictor's importance record.
 type Importance struct {

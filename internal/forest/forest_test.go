@@ -8,6 +8,17 @@ import (
 	"blackforest/internal/stats"
 )
 
+// OOBPredictions returns per-sample OOB predictions (NaN where a sample was
+// in-bag for every tree). The slice is a copy.
+func (f *Forest) OOBPredictions() []float64 {
+	out := make([]float64, len(f.oobPred))
+	copy(out, f.oobPred)
+	return out
+}
+
+// ResponseRange returns [min, max] of the training response.
+func (f *Forest) ResponseRange() (lo, hi float64) { return f.minResp, f.maxResp }
+
 // friedman1 generates Friedman's #1 regression benchmark:
 // y = 10·sin(π·x1·x2) + 20·(x3−0.5)² + 10·x4 + 5·x5 + ε, with x6..x10 noise.
 func friedman1(n int, seed uint64) (x [][]float64, y []float64, names []string) {

@@ -58,8 +58,8 @@ func (f *Forest) Export() *Exported {
 
 // Import reconstructs a forest from its exported form with the same
 // validation as Load. The result predicts and reports importance exactly as
-// the original; methods needing the training data (PartialDependence,
-// OOBPredictions) report that it is absent.
+// the original; PartialDependence, which needs the training data, reports
+// that it is absent.
 func Import(e *Exported) (*Forest, error) {
 	if e == nil {
 		return nil, errors.New("forest: nil exported model")

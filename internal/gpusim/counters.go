@@ -58,10 +58,9 @@ type Counters struct {
 	DivergentBranch uint64
 
 	// Functional-unit thread-level op counts for utilization metrics.
-	IntThreadOps     uint64
-	FloatThreadOps   uint64
-	SpecialThreadOps uint64
-	LdstThreadOps    uint64
+	IntThreadOps   uint64
+	FloatThreadOps uint64
+	LdstThreadOps  uint64
 
 	// Atomic operations: per-warp instruction counts and the extra
 	// serialization passes caused by same-address contention.
@@ -106,7 +105,6 @@ func (c *Counters) Add(other *Counters) {
 	c.DivergentBranch += other.DivergentBranch
 	c.IntThreadOps += other.IntThreadOps
 	c.FloatThreadOps += other.FloatThreadOps
-	c.SpecialThreadOps += other.SpecialThreadOps
 	c.LdstThreadOps += other.LdstThreadOps
 	c.SyncCount += other.SyncCount
 }
@@ -142,7 +140,6 @@ func (c *Counters) Scale(f float64) {
 	c.DivergentBranch = s(c.DivergentBranch)
 	c.IntThreadOps = s(c.IntThreadOps)
 	c.FloatThreadOps = s(c.FloatThreadOps)
-	c.SpecialThreadOps = s(c.SpecialThreadOps)
 	c.LdstThreadOps = s(c.LdstThreadOps)
 	c.SyncCount = s(c.SyncCount)
 }

@@ -174,7 +174,7 @@ func (s *Simulator) model(res *LaunchResult) {
 
 	issueCycles := float64(c.InstIssued) / (effSMs * d.PeakWarpIssuePerCycle())
 
-	aluOps := float64(c.IntThreadOps + c.FloatThreadOps + 4*c.SpecialThreadOps)
+	aluOps := float64(c.IntThreadOps + c.FloatThreadOps)
 	aluCycles := aluOps / (effSMs * float64(d.CoresPerSM))
 
 	dramBytes := float64(c.DRAMReadBytes + c.DRAMWriteBytes)

@@ -86,15 +86,6 @@ func (w *Warp) FloatOps(mask Mask, n int) {
 	c.FloatThreadOps += uint64(n * mask.Count())
 }
 
-// SpecialOps records n special-function-unit instructions (rsqrt, sin, …).
-func (w *Warp) SpecialOps(mask Mask, n int) {
-	c := w.blk.counters
-	c.InstExecuted += uint64(n)
-	c.InstIssued += uint64(n)
-	c.ThreadInstExecuted += uint64(n * mask.Count())
-	c.SpecialThreadOps += uint64(n * mask.Count())
-}
-
 // Branch records a branch instruction under mask where the lanes in taken
 // take it. A branch diverges when taken is a non-trivial subset of mask.
 func (w *Warp) Branch(mask, taken Mask) {

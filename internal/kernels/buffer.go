@@ -177,30 +177,3 @@ func (p *paged[T]) at(i int) T {
 
 // set stores v at element i.
 func (p *paged[T]) set(i int, v T) { p.writable(i >> p.shift)[i&(1<<p.shift-1)] = v }
-
-// materialize returns elements [0, n) of an index-derived input, for the
-// accessors that hand a whole array to a caller.
-func materialize[T any](n int, at func(int) T) []T {
-	out := make([]T, n)
-	for i := range out {
-		out[i] = at(i)
-	}
-	return out
-}
-
-// tiled returns an n×n row-major matrix from a store indexed tile-major
-// by t×t tiles: page ty·(n/t)+tx holds tile (ty, tx), row-major.
-func tiled[T int32 | uint32 | float32](p *paged[T], n, t int) []T {
-	out := make([]T, n*n)
-	if p == nil {
-		return out
-	}
-	grid := n / t
-	for k, pg := range p.pages {
-		ty, tx := k/grid, k%grid
-		for r := 0; r < t; r++ {
-			copy(out[(ty*t+r)*n+tx*t:][:t], pg[r*t:])
-		}
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 
 	"blackforest/internal/gpusim"
 	"blackforest/internal/profiler"
+	"blackforest/internal/stats"
 )
 
 // histBins is the histogram width (256-bin byte histogram, as in the CUDA
@@ -87,38 +88,18 @@ func (h *Histogram) WithParam(name string, value int) (profiler.Workload, error)
 // size but with fresh inputs keep distinct noise identities.
 func (h *Histogram) InputSeed() uint64 { return h.Seed }
 
-// Bins returns the computed histogram, built on demand (complete after a
-// fully-simulated run).
-func (h *Histogram) Bins() []uint32 {
-	out := make([]uint32, histBins)
-	copy(out, h.bins.page(0))
-	return out
-}
-
 // in returns input element i, a pure function of the seed and the skew:
 // a Skew fraction of the elements is forced into bin 0.
 func (h *Histogram) in(i int) uint8 {
-	r := splitmix64(h.Seed + uint64(i))
+	r := stats.SplitMix64(h.Seed + uint64(i))
 	if r&0xffffff < uint64(h.Skew*float64(1<<24)) {
 		return 0
 	}
 	return uint8(r >> 24)
 }
 
-// Input returns the input bytes, built on demand.
-func (h *Histogram) Input() []uint8 { return materialize(h.N, h.in) }
-
 // Release drops the histogram.
 func (h *Histogram) Release() { h.bins.release(); h.bins = nil }
-
-// CPUHistogram is the reference histogram.
-func CPUHistogram(data []uint8) []uint32 {
-	out := make([]uint32, histBins)
-	for _, v := range data {
-		out[v]++
-	}
-	return out
-}
 
 // Plan implements profiler.Workload.
 func (h *Histogram) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {

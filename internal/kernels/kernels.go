@@ -1,13 +1,14 @@
 // Package kernels ports the paper's benchmark kernels to the gpusim SIMT
 // API: the CUDA SDK parallel-reduction family (reduce0–reduce6), the CUDA
 // SDK tiled matrix multiply, and the Rodinia Needleman-Wunsch sequence
-// aligner. Each workload computes functionally correct results (verifiable
-// against the CPU references in this package) while the simulator accounts
+// aligner. Each workload computes functionally correct results (the tests
+// check them against sequential CPU references) while the simulator accounts
 // the memory-system and instruction events behind the paper's counters.
 package kernels
 
 import (
 	"blackforest/internal/gpusim"
+	"blackforest/internal/stats"
 )
 
 // Address-space bases keep the synthetic byte addresses of distinct
@@ -62,21 +63,12 @@ func offs4(word *[gpusim.WarpSize]int) [gpusim.WarpSize]uint32 {
 	return out
 }
 
-// splitmix64 is a tiny deterministic hash used to generate workload input
-// data without importing the stats package here.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // randomF32 returns a deterministic pseudo-random float32 in [0, 1).
 func randomF32(seed, i uint64) float32 {
-	return float32(splitmix64(seed^i*0x9e3779b97f4a7c15)>>40) / float32(1<<24)
+	return float32(stats.SplitMix64(seed^i*0x9e3779b97f4a7c15)>>40) / float32(1<<24)
 }
 
 // randomI32 returns a deterministic pseudo-random int32 in [0, n).
 func randomI32(seed, i uint64, n int32) int32 {
-	return int32(splitmix64(seed+i) % uint64(n))
+	return int32(stats.SplitMix64(seed+i) % uint64(n))
 }

@@ -101,33 +101,8 @@ func (m *MatMul) InputSeed() uint64 { return m.Seed }
 func (m *MatMul) a(i int) float32 { return randomF32(m.Seed, uint64(i)) }
 func (m *MatMul) b(i int) float32 { return randomF32(m.Seed^0xb, uint64(i)) }
 
-// A, B and C return the row-major input and output matrices, built on
-// demand (C after a run; it is complete after a fully-simulated one).
-func (m *MatMul) A() []float32 { return materialize(m.N*m.N, m.a) }
-func (m *MatMul) B() []float32 { return materialize(m.N*m.N, m.b) }
-func (m *MatMul) C() []float32 { return tiled(m.c, m.N, m.Tile) }
-
 // Release drops the product so sweeps do not accumulate it.
 func (m *MatMul) Release() { m.c.release(); m.c = nil }
-
-// CPUMatMul is the reference n×n row-major multiply.
-func CPUMatMul(a, b []float32, n int) []float32 {
-	c := make([]float32, n*n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			brow := b[k*n : (k+1)*n]
-			crow := c[i*n : (i+1)*n]
-			for j, v := range brow {
-				crow[j] += aik * v
-			}
-		}
-	}
-	return c
-}
 
 // Plan implements profiler.Workload.
 func (m *MatMul) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
@@ -175,32 +150,34 @@ type matmulWarp struct {
 	// in A, B and C. tile[l] = ty·b + tx is its As/Bs word; rowBase[l] =
 	// ty·b starts its As row.
 	rel, tile, rowBase, tx [gpusim.WarpSize]int
-	global                 *gpusim.GlobalAccess  // A, B and C at rel from a tile corner
+	off                    uint64                // 4·rel[0]: where warp 0's global pattern is charged from
 	store                  gpusim.SharedAccess   // As[ty][tx], Bs[ty][tx]
 	loadA, loadB           []gpusim.SharedAccess // per k: As[ty][k], Bs[k][tx]
 }
 
-// planWarps builds the per-warp plans of a b×b block on dev. With
-// blockDim (b, b), each warp covers 32/b consecutive tile rows; lane →
-// (tx, ty) via the linear thread index. b² is a multiple of 32, so every
-// lane of every warp is live.
-func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
+// planWarps builds the per-warp plans of a b×b block on dev, and the one
+// global access every warp's A, B and C accesses share. With blockDim
+// (b, b), each warp covers 32/b consecutive tile rows; lane → (tx, ty) via
+// the linear thread index. b² is a multiple of 32, so every lane of every
+// warp is live. Warp w's lane offsets are warp 0's plus off =
+// 4·n·(32/b)·w bytes, a whole number of 128-byte lines because n is a
+// multiple of b ≥ 16; coalescing does not change under a whole-line
+// shift, so warp 0's pattern charged at base+off is warp w's access.
+func (m *MatMul) planWarps(dev *gpusim.Device) ([]matmulWarp, *gpusim.GlobalAccess) {
 	n, b := m.N, m.Tile
 	full := gpusim.FullMask()
 	warps := make([]matmulWarp, b*b/gpusim.WarpSize)
 	for id := range warps {
 		p := &warps[id]
 		var ty [gpusim.WarpSize]int
-		var offs [gpusim.WarpSize]uint64
 		for l := range ty {
 			t := id*gpusim.WarpSize + l
 			p.tx[l], ty[l] = t%b, t/b
 			p.rel[l] = ty[l]*n + p.tx[l]
 			p.tile[l] = ty[l]*b + p.tx[l]
 			p.rowBase[l] = ty[l] * b
-			offs[l] = 4 * uint64(p.rel[l])
 		}
-		p.global = gpusim.NewGlobalAccess(full, &offs, 4)
+		p.off = 4 * uint64(p.rel[0])
 		p.store = sharedAt(dev, full, func(l int) int { return p.tile[l] })
 		p.loadA = make([]gpusim.SharedAccess, b)
 		p.loadB = make([]gpusim.SharedAccess, b)
@@ -209,15 +186,19 @@ func (m *MatMul) planWarps(dev *gpusim.Device) []matmulWarp {
 			p.loadB[k] = sharedAt(dev, full, func(l int) int { return k*b + p.tx[l] })
 		}
 	}
-	return warps
+	var offs [gpusim.WarpSize]uint64
+	for l, r := range warps[0].rel {
+		offs[l] = 4 * uint64(r)
+	}
+	return warps, gpusim.NewGlobalAccess(full, &offs, 4)
 }
 
-// kernel is the tiled multiply. Only the global accesses' base (the
+// kernel is the tiled multiply. Only the global access's base (the
 // block's tile corner) and the arithmetic depend on the block.
 // Each thread's accumulator lives across barriers, so it is kept in an
 // array indexed by linear thread ID and cleared at block start; the As
 // and Bs tiles are stored whole before every read.
-func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
+func (m *MatMul) kernel(warps []matmulWarp, global *gpusim.GlobalAccess) gpusim.KernelFunc {
 	n := m.N
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
@@ -239,8 +220,8 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 					w.IntOps(full, 4) // index arithmetic for row/col
 				}
 				w.IntOps(full, 4)
-				w.GlobalLoadAt(p.global, baseA+4*uint64(aStart))
-				w.GlobalLoadAt(p.global, baseB+4*uint64(bStart))
+				w.GlobalLoadAt(global, baseA+4*uint64(aStart)+p.off)
+				w.GlobalLoadAt(global, baseB+4*uint64(bStart)+p.off)
 				for l, s := range p.tile {
 					as[s] = m.a(aStart + p.rel[l])
 					bs[s] = m.b(bStart + p.rel[l])
@@ -273,7 +254,7 @@ func (m *MatMul) kernel(warps []matmulWarp) gpusim.KernelFunc {
 		blk.ForEachWarp(func(w *gpusim.Warp) {
 			p := &warps[w.WarpID()]
 			w.IntOps(full, 2)
-			w.GlobalStoreAt(p.global, baseC+4*uint64(cStart))
+			w.GlobalStoreAt(global, baseC+4*uint64(cStart)+p.off)
 			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
 				out[p.tile[l]] = v
 			}

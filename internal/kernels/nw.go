@@ -51,22 +51,6 @@ func (nw *NeedlemanWunsch) Characteristics() map[string]float64 {
 // size but with fresh sequences keep distinct noise identities.
 func (nw *NeedlemanWunsch) InputSeed() uint64 { return nw.Seed }
 
-// Score returns the row-major (n+1)×(n+1) score matrix, built on demand
-// (complete after a fully-simulated run).
-func (nw *NeedlemanWunsch) Score() []int32 {
-	n, cols := nw.SeqLen, nw.SeqLen+1
-	inner := tiled(nw.score, n, nwBlock)
-	out := make([]int32, cols*cols)
-	for i := 0; i < cols; i++ {
-		out[i*cols] = nw.border(i)
-		out[i] = nw.border(i)
-	}
-	for i := 0; i < n; i++ {
-		copy(out[(i+1)*cols+1:], inner[i*n:(i+1)*n])
-	}
-	return out
-}
-
 // Release drops the score tiles so sweeps do not accumulate them.
 func (nw *NeedlemanWunsch) Release() { nw.score.release(); nw.score = nil }
 
@@ -78,52 +62,12 @@ func (nw *NeedlemanWunsch) border(i int) int32 { return int32(-i) * nw.Penalty }
 func (nw *NeedlemanWunsch) seq1(i int) int32 { return randomI32(nw.Seed, uint64(i), nwAlphabet) }
 func (nw *NeedlemanWunsch) seq2(i int) int32 { return randomI32(nw.Seed^0x5e92, uint64(i), nwAlphabet) }
 
-// ref returns the similarity score of matrix cell (i, j), both 1-based —
-// Rodinia precomputes this as the "reference" matrix; we evaluate it
-// lazily to avoid the O(n²) allocation.
-func (nw *NeedlemanWunsch) ref(i, j int) int32 {
-	return nw.blosum[nw.seq1(i)][nw.seq2(j)]
-}
-
-// CPUNeedlemanWunsch fills the score matrix sequentially — the reference
-// for functional verification.
-func (nw *NeedlemanWunsch) CPUNeedlemanWunsch() []int32 {
-	n := nw.SeqLen
-	cols := n + 1
-	out := make([]int32, cols*cols)
-	for i := 0; i < cols; i++ {
-		out[i*cols] = nw.border(i)
-		out[i] = nw.border(i)
-	}
-	for i := 1; i < cols; i++ {
-		for j := 1; j < cols; j++ {
-			out[i*cols+j] = max3(
-				out[(i-1)*cols+j-1]+nw.ref(i, j),
-				out[i*cols+j-1]-nw.Penalty,
-				out[(i-1)*cols+j]-nw.Penalty,
-			)
-		}
-	}
-	return out
-}
-
 // cellOf returns element i of a score page; a page no block wrote is zero.
 func cellOf(pg []int32, i int) int32 {
 	if pg == nil {
 		return 0
 	}
 	return pg[i]
-}
-
-func max3(a, b, c int32) int32 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if c > m {
-		m = c
-	}
-	return m
 }
 
 // Plan implements profiler.Workload.
@@ -367,7 +311,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 				w.IntOps(s.mask, 4) // two subtractions, two max ops
 				self, ref := s.self0, s.ref0
 				for range s.lanes {
-					temp[self] = max3(
+					temp[self] = max(
 						temp[self-tw-1]+refS[ref],
 						temp[self-1]-penalty,
 						temp[self-tw]-penalty,

@@ -190,7 +190,7 @@ func (nw *NeedlemanWunsch) oracleDPStep(w *gpusim.Warp, temp, refS []int32, acti
 	w.IntOps(step, 4) // two subtractions, two max ops
 	for l := 0; l < gpusim.WarpSize; l++ {
 		if step.Active(l) {
-			temp[self[l]] = max3(
+			temp[self[l]] = max(
 				temp[diag[l]]+refS[refOff[l]],
 				temp[west[l]]-penalty,
 				temp[north[l]]-penalty,

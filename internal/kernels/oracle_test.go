@@ -7,6 +7,7 @@ import (
 
 	"blackforest/internal/gpusim"
 	"blackforest/internal/profiler"
+	"blackforest/internal/stats"
 )
 
 // diffLaunches runs got's launches and the oracle kernels on fresh
@@ -164,7 +165,7 @@ func TestMatMulMatchesOracle(t *testing.T) {
 // first launch. result reads the value the last launch wrote.
 func oracleReductionPlan(r *Reduction) (kernels []gpusim.KernelFunc, result func() float32) {
 	input := oracleF32(r.N, r.Seed)
-	ping := make([]float32, maxInt(1, blocksFor(r.Variant, r.N, r.BlockSize, r.MaxBlocks)))
+	ping := make([]float32, max(1, blocksFor(r.Variant, r.N, r.BlockSize, r.MaxBlocks)))
 	pong := make([]float32, len(ping))
 	sdata := make([]float32, r.BlockSize)
 	src, dst := input, ping
@@ -237,7 +238,7 @@ func TestHistogramMatchesOracle(t *testing.T) {
 				input := make([]uint8, c.n)
 				skewCut := uint64(c.skew * float64(1<<24))
 				for i := range input {
-					r := splitmix64(got.Seed + uint64(i))
+					r := stats.SplitMix64(got.Seed + uint64(i))
 					if r&0xffffff < skewCut {
 						input[i] = 0
 					} else {

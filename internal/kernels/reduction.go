@@ -117,20 +117,8 @@ func (r *Reduction) WithParam(name string, value int) (profiler.Workload, error)
 // size but with fresh inputs keep distinct noise identities.
 func (r *Reduction) InputSeed() uint64 { return r.Seed }
 
-// CPUReduce is the reference result: the plain sequential sum.
-func CPUReduce(xs []float32) float32 {
-	var s float32
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // in returns element i of the input array, a pure function of the seed.
 func (r *Reduction) in(i int) float32 { return randomF32(r.Seed, uint64(i)) }
-
-// Input returns the input array, built on demand.
-func (r *Reduction) Input() []float32 { return materialize(r.N, r.in) }
 
 // Release drops the partial-sum buffers so sweeps over many runs do not
 // accumulate them; the workload must be re-Planned before reuse.
@@ -215,9 +203,9 @@ func blocksFor(variant, count, blockSize, maxBlocks int) int {
 	case variant <= 2:
 		return ceilDiv(count, blockSize)
 	case variant <= 5:
-		return maxInt(1, ceilDiv(count, 2*blockSize))
+		return max(1, ceilDiv(count, 2*blockSize))
 	default:
-		return maxInt(1, minInt(maxBlocks, ceilDiv(count, 2*blockSize)))
+		return max(1, min(maxBlocks, ceilDiv(count, 2*blockSize)))
 	}
 }
 
@@ -560,17 +548,3 @@ func chain(fn gpusim.KernelFunc, post func()) gpusim.KernelFunc {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -90,24 +90,8 @@ func (t *Transpose) InputSeed() uint64 { return t.Seed }
 // seed.
 func (t *Transpose) in(i int) float32 { return randomF32(t.Seed, uint64(i)) }
 
-// In and Out return the row-major input and output matrices, built on
-// demand (Out after a run; it is complete after a fully-simulated one).
-func (t *Transpose) In() []float32  { return materialize(t.N*t.N, t.in) }
-func (t *Transpose) Out() []float32 { return tiled(t.out, t.N, transTile) }
-
 // Release drops the output so sweeps do not accumulate it.
 func (t *Transpose) Release() { t.out.release(); t.out = nil }
-
-// CPUTranspose is the reference row-major transpose.
-func CPUTranspose(in []float32, n int) []float32 {
-	out := make([]float32, n*n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			out[x*n+y] = in[y*n+x]
-		}
-	}
-	return out
-}
 
 // Plan implements profiler.Workload.
 func (t *Transpose) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {

@@ -526,9 +526,6 @@ func (m *Model) PredictAll(xs [][]float64) []float64 {
 	return out
 }
 
-// NumTerms returns the number of basis terms including the intercept.
-func (m *Model) NumTerms() int { return len(m.terms) }
-
 // RSquared returns R² on the given data.
 func (m *Model) RSquared(x [][]float64, y []float64) float64 {
 	return stats.RSquared(m.PredictAll(x), y)

@@ -8,6 +8,9 @@ import (
 	"blackforest/internal/stats"
 )
 
+// NumTerms returns the number of basis terms including the intercept.
+func (m *Model) NumTerms() int { return len(m.terms) }
+
 func eq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestPiecewiseLinearRecovery(t *testing.T) {

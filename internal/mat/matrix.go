@@ -8,7 +8,6 @@
 package mat
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -27,31 +26,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("mat: empty input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			return nil, fmt.Errorf("mat: ragged input: row %d has %d values, want %d", i, len(r), m.cols)
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m, nil
-}
-
-// FromSlice wraps data (row-major, length rows*cols) in a matrix, copying it.
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("mat: data length %d does not match %dx%d", len(data), rows, cols)
-	}
-	m := New(rows, cols)
-	copy(m.data, data)
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -74,19 +48,6 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns v to the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// RawRow returns row i as a slice aliasing the matrix storage.
-// Mutating the returned slice mutates the matrix.
-func (m *Matrix) RawRow(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols]
-}
 
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) []float64 {
@@ -168,18 +129,6 @@ func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Sub returns m − b elementwise.
-func (m *Matrix) Sub(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("mat: dimension mismatch %dx%d - %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns s·m as a new matrix.
 func (m *Matrix) Scale(s float64) *Matrix {
 	out := m.Clone()
@@ -196,23 +145,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbsOffDiag returns the largest |m[i][j]|, i≠j, and its indices.
-// The matrix must be square.
-func (m *Matrix) MaxAbsOffDiag() (p, q int, v float64) {
-	p, q = 0, 1
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if i == j {
-				continue
-			}
-			if a := math.Abs(m.At(i, j)); a > v {
-				v, p, q = a, i, j
-			}
-		}
-	}
-	return p, q, v
 }
 
 // IsSymmetric reports whether m is square and symmetric to within tol.

@@ -130,23 +130,6 @@ func (q *QR) ApplyQT(y []float64, from int) {
 	}
 }
 
-// RDiag returns the diagonal of R (the tau values), whose magnitudes signal
-// rank deficiency when near zero.
-func (q *QR) RDiag() []float64 {
-	return append([]float64(nil), q.tau...)
-}
-
-// IsFullRank reports whether all diagonal entries of R exceed tol in
-// magnitude.
-func (q *QR) IsFullRank(tol float64) bool {
-	for _, d := range q.tau {
-		if math.Abs(d) <= tol {
-			return false
-		}
-	}
-	return true
-}
-
 // FullRankFrom reports whether columns from..Cols()−1 pass the rank check
 // of Solve.
 func (q *QR) FullRankFrom(from int) bool {
@@ -191,19 +174,6 @@ func (q *QR) SolveFrom(y []float64, from int, x []float64) error {
 		x[i] = s / q.tau[i]
 	}
 	return nil
-}
-
-// R returns the upper-triangular factor as a cols×cols matrix.
-func (q *QR) R() *Matrix {
-	n := len(q.tau)
-	r := New(n, n)
-	for i := 0; i < n; i++ {
-		r.Set(i, i, q.tau[i])
-		for j := i + 1; j < n; j++ {
-			r.Set(i, j, q.a[j*q.rows+i])
-		}
-	}
-	return r
 }
 
 // SolveLeastSquares finds x minimizing ‖a·x − b‖₂.

@@ -6,6 +6,36 @@ import (
 	"testing/quick"
 )
 
+// RDiag returns the diagonal of R (the tau values), whose magnitudes signal
+// rank deficiency when near zero.
+func (q *QR) RDiag() []float64 {
+	return append([]float64(nil), q.tau...)
+}
+
+// IsFullRank reports whether all diagonal entries of R exceed tol in
+// magnitude.
+func (q *QR) IsFullRank(tol float64) bool {
+	for _, d := range q.tau {
+		if math.Abs(d) <= tol {
+			return false
+		}
+	}
+	return true
+}
+
+// R returns the upper-triangular factor as a cols×cols matrix.
+func (q *QR) R() *Matrix {
+	n := len(q.tau)
+	r := New(n, n)
+	for i := 0; i < n; i++ {
+		r.Set(i, i, q.tau[i])
+		for j := i + 1; j < n; j++ {
+			r.Set(i, j, q.a[j*q.rows+i])
+		}
+	}
+	return r
+}
+
 func TestSolveExactSystem(t *testing.T) {
 	// Square, well-conditioned: x = [1, -2, 3].
 	a, _ := FromRows([][]float64{

@@ -30,7 +30,6 @@ func TestNilTracerIsFullyDisabled(t *testing.T) {
 	}
 	// All of these must be safe no-ops.
 	sp.Arg("k", "v")
-	sp.SetLane(3)
 	sp.End()
 	tr.Instant(0, "marker")
 	tr.SetLaneName(0, "w0")
@@ -78,17 +77,6 @@ func TestTracerRecordsSpansAndInstants(t *testing.T) {
 	}
 	if len(evs[1].Args) != 1 || evs[1].Args[0] != (Arg{"workload", "matmul"}) {
 		t.Fatalf("run span args = %+v", evs[1].Args)
-	}
-}
-
-func TestSpanSetLaneMovesLane(t *testing.T) {
-	tr := NewTracer(fakeClock(1))
-	sp := tr.Begin(-1, "gated")
-	sp.SetLane(7)
-	sp.End()
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Lane != 7 {
-		t.Fatalf("events = %+v, want one event on lane 7", evs)
 	}
 }
 

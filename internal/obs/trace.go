@@ -112,16 +112,6 @@ func (s *Span) Arg(key, value string) *Span {
 	return s
 }
 
-// SetLane moves the span to another lane before it ends — used when the
-// owning worker is only known after the span started (e.g. a run span
-// that later acquires a scheduler slot).
-func (s *Span) SetLane(lane int) {
-	if s == nil {
-		return
-	}
-	s.lane = lane
-}
-
 // End closes the span and records it. Safe on nil.
 func (s *Span) End() {
 	if s == nil {

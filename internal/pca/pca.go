@@ -1,8 +1,8 @@
-// Package pca implements principal component analysis with varimax rotation
-// and factor-loading interpretation, mirroring the R prcomp + varimax
-// combination the paper's toolchain uses for the "refinement with PCA" stage
-// (§4.2): reducing correlated counters to a few interpretable components and
-// reading each variable's contribution off its loadings.
+// Package pca implements principal component analysis with factor-loading
+// interpretation, mirroring the R prcomp step of the paper's "refinement
+// with PCA" stage (§4.2): reducing correlated counters to a few components
+// and reading each variable's contribution off its loadings. The loadings
+// are reported unrotated; the paper's varimax rotation is not applied.
 package pca
 
 import (
@@ -131,26 +131,6 @@ func (r *Result) ComponentsFor(fraction float64) int {
 	return len(r.Eigenvalues)
 }
 
-// Project maps a raw observation (unstandardized, in input column order)
-// onto the first k components.
-func (r *Result) Project(x []float64, k int) ([]float64, error) {
-	if len(x) != len(r.Names) {
-		return nil, fmt.Errorf("pca: projecting %d values, fitted on %d variables", len(x), len(r.Names))
-	}
-	if k <= 0 || k > len(r.Eigenvalues) {
-		return nil, fmt.Errorf("pca: k=%d out of range [1,%d]", k, len(r.Eigenvalues))
-	}
-	out := make([]float64, k)
-	for j := 0; j < k; j++ {
-		var s float64
-		for i := range x {
-			s += (x[i] - r.Means[i]) / r.SDs[i] * r.Loadings.At(i, j)
-		}
-		out[j] = s
-	}
-	return out, nil
-}
-
 // Loading is one variable's loading on one component.
 type Loading struct {
 	Variable string
@@ -176,70 +156,4 @@ func (r *Result) ComponentLoadings(j int) ([]Loading, error) {
 		return out[a].Variable < out[b].Variable
 	})
 	return out, nil
-}
-
-// Varimax rotates the first k components' loadings to maximize the varimax
-// criterion (Kaiser, 1958), concentrating each variable's weight on few
-// components for interpretability. It returns a new p×k loadings matrix;
-// the receiver is unchanged.
-func (r *Result) Varimax(k int) (*mat.Matrix, error) {
-	p := len(r.Names)
-	if k <= 0 || k > len(r.Eigenvalues) {
-		return nil, fmt.Errorf("pca: varimax k=%d out of range [1,%d]", k, len(r.Eigenvalues))
-	}
-	// Scale eigenvectors by sqrt(eigenvalue) to get factor loadings.
-	l := mat.New(p, k)
-	for j := 0; j < k; j++ {
-		s := math.Sqrt(r.Eigenvalues[j])
-		for i := 0; i < p; i++ {
-			l.Set(i, j, r.Loadings.At(i, j)*s)
-		}
-	}
-	if k == 1 {
-		return l, nil
-	}
-
-	const maxIter = 100
-	const tol = 1e-8
-	for iter := 0; iter < maxIter; iter++ {
-		var rotated float64
-		for a := 0; a < k-1; a++ {
-			for b := a + 1; b < k; b++ {
-				// Planar rotation angle maximizing the varimax
-				// criterion for columns a, b.
-				var u, v, num, den float64
-				var sumU, sumV, sumUV, sumU2V2 float64
-				for i := 0; i < p; i++ {
-					xa, xb := l.At(i, a), l.At(i, b)
-					u = xa*xa - xb*xb
-					v = 2 * xa * xb
-					sumU += u
-					sumV += v
-					sumUV += u * v
-					sumU2V2 += u*u - v*v
-				}
-				pf := float64(p)
-				num = 2 * (pf*sumUV - sumU*sumV)
-				den = pf*sumU2V2 - (sumU*sumU - sumV*sumV)
-				if math.Abs(num) < tol && math.Abs(den) < tol {
-					continue
-				}
-				phi := 0.25 * math.Atan2(num, den)
-				if math.Abs(phi) < tol {
-					continue
-				}
-				c, s := math.Cos(phi), math.Sin(phi)
-				for i := 0; i < p; i++ {
-					xa, xb := l.At(i, a), l.At(i, b)
-					l.Set(i, a, c*xa+s*xb)
-					l.Set(i, b, -s*xa+c*xb)
-				}
-				rotated += math.Abs(phi)
-			}
-		}
-		if rotated < tol {
-			break
-		}
-	}
-	return l, nil
 }

@@ -80,25 +80,6 @@ func TestScoresUncorrelated(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	x := correlated2D(100, 5)
-	r, _ := Fit(x, []string{"a", "b"})
-	// Projecting training points must reproduce the score rows.
-	got, err := r.Project(x[0], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(got[0], r.Scores.At(0, 0), 1e-9) || !eq(got[1], r.Scores.At(0, 1), 1e-9) {
-		t.Fatalf("projection %v, scores %v %v", got, r.Scores.At(0, 0), r.Scores.At(0, 1))
-	}
-	if _, err := r.Project([]float64{1}, 1); err == nil {
-		t.Fatal("wrong input width accepted")
-	}
-	if _, err := r.Project(x[0], 3); err == nil {
-		t.Fatal("too many components accepted")
-	}
-}
-
 func TestComponentLoadingsSorted(t *testing.T) {
 	x := correlated2D(100, 6)
 	r, _ := Fit(x, []string{"a", "b"})
@@ -126,55 +107,6 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit([][]float64{{1}, {2}}, []string{"a", "b"}); err == nil {
 		t.Fatal("name mismatch accepted")
-	}
-}
-
-func TestVarimaxPreservesCommunalities(t *testing.T) {
-	// Varimax is an orthogonal rotation: each variable's squared-loading
-	// sum over the rotated components must equal the unrotated one.
-	rng := stats.NewRNG(7)
-	var x [][]float64
-	for i := 0; i < 150; i++ {
-		a := rng.NormFloat64()
-		b := rng.NormFloat64()
-		x = append(x, []float64{
-			a + 0.1*rng.NormFloat64(),
-			a + 0.1*rng.NormFloat64(),
-			b + 0.1*rng.NormFloat64(),
-			b + 0.1*rng.NormFloat64(),
-		})
-	}
-	r, err := Fit(x, []string{"a1", "a2", "b1", "b2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 2
-	rot, err := r.Varimax(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		var before, after float64
-		for j := 0; j < k; j++ {
-			l := r.Loadings.At(i, j) * math.Sqrt(r.Eigenvalues[j])
-			before += l * l
-			after += rot.At(i, j) * rot.At(i, j)
-		}
-		if !eq(before, after, 1e-6) {
-			t.Fatalf("communalities changed: %v → %v", before, after)
-		}
-	}
-	// Varimax should concentrate each variable on one factor: the max
-	// |loading| per row should dominate.
-	for i := 0; i < 4; i++ {
-		big := math.Max(math.Abs(rot.At(i, 0)), math.Abs(rot.At(i, 1)))
-		small := math.Min(math.Abs(rot.At(i, 0)), math.Abs(rot.At(i, 1)))
-		if small > big/2 {
-			t.Fatalf("row %d not simplified: %v vs %v", i, big, small)
-		}
-	}
-	if _, err := r.Varimax(0); err == nil {
-		t.Fatal("k=0 accepted")
 	}
 }
 

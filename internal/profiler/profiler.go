@@ -135,10 +135,10 @@ type Profile struct {
 	// Breakdown attributes Cycles to stall/work categories, summed over
 	// all launches; Breakdown.Total() equals Cycles exactly.
 	Breakdown gpusim.BottleneckBreakdown
-	// ComputeOps is the total thread-level arithmetic work (int + float +
-	// weighted special ops, the same mix the timing model's alu term
-	// charges) summed over all launches. With DRAMBytes it fixes the
-	// run's arithmetic intensity — its position on the device roofline.
+	// ComputeOps is the total thread-level arithmetic work (int + float
+	// ops, the same mix the timing model's alu term charges) summed over
+	// all launches. With DRAMBytes it fixes the run's arithmetic
+	// intensity — its position on the device roofline.
 	ComputeOps float64
 	// DRAMBytes is the total DRAM traffic (reads + writes) over all
 	// launches.
@@ -327,10 +327,9 @@ func (p *Profiler) run(w Workload, attempt, lane int) (*Profile, error) {
 		Bottlenecks:     bottlenecks,
 		Cycles:          agg.Cycles,
 		Breakdown:       breakdown,
-		ComputeOps: float64(agg.Raw.IntThreadOps + agg.Raw.FloatThreadOps +
-			4*agg.Raw.SpecialThreadOps),
-		DRAMBytes: float64(agg.Raw.DRAMReadBytes + agg.Raw.DRAMWriteBytes),
-		Dropped:   dropped,
+		ComputeOps:      float64(agg.Raw.IntThreadOps + agg.Raw.FloatThreadOps),
+		DRAMBytes:       float64(agg.Raw.DRAMReadBytes + agg.Raw.DRAMWriteBytes),
+		Dropped:         dropped,
 	}, nil
 }
 

@@ -166,9 +166,6 @@ func (f *FlatForest) NumTrees() int { return len(f.roots) }
 // NumFeatures returns the number of predictors.
 func (f *FlatForest) NumFeatures() int { return f.nFeatures }
 
-// NumNodes returns the total node count across all trees.
-func (f *FlatForest) NumNodes() int { return len(f.feature) }
-
 // Encoding returns the bundle value encoding this forest was decoded from
 // ("dict16", "f32" or "f64"), or "" for a grown or tree-form forest.
 func (f *FlatForest) Encoding() string { return f.enc }

@@ -8,6 +8,9 @@ import (
 	"blackforest/internal/stats"
 )
 
+// NumNodes returns the total node count across all trees.
+func (f *FlatForest) NumNodes() int { return len(f.feature) }
+
 // fitTestTrees grows nTrees CART trees on bootstrap resamples of a random
 // regression problem, as forest.Fit does, and returns them joined into a
 // forest, each rebuilt in node-list form as the oracle, and the rows.

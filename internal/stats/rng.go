@@ -102,14 +102,6 @@ func (r *RNG) ShuffleInts(xs []int) {
 	}
 }
 
-// ShuffleFloats permutes xs in place (Fisher–Yates).
-func (r *RNG) ShuffleFloats(xs []float64) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
 // Bootstrap returns n indices drawn uniformly with replacement from [0, n),
 // plus the set of out-of-bag indices not drawn.
 func (r *RNG) Bootstrap(n int) (inBag []int, outOfBag []int) {

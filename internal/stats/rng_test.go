@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -161,29 +159,5 @@ func TestTrainTestSplit(t *testing.T) {
 			t.Fatal("overlap between train and test")
 		}
 		seen[v] = true
-	}
-}
-
-func TestShuffleFloatsPreservesMultiset(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, v := range xs {
-			if math.IsNaN(v) {
-				return true
-			}
-		}
-		orig := append([]float64(nil), xs...)
-		NewRNG(9).ShuffleFloats(xs)
-		sort.Float64s(orig)
-		shuffled := append([]float64(nil), xs...)
-		sort.Float64s(shuffled)
-		for i := range orig {
-			if orig[i] != shuffled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -95,21 +95,6 @@ func MSE(pred, truth []float64) float64 {
 	return s / float64(len(pred))
 }
 
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: MAE of unequal-length slices")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
 // MedianAbsPctError returns the median of |pred−truth|/|truth| over entries
 // with truth ≠ 0 — the accuracy measure quoted by the paper's related work.
 func MedianAbsPctError(pred, truth []float64) float64 {

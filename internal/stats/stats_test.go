@@ -64,9 +64,6 @@ func TestMSEMAERSquared(t *testing.T) {
 	if !eq(MSE(pred, truth), 4.0/3, 1e-12) {
 		t.Fatal("MSE wrong")
 	}
-	if !eq(MAE(pred, truth), 2.0/3, 1e-12) {
-		t.Fatal("MAE wrong")
-	}
 	if !eq(RSquared(truth, truth), 1, 1e-12) {
 		t.Fatal("perfect R² not 1")
 	}

@@ -213,15 +213,6 @@ func (m *Model) PredictAll(xs [][]float64) []float64 {
 	return out
 }
 
-// SelectedNames returns the names of the retained predictors.
-func (m *Model) SelectedNames() []string {
-	out := make([]string, len(m.Selected))
-	for k, j := range m.Selected {
-		out[k] = m.Names[j]
-	}
-	return out
-}
-
 // RSquared returns R² on the given data.
 func (m *Model) RSquared(x [][]float64, y []float64) float64 {
 	return stats.RSquared(m.PredictAll(x), y)

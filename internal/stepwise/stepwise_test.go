@@ -7,6 +7,15 @@ import (
 	"blackforest/internal/stats"
 )
 
+// SelectedNames returns the names of the retained predictors.
+func (m *Model) SelectedNames() []string {
+	out := make([]string, len(m.Selected))
+	for k, j := range m.Selected {
+		out[k] = m.Names[j]
+	}
+	return out
+}
+
 // linearData generates y = 3·x0 − 2·x2 + noise with x1, x3, x4 irrelevant.
 func linearData(n int, seed uint64) (x [][]float64, y []float64, names []string) {
 	rng := stats.NewRNG(seed)
