@@ -15,6 +15,7 @@ import (
 	"blackforest"
 	"blackforest/internal/experiments"
 	"blackforest/internal/forest"
+	"blackforest/internal/profiler"
 	"blackforest/internal/stats"
 )
 
@@ -460,6 +461,60 @@ func BenchmarkForestFit(b *testing.B) {
 		if _, err := forest.Fit(x, y, names, forest.Config{NTrees: 100, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkForestFitQuickFrames fits the 120-tree forests of a Quick-scale
+// analysis on the training splits of the reduce2, matmul and NW frames: a
+// few dozen rows whose counter columns carry many tied values with unequal
+// responses, the shape of the warm pass's fits, which BenchmarkForestFit's
+// continuous features never reach. The frames are collected once, through
+// one memory-only run cache; each iteration times one forest.Fit on one
+// worker.
+func BenchmarkForestFitQuickFrames(b *testing.B) {
+	dev, err := blackforest.LookupDevice("GTX580")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := profiler.NewRunCache("", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := blackforest.CollectOptions{MaxSimBlocks: 8, Cache: cache}
+	for _, c := range []struct {
+		name string
+		runs []blackforest.Workload
+	}{
+		{"reduce2", experiments.ReductionSweep(2, benchOpts(1))},
+		{"matmul", experiments.MatMulSweep(benchOpts(1))},
+		{"nw", experiments.NWSweep(benchOpts(1))},
+	} {
+		frame, err := blackforest.Collect(dev, c.runs, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Analyze draws the training split the study fits its forest on.
+		a, err := blackforest.Analyze(frame, blackforest.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := a.Train.Matrix(a.Predictors)
+		if err != nil {
+			b.Fatal(err)
+		}
+		y, err := a.Train.Column(blackforest.ResponseColumn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := forest.Config{NTrees: 120, Seed: uint64(i + 1), Workers: 1}
+				if _, err := forest.Fit(x, y, a.Predictors, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

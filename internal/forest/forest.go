@@ -61,7 +61,6 @@ type Forest struct {
 	x        [][]float64 // retained training design matrix
 	y        []float64   // retained training response
 	cfg      Config
-	oobPred  []float64 // OOB-averaged prediction per training sample
 	oobMSE   float64
 	varExpl  float64
 	rawImp   []float64 // mean OOB MSE increase per feature
@@ -158,10 +157,10 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.FlatForest, ga
 		seeds[i] = master.Uint64()
 	}
 
-	// Preprocess the design matrix once (column-major copy + per-feature
-	// sorted orderings); every tree shares it, so growing the forest does
-	// no per-tree sorting on presortable features.
-	m, err := rtree.NewMatrix(x)
+	// Preprocess the training set once (column-major copy, per-feature
+	// sorted orderings and tie conflict runs); every tree shares it, so
+	// growing the forest does no per-tree sorting on presortable features.
+	m, err := rtree.NewMatrix(x, y)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -171,10 +170,13 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.FlatForest, ga
 	oobIdx = make([][]int, cfg.NTrees)
 	errs := make([]error, cfg.NTrees)
 	forEach(cfg.Workers, cfg.NTrees, func() func(int) {
+		// One Grower per goroutine: its scratch serves every tree the
+		// goroutine grows and is dropped with it when the fit returns.
+		var g rtree.Grower
 		return func(t int) {
 			rng := stats.NewRNG(seeds[t])
 			inBag, oob := rng.Bootstrap(len(y))
-			trees[t], gains[t], errs[t] = rtree.FitMatrix(m, y, inBag, rtree.Params{
+			trees[t], gains[t], errs[t] = g.Fit(m, inBag, rtree.Params{
 				MinNodeSize: cfg.MinNodeSize,
 				MaxDepth:    cfg.MaxDepth,
 				MTry:        cfg.MTry,
@@ -259,26 +261,15 @@ func (f *Forest) forEachGridPoint(grid []float64, fn func(g int, v float64, rows
 	})
 }
 
-// computeOOB fills the OOB predictions and the derived error statistics.
+// computeOOB fills the out-of-bag error statistics.
 func (f *Forest) computeOOB() {
-	sum := make([]float64, f.nSamples)
-	cnt := make([]int, f.nSamples)
-	for t, oob := range f.oobIdx {
-		for _, i := range oob {
-			sum[i] += f.flat.PredictTree(t, f.x[i])
-			cnt[i]++
-		}
-	}
-	f.oobPred = make([]float64, f.nSamples)
 	var sse float64
 	var used int
-	for i := range sum {
-		if cnt[i] == 0 {
-			f.oobPred[i] = math.NaN()
+	for i, p := range f.oobPredictions() {
+		if math.IsNaN(p) {
 			continue
 		}
-		f.oobPred[i] = sum[i] / float64(cnt[i])
-		d := f.oobPred[i] - f.y[i]
+		d := p - f.y[i]
 		sse += d * d
 		used++
 	}
@@ -289,6 +280,27 @@ func (f *Forest) computeOOB() {
 		// randomForest reports %Var explained as 1 − MSE_OOB/Var(y).
 		f.varExpl = 1 - f.oobMSE/v
 	}
+}
+
+// oobPredictions returns each training row's prediction averaged over the
+// trees it is out of bag for, or NaN for a row that is in every tree's bag.
+func (f *Forest) oobPredictions() []float64 {
+	sum := make([]float64, f.nSamples)
+	cnt := make([]int, f.nSamples)
+	for t, oob := range f.oobIdx {
+		for _, i := range oob {
+			sum[i] += f.flat.PredictTree(t, f.x[i])
+			cnt[i]++
+		}
+	}
+	for i := range sum {
+		if cnt[i] == 0 {
+			sum[i] = math.NaN()
+		} else {
+			sum[i] /= float64(cnt[i])
+		}
+	}
+	return sum
 }
 
 // computeImportance computes permutation importance tree by tree, exactly

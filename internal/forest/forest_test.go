@@ -9,12 +9,8 @@ import (
 )
 
 // OOBPredictions returns per-sample OOB predictions (NaN where a sample was
-// in-bag for every tree). The slice is a copy.
-func (f *Forest) OOBPredictions() []float64 {
-	out := make([]float64, len(f.oobPred))
-	copy(out, f.oobPred)
-	return out
-}
+// in-bag for every tree), recomputed from the forest's trees and bags.
+func (f *Forest) OOBPredictions() []float64 { return f.oobPredictions() }
 
 // ResponseRange returns [min, max] of the training response.
 func (f *Forest) ResponseRange() (lo, hi float64) { return f.minResp, f.maxResp }

@@ -3,7 +3,7 @@ package rtree
 // Tree-identity regression tests: the fig2 golden-file pattern applied to
 // the learner itself. testdata/tree_fixture.json holds trees fitted by the
 // pre-optimization implementation (legacyFit, frozen in legacy_test.go);
-// the production builder (FitMatrix, rebuilt into node-list form by
+// the production builder (Grower.Fit, rebuilt into node-list form by
 // fitTree) must reproduce them byte for byte. Any change to split
 // finding that alters even one threshold ULP or one purity-gain bit fails
 // here before it can silently shift every figure downstream.
@@ -128,7 +128,7 @@ func TestUpdateTreeFixture(t *testing.T) {
 }
 
 // TestFitMatchesPinnedFixture is the learner-level golden test: trees grown
-// by the current FitMatrix must serialize byte-identically to the committed
+// by the current Grower.Fit must serialize byte-identically to the committed
 // pre-optimization fixture.
 func TestFitMatchesPinnedFixture(t *testing.T) {
 	golden, err := os.ReadFile(treeFixturePath)

@@ -1,6 +1,6 @@
 package rtree
 
-// Flat forest layout: the only tree representation. FitMatrix grows each
+// Flat forest layout: the only tree representation. Grower.Fit grows each
 // tree straight into a single structure-of-arrays (feature index,
 // threshold-or-leaf value, left/right child offsets), Join assembles the
 // grown trees into one forest-global node array with a per-tree
@@ -45,7 +45,7 @@ type FlatForest struct {
 // Join assembles forests, in order, into one: every tree keeps its nodes
 // in their order, and roots and child offsets are rebased onto the joined
 // node array. All parts must share a feature count. Fit joins the one-tree
-// forests FitMatrix grows; ImportTrees joins the trees of a tree-form
+// forests Grower.Fit grows; ImportTrees joins the trees of a tree-form
 // bundle.
 func Join(parts []*FlatForest) (*FlatForest, error) {
 	if len(parts) == 0 {

@@ -26,15 +26,16 @@ func fitTestTrees(t testing.TB, seed uint64, nTrees, rows, features int) (*FlatF
 		}
 		y[i] = x[i][0]*3 - x[i][features-1] + rng.NormFloat64()
 	}
-	m, err := NewMatrix(x)
+	m, err := NewMatrix(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := make([]*FlatForest, nTrees)
 	trees := make([]*Tree, nTrees)
+	var g Grower
 	for k := range trees {
 		inBag, _ := rng.Bootstrap(rows)
-		part, purity, err := FitMatrix(m, y, inBag, Params{MinNodeSize: 3, MTry: features, RNG: rng})
+		part, purity, err := g.Fit(m, inBag, Params{MinNodeSize: 3, MTry: features, RNG: rng})
 		if err != nil {
 			t.Fatalf("fitting tree %d: %v", k, err)
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"blackforest/internal/stats"
 )
 
 // FuzzImport: arbitrary JSON must never panic the tree-form reader
@@ -104,13 +106,14 @@ func FuzzImportFlat(f *testing.F) {
 	// Seed with a genuine grown forest...
 	x := [][]float64{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {6, 3}, {7, 3}}
 	y := []float64{0, 0, 1, 1, 4, 4, 9, 9}
-	m, err := NewMatrix(x)
+	m, err := NewMatrix(x, y)
 	if err != nil {
 		f.Fatal(err)
 	}
 	var trees []*FlatForest
+	var g Grower
 	for i := 0; i < 3; i++ {
-		tree, _, err := FitMatrix(m, y, []int{i, i + 1, i + 2, i + 3, i + 4, 0, 1, 2}, Params{MinNodeSize: 2})
+		tree, _, err := g.Fit(m, []int{i, i + 1, i + 2, i + 3, i + 4, 0, 1, 2}, Params{MinNodeSize: 2})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -163,6 +166,77 @@ func FuzzImportFlat(f *testing.F) {
 		}
 		if got := ff.NumNodes(); got != len(e.Feature) {
 			t.Fatalf("imported forest has %d nodes, exported %d", got, len(e.Feature))
+		}
+	})
+}
+
+// FuzzFitMatchesLegacy: every tree a reused Grower grows must export
+// byte-identically to the frozen legacy builder's tree on the same data.
+// The data is heavy in ties: each feature takes a few levels, and the
+// responses are a few values whose sums depend on their order, so a wrong
+// conflict rule (presorting a feature whose in-bag ties carry unequal
+// responses) shows as a changed threshold, leaf or purity bit. Three trees
+// of different shapes are grown in a row with one Grower, so scratch
+// state a previous tree left behind shows too.
+func FuzzFitMatchesLegacy(f *testing.F) {
+	f.Add([]byte{0}, uint64(0))
+	f.Add([]byte{38, 5, 2, 7, 1, 3, 9, 4, 0, 6, 11, 8}, uint64(1))
+	f.Add([]byte{17, 2, 3, 200, 13, 77, 5, 91, 42, 8, 250, 1, 64, 33}, uint64(7))
+	f.Add([]byte("tie-heavy training sets, bootstrapped"), uint64(99))
+
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		pos := 0
+		next := func(k int) int { // the next fuzz byte, reduced mod k
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[pos%len(data)]) + pos/len(data)
+			pos++
+			return b % k
+		}
+		responses := []float64{0.1, 0.7, 1.3, 1e-3, 29.9}
+		var g Grower
+		for tree := 0; tree < 3; tree++ {
+			n, p, levels := 2+next(39), 1+next(6), 1+next(4)
+			x := make([][]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = make([]float64, p)
+				for j := range x[i] {
+					x[i][j] = float64(next(levels))
+				}
+				y[i] = responses[next(len(responses))]
+			}
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = next(n)
+			}
+			params := Params{MTry: next(p + 1), MinNodeSize: 1 + next(5), MaxDepth: next(4)}
+
+			params.RNG = stats.NewRNG(seed + uint64(tree))
+			want, err := legacyFit(x, y, idx, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMatrix(x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params.RNG = stats.NewRNG(seed + uint64(tree))
+			ff, purity, err := g.Fit(m, idx, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rebuild(ff, purity, x, y, idx)
+			if err != nil {
+				t.Fatalf("tree %d: %v", tree, err)
+			}
+			w, _ := json.Marshal(want.Export())
+			gj, _ := json.Marshal(got.Export())
+			if string(w) != string(gj) {
+				t.Fatalf("tree %d (n=%d p=%d %+v): Grower diverged from legacy\ngot:  %s\nwant: %s",
+					tree, n, p, params, gj, w)
+			}
 		}
 	})
 }

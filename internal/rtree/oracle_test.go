@@ -9,7 +9,7 @@ import (
 // (Export) and of the frozen legacy builder (legacyFit), and the oracle the
 // flat engine is differentially tested against. Every node carries its mean
 // response and sample count, and the tree its in-bag response range.
-// Production code keeps none of this: FitMatrix emits flat arrays, and
+// Production code keeps none of this: Grower.Fit emits flat arrays, and
 // fitTree rebuilds a Tree from them.
 type Tree struct {
 	nodes      []node
@@ -29,21 +29,22 @@ type node struct {
 	count     int     // number of training samples at this node
 }
 
-// fitTree grows a tree on rows x and responses y with FitMatrix and
-// rebuilds it in node-list form; idx is as for FitMatrix.
+// fitTree grows a tree on rows x and responses y with Grower.Fit and
+// rebuilds it in node-list form; idx is as for Grower.Fit.
 func fitTree(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
-	m, err := NewMatrix(x)
+	m, err := NewMatrix(x, y)
 	if err != nil {
 		return nil, err
 	}
-	f, purity, err := FitMatrix(m, y, idx, p)
+	var g Grower
+	f, purity, err := g.Fit(m, idx, p)
 	if err != nil {
 		return nil, err
 	}
 	return rebuild(f, purity, x, y, idx)
 }
 
-// rebuild turns a one-tree forest grown by FitMatrix into a Tree. Node
+// rebuild turns a one-tree forest grown by Grower.Fit into a Tree. Node
 // means and counts are recomputed by routing the in-bag ids through the
 // tree in idx order. The builder's stable partition keeps every node's ids
 // in idx order too, so each node's sum adds the same responses in the same

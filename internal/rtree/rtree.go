@@ -29,23 +29,36 @@ type Params struct {
 	RNG *stats.RNG
 }
 
-// Matrix is a training design matrix preprocessed for fast tree growth: a
-// column-major copy of the rows plus, per feature, all row ids sorted by
-// (feature value, id). Building it costs one sort per feature; every tree
-// fitted against it (FitMatrix) then derives its in-bag orderings with a
-// zero-comparison counting walk, so growing a whole forest performs no
-// further sorting on safe features. A Matrix is immutable after
-// construction and safe for concurrent FitMatrix calls.
+// Matrix is a training set preprocessed for fast tree growth: a
+// column-major copy of the rows, the responses, per feature all row ids
+// sorted by (feature value, id), and per feature its conflict runs — the
+// runs of equal values whose rows do not all share one response. Building
+// it costs one sort per feature; every tree grown against it (Grower.Fit)
+// then derives its in-bag orderings with a zero-comparison counting walk
+// and checks only the conflict rows for tie safety (see Grower.presort). A
+// Matrix is immutable after construction and safe for concurrent use by
+// any number of Growers.
 type Matrix struct {
 	nrows, nf int
 	col       []float64 // col[f*nrows+row] = x[row][f]
+	y         []float64 // response per row
 	ord       []int32   // nf blocks of nrows ids, sorted by (value, id)
+	runs      []run     // conflict runs, feature by feature, as spans of ord
+	featRuns  []int     // feature f's conflict runs are runs[featRuns[f]:featRuns[f+1]]
 }
 
-// NewMatrix validates rows x and preprocesses them for FitMatrix.
-func NewMatrix(x [][]float64) (*Matrix, error) {
+// run is the span ord[lo:hi] of one conflict run.
+type run struct{ lo, hi int }
+
+// NewMatrix validates rows x and responses y and preprocesses them for
+// Grower.Fit. A NaN predictor is rejected: the presorted orderings and
+// the conflict runs need feature values to be totally ordered.
+func NewMatrix(x [][]float64, y []float64) (*Matrix, error) {
 	if len(x) == 0 {
 		return nil, errors.New("rtree: empty training set")
+	}
+	if len(x) != len(y) {
+		return nil, fmt.Errorf("rtree: %d rows but %d responses", len(x), len(y))
 	}
 	nf := len(x[0])
 	if nf == 0 {
@@ -55,13 +68,20 @@ func NewMatrix(x [][]float64) (*Matrix, error) {
 		if len(row) != nf {
 			return nil, fmt.Errorf("rtree: ragged row %d (%d features, want %d)", i, len(row), nf)
 		}
+		for j, v := range row {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("rtree: NaN predictor %d in row %d", j, i)
+			}
+		}
 	}
 	nrows := len(x)
 	m := &Matrix{
-		nrows: nrows,
-		nf:    nf,
-		col:   make([]float64, nf*nrows),
-		ord:   make([]int32, nf*nrows),
+		nrows:    nrows,
+		nf:       nf,
+		col:      make([]float64, nf*nrows),
+		y:        slices.Clone(y),
+		ord:      make([]int32, nf*nrows),
+		featRuns: make([]int, nf+1),
 	}
 	// Column-major copy of the design matrix: split scans read one
 	// contiguous column instead of chasing a pointer per row.
@@ -89,6 +109,20 @@ func NewMatrix(x [][]float64) (*Matrix, error) {
 			}
 			return int(a - c)
 		})
+		// Equal values are adjacent in the ordering; keep each run whose
+		// responses are not all equal to its first row's.
+		for lo := 0; lo < nrows; {
+			v, y0 := m.col[base+int(block[lo])], m.y[block[lo]]
+			hi, conflict := lo+1, false
+			for ; hi < nrows && m.col[base+int(block[hi])] == v; hi++ {
+				conflict = conflict || m.y[block[hi]] != y0
+			}
+			if conflict {
+				m.runs = append(m.runs, run{base + lo, base + hi})
+			}
+			lo = hi
+		}
+		m.featRuns[f+1] = len(m.runs)
 	}
 	return m, nil
 }
@@ -99,17 +133,77 @@ func (m *Matrix) NumRows() int { return m.nrows }
 // NumFeatures returns the number of predictors.
 func (m *Matrix) NumFeatures() int { return m.nf }
 
-// FitMatrix grows a regression tree against a preprocessed Matrix, using
-// only the sample indices in idx (with multiplicity, as produced by
-// bootstrap sampling); a nil idx uses every row. The tree comes back as a
-// one-tree FlatForest whose nodes are in preorder (a node, then its left
-// subtree, then its right subtree), together with its per-feature purity
-// gains: the total SSE decrease of the splits on each feature (R's
-// IncNodePurity). Join assembles a forest from such trees.
-func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*FlatForest, []float64, error) {
-	if m.nrows != len(y) {
-		return nil, nil, fmt.Errorf("rtree: %d rows but %d responses", m.nrows, len(y))
+// Grower grows regression trees against a Matrix, keeping its scratch
+// from one tree to the next so that a tree allocates only what it returns.
+// A Grower is not safe for concurrent use: give each goroutine its own.
+// The zero value is ready to use.
+//
+// The hot-path layout follows the sklearn/ranger presort-and-partition
+// scheme: samples holds the in-bag row ids in recursion order, and ford
+// holds, per safe feature, the same ids sorted by that feature's value.
+// Both are indexed by the same [start, end) node ranges; grow re-partitions
+// them in place as it recurses, so split scans on safe features never sort.
+// Features whose tied values carry unequal in-bag responses sort per node
+// instead (see presort for why). Growing a node allocates nothing.
+type Grower struct {
+	m *Matrix
+	p Params
+	n int // in-bag sample count (len(idx), with multiplicity)
+
+	samples []int32   // row ids in recursion order; partitioned in place
+	ford    []int32   // safe features' sorted orderings: nf blocks of n ids
+	count   []int32   // per row id: in-bag multiplicity (zero between trees)
+	safe    []bool    // per feature: presorted path is bit-exact (see presort)
+	pairs   []pair    // per-node (value, id) buffer a candidate scan reads
+	tmp     []int32   // stable-partition scratch for right-side ids
+	side    []uint8   // per row id: 1 if the current split sends it left
+	cand    []int     // candidate-feature scratch (identity for plain CART)
+	purity  []float64 // per feature: SSE decrease of its splits (returned)
+
+	// The tree in the FlatForest layout, one entry per node in preorder:
+	// split feature (-1 on a leaf), split threshold or leaf value, and
+	// tree-local child indices (zero on a leaf).
+	feature     []int32
+	thresh      []float64
+	left, right []int32
+}
+
+// pair is one sample of a node in a feature's scan order: the sample's
+// feature value beside its row id.
+type pair struct {
+	v  float64
+	id int32
+}
+
+// byValue is the seed's split-sort comparator: feature value only,
+// ascending, so tied values stay wherever pdqsort leaves them.
+func byValue(a, c pair) int {
+	if a.v < c.v {
+		return -1
 	}
+	if a.v > c.v {
+		return 1
+	}
+	return 0
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small. Reused contents are stale; callers overwrite what they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Fit grows a regression tree against m, using only the sample indices in
+// idx (with multiplicity, as produced by bootstrap sampling); a nil idx
+// uses every row. The tree comes back as a one-tree FlatForest whose nodes
+// are in preorder (a node, then its left subtree, then its right subtree),
+// together with its per-feature purity gains: the total SSE decrease of the
+// splits on each feature (R's IncNodePurity). Join assembles a forest from
+// such trees. The Grower never touches either result again.
+func (g *Grower) Fit(m *Matrix, idx []int, p Params) (*FlatForest, []float64, error) {
 	nf := m.nf
 	if p.MinNodeSize <= 0 {
 		p.MinNodeSize = 5
@@ -131,105 +225,51 @@ func FitMatrix(m *Matrix, y []float64, idx []int, p Params) (*FlatForest, []floa
 	}
 
 	n := len(idx)
+	g.m, g.p, g.n = m, p, n
+	g.samples = resize(g.samples, n)
+	g.ford = resize(g.ford, nf*n)
+	g.count = resize(g.count, m.nrows)
+	g.safe = resize(g.safe, nf)
+	g.pairs = resize(g.pairs, n)
+	g.tmp = resize(g.tmp, n)
+	g.side = resize(g.side, m.nrows)
+	g.cand = resize(g.cand, nf)
+	g.purity = make([]float64, nf)
 	// A split never leaves a side empty, so a tree over n samples has at
-	// most n leaves and 2n-1 nodes: node arrays allocated at that bound
-	// never grow.
+	// most n leaves and 2n-1 nodes: node arrays sized at that bound never
+	// grow.
 	maxNodes := 2*n - 1
-	b := &builder{
-		y:       y,
-		p:       p,
-		m:       m,
-		nrows:   m.nrows,
-		n:       n,
-		col:     m.col,
-		samples: make([]int32, n),
-		ford:    make([]int32, nf*n),
-		safe:    make([]bool, nf),
-		order:   make([]int32, n),
-		tmp:     make([]int32, n),
-		side:    make([]uint8, m.nrows),
-		cand:    make([]int, nf),
-		feature: make([]int32, 0, maxNodes),
-		thresh:  make([]float64, 0, maxNodes),
-		left:    make([]int32, 0, maxNodes),
-		right:   make([]int32, 0, maxNodes),
-		purity:  make([]float64, nf),
-	}
+	g.feature = resize(g.feature, maxNodes)[:0]
+	g.thresh = resize(g.thresh, maxNodes)[:0]
+	g.left = resize(g.left, maxNodes)[:0]
+	g.right = resize(g.right, maxNodes)[:0]
 	for i, v := range idx {
-		b.samples[i] = int32(v)
+		if v < 0 || v >= m.nrows {
+			return nil, nil, fmt.Errorf("rtree: sample index %d out of range [0,%d)", v, m.nrows)
+		}
+		g.samples[i] = int32(v)
 	}
 	if p.MTry == 0 || p.MTry >= nf {
-		// Plain CART: candidate set is always the identity; fill it once.
-		for i := range b.cand {
-			b.cand[i] = i
+		// Plain CART: the candidate set is the identity for every node.
+		for i := range g.cand {
+			g.cand[i] = i
 		}
 	}
-	// sortCmp reproduces the seed comparator (value-only, ascending) for the
-	// per-node fallback sort. Built once per tree so sorting allocates nothing.
-	b.sortCmp = func(a, c int32) int {
-		va, vc := b.col[b.sortBase+int(a)], b.col[b.sortBase+int(c)]
-		if va < vc {
-			return -1
-		}
-		if va > vc {
-			return 1
-		}
-		return 0
-	}
-	b.presort()
-	b.grow(0, n, 0)
+	g.presort()
+	g.grow(0, n, 0)
 	return &FlatForest{
 		nFeatures: nf,
 		roots:     []int32{0},
-		feature:   slices.Clone(b.feature),
-		thresh:    slices.Clone(b.thresh),
-		left:      slices.Clone(b.left),
-		right:     slices.Clone(b.right),
-	}, b.purity, nil
+		feature:   slices.Clone(g.feature),
+		thresh:    slices.Clone(g.thresh),
+		left:      slices.Clone(g.left),
+		right:     slices.Clone(g.right),
+	}, g.purity, nil
 }
 
-// builder carries shared state during recursive growth.
-//
-// The hot-path layout follows the sklearn/ranger presort-and-partition
-// scheme: samples holds the in-bag row ids in recursion order, and ford
-// holds, per feature, the same ids sorted by that feature's value. Both are
-// indexed by the same [start, end) node ranges; grow re-partitions them in
-// place as it recurses, so split scans on presorted ("safe") features never
-// sort. Features whose tied values carry unequal responses fall back to an
-// exact per-node sort (see presort for why). All per-node scratch (order,
-// tmp, side, cand) and the node arrays are preallocated once per tree, so
-// growing a node allocates nothing.
-type builder struct {
-	y []float64
-	p Params
-	m *Matrix
-
-	nrows   int       // rows in the full design matrix
-	n       int       // in-bag sample count (len(idx), with multiplicity)
-	col     []float64 // column-major matrix: col[f*nrows+row] = x[row][f]
-	samples []int32   // row ids in recursion order; partitioned in place
-	ford    []int32   // per-feature sorted orderings: nf blocks of n ids
-	safe    []bool    // per feature: presorted path is bit-exact (see presort)
-	order   []int32   // per-node sort buffer for unsafe features
-	tmp     []int32   // stable-partition scratch for right-side ids
-	side    []uint8   // per row id: 1 if the current split sends it left
-	cand    []int     // candidate-feature scratch (identity for plain CART)
-
-	sortBase int                  // column offset for sortCmp
-	sortCmp  func(a, c int32) int // fallback comparator (built once per tree)
-
-	// The tree in the FlatForest layout, one entry per node in preorder:
-	// split feature (-1 on a leaf), split threshold or leaf value, and
-	// tree-local child indices (zero on a leaf).
-	feature     []int32
-	thresh      []float64
-	left, right []int32
-	purity      []float64 // per feature: SSE decrease of its splits
-}
-
-// presort builds, for every feature, the in-bag ids sorted by feature value
-// (ties broken by row id for a deterministic total order), and classifies
-// each feature as safe or unsafe for the presorted path.
+// presort classifies each feature as safe or unsafe for the presorted path
+// and builds, for every safe feature, the in-bag ids sorted by feature
+// value (ties broken by row id for a deterministic total order).
 //
 // Bit-identity argument. The seed implementation re-sorted each node's ids
 // with sort.Slice (value-only comparator), so the order of ids *within a
@@ -237,89 +277,98 @@ type builder struct {
 // scan's running sums add y in that order, and float addition is not
 // associative. The presorted ordering has a different (stable) tie order,
 // which is harmless exactly when every run of equal feature values carries
-// equal responses: then the scan's y sequence is identical position by
-// position regardless of tie order, and every sum, SSE, threshold, and
+// equal in-bag responses: then the scan's y sequence is identical position
+// by position regardless of tie order, and every sum, SSE, threshold, and
 // comparison reproduces the seed bit for bit. Bootstrap-duplicated rows
-// always satisfy this (same row, same y); continuous features with no
-// cross-row collisions satisfy it vacuously. Features that violate it
-// (distinct rows colliding on a value with different y — common in raw GPU
-// counter columns) are marked unsafe, and bestSplit re-sorts them per node
-// with the exact seed pdqsort permutation (slices.SortFunc — same generated
-// algorithm as sort.Slice, on the same initial order with the same
-// comparator), so those scans are bit-identical too, just without the
-// presort savings.
-func (b *builder) presort() {
-	// Derive each feature's in-bag ordering from the Matrix's full-row
-	// ordering by multiplicity expansion: walking all rows in (value, id)
-	// order and emitting each id count[id] times yields exactly the in-bag
-	// multiset sorted by (value, id) — no comparisons per tree.
-	count := make([]int32, b.nrows)
-	for _, id := range b.samples {
-		count[id]++
+// always satisfy this (same row, same y), and so does every run the Matrix
+// did not record as a conflict run, so only the conflict runs' rows are
+// checked. Features that violate it (distinct in-bag rows colliding on a
+// value with different y — common in raw GPU counter columns) are unsafe,
+// and bestSplit sorts their (value, id) pairs per node with the exact seed
+// pdqsort permutation (slices.SortFunc — same generated algorithm as
+// sort.Slice, on the same initial order with an equivalent comparator), so
+// those scans are bit-identical too, just without the presort savings.
+func (g *Grower) presort() {
+	m := g.m
+	for _, id := range g.samples {
+		g.count[id]++
 	}
-	for f := 0; f < b.m.nf; f++ {
-		full := b.m.ord[f*b.nrows : (f+1)*b.nrows]
-		dst := b.ford[f*b.n : (f+1)*b.n]
-		base := f * b.nrows
-		safe := true
+	for f := 0; f < m.nf; f++ {
+		g.safe[f] = g.inBagTiesAgree(m.runs[m.featRuns[f]:m.featRuns[f+1]])
+		if !g.safe[f] {
+			continue
+		}
+		// Derive the in-bag ordering from the Matrix's full-row ordering
+		// by multiplicity expansion: walking all rows in (value, id) order
+		// and emitting each id count[id] times yields exactly the in-bag
+		// multiset sorted by (value, id) — no comparisons per tree.
+		dst := g.ford[f*g.n : (f+1)*g.n]
 		w := 0
-		prevV, prevY := math.NaN(), 0.0
-		for _, id := range full {
-			c := count[id]
-			if c == 0 {
-				continue
-			}
-			for ; c > 0; c-- {
+		for _, id := range m.ord[f*m.nrows : (f+1)*m.nrows] {
+			for c := g.count[id]; c > 0; c-- {
 				dst[w] = id
 				w++
 			}
-			// Safety check, fused into the walk: a value collision between
-			// distinct in-bag rows with unequal responses breaks the
-			// order-invariance of tied sums (duplicates of one row always
-			// agree with themselves, so checking distinct ids suffices).
-			v, yv := b.col[base+int(id)], b.y[id]
-			if v == prevV && yv != prevY {
-				safe = false
-			}
-			prevV, prevY = v, yv
 		}
-		b.safe[f] = safe
 	}
+	for _, id := range g.samples {
+		g.count[id] = 0
+	}
+}
+
+// inBagTiesAgree reports whether, in every one of a feature's conflict
+// runs, the in-bag rows all share one response.
+func (g *Grower) inBagTiesAgree(runs []run) bool {
+	for _, r := range runs {
+		seen, y0 := false, 0.0
+		for _, id := range g.m.ord[r.lo:r.hi] {
+			if g.count[id] == 0 {
+				continue
+			}
+			if !seen {
+				seen, y0 = true, g.m.y[id]
+			} else if g.m.y[id] != y0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // grow builds the subtree over samples[start:end] at the given depth and
 // returns the node's index in the tree.
-func (b *builder) grow(start, end, depth int) int32 {
+func (g *Grower) grow(start, end, depth int) int32 {
+	y := g.m.y
 	var sum float64
-	for _, id := range b.samples[start:end] {
-		sum += b.y[id]
+	for _, id := range g.samples[start:end] {
+		sum += y[id]
 	}
 	n := end - start
 	mean := sum / float64(n)
 	// The node is a leaf holding its mean response until a split is found.
-	me := int32(len(b.feature))
-	b.feature = append(b.feature, -1)
-	b.thresh = append(b.thresh, mean)
-	b.left = append(b.left, 0)
-	b.right = append(b.right, 0)
+	me := int32(len(g.feature))
+	g.feature = append(g.feature, -1)
+	g.thresh = append(g.thresh, mean)
+	g.left = append(g.left, 0)
+	g.right = append(g.right, 0)
 
-	if n < b.p.MinNodeSize*2 || (b.p.MaxDepth > 0 && depth >= b.p.MaxDepth) {
+	if !g.splittable(n, depth) {
 		return me
 	}
 
-	feat, thresh, gain, ok := b.bestSplit(start, end, mean)
+	feat, thresh, gain, ok := g.bestSplit(start, end, mean)
 	if !ok {
 		return me
 	}
 
-	fbase := feat * b.nrows
+	fcol := g.m.col[feat*g.m.nrows:]
 	nl := 0
-	for _, id := range b.samples[start:end] {
+	for _, id := range g.samples[start:end] {
 		var goLeft uint8
-		if b.col[fbase+int(id)] <= thresh {
+		if fcol[id] <= thresh {
 			goLeft = 1
 		}
-		b.side[id] = goLeft
+		g.side[id] = goLeft
 		nl += int(goLeft)
 	}
 	if nl == 0 || nl == n {
@@ -328,20 +377,29 @@ func (b *builder) grow(start, end, depth int) int32 {
 
 	// Stable partition: recursion order and every safe feature's sorted
 	// order survive the split, so child nodes need no re-sorting. Unsafe
-	// features re-sort per node anyway, so their orderings are not kept up.
-	b.partition(b.samples[start:end], nl)
-	for f := 0; f < b.m.nf; f++ {
-		if b.safe[f] {
-			b.partition(b.ford[f*b.n+start:f*b.n+end], nl)
+	// features sort per node anyway, so they keep no ordering, and no
+	// ordering is kept for children that are leaves by size or depth.
+	g.partition(g.samples[start:end], nl)
+	if g.splittable(nl, depth+1) || g.splittable(n-nl, depth+1) {
+		for f, safe := range g.safe {
+			if safe {
+				g.partition(g.ford[f*g.n+start:f*g.n+end], nl)
+			}
 		}
 	}
 
-	b.purity[feat] += gain
-	l := b.grow(start, start+nl, depth+1)
-	r := b.grow(start+nl, end, depth+1)
-	b.feature[me], b.thresh[me] = int32(feat), thresh
-	b.left[me], b.right[me] = l, r
+	g.purity[feat] += gain
+	l := g.grow(start, start+nl, depth+1)
+	r := g.grow(start+nl, end, depth+1)
+	g.feature[me], g.thresh[me] = int32(feat), thresh
+	g.left[me], g.right[me] = l, r
 	return me
+}
+
+// splittable reports whether a node of n samples at the given depth may
+// be split: nodes below twice MinNodeSize or at MaxDepth are leaves.
+func (g *Grower) splittable(n, depth int) bool {
+	return n >= g.p.MinNodeSize*2 && (g.p.MaxDepth <= 0 || depth < g.p.MaxDepth)
 }
 
 // partition stably moves the ids flagged in side to the front of seg,
@@ -350,11 +408,11 @@ func (b *builder) grow(start, end, depth int) int32 {
 // unread slot because w never exceeds the read cursor), which keeps the
 // loop free of data-dependent branches — side flags are effectively random,
 // so a branching version mispredicts half the time.
-func (b *builder) partition(seg []int32, nl int) {
-	tmp := b.tmp
+func (g *Grower) partition(seg []int32, nl int) {
+	tmp := g.tmp
 	w, r := 0, 0
 	for _, id := range seg {
-		s := int(b.side[id])
+		s := int(g.side[id])
 		seg[w] = id
 		tmp[r] = id
 		w += s
@@ -366,51 +424,54 @@ func (b *builder) partition(seg []int32, nl int) {
 // bestSplit scans candidate features for the split minimizing the summed
 // within-child SSE. It returns the feature, threshold, the SSE decrease
 // relative to the unsplit node, and whether any valid split was found.
-// Each candidate scan walks the presorted ford range for this node, so the
-// cost is O(n) per feature with cache-linear column reads — no sorting.
-func (b *builder) bestSplit(start, end int, mean float64) (feat int, thresh, gain float64, ok bool) {
+// Each candidate fills the node's (value, id) pairs in scan order — from
+// the presorted ford range for a safe feature, by a per-node sort for an
+// unsafe one — and scans them with running sums.
+func (g *Grower) bestSplit(start, end int, mean float64) (feat int, thresh, gain float64, ok bool) {
+	y := g.m.y
 	n := end - start
 	var parentSSE float64
-	for _, id := range b.samples[start:end] {
-		d := b.y[id] - mean
+	for _, id := range g.samples[start:end] {
+		d := y[id] - mean
 		parentSSE += d * d
 	}
 	if parentSSE <= 0 {
 		return 0, 0, 0, false // node is pure
 	}
 
-	candidates := b.candidateFeatures()
+	candidates := g.candidateFeatures()
+	pairs := g.pairs[:n]
 	bestSSE := math.Inf(1)
 	for _, f := range candidates {
-		base := f * b.nrows
-		var ord []int32
-		if b.safe[f] {
-			ord = b.ford[f*b.n+start : f*b.n+end]
+		fcol := g.m.col[f*g.m.nrows:]
+		if g.safe[f] {
+			for k, id := range g.ford[f*g.n+start : f*g.n+end] {
+				pairs[k] = pair{fcol[id], id}
+			}
 		} else {
-			// Exact seed fallback: same initial order (node recursion
-			// order), same comparator, same pdqsort — same permutation.
-			ord = b.order[:n]
-			copy(ord, b.samples[start:end])
-			b.sortBase = base
-			slices.SortFunc(ord, b.sortCmp)
+			// Exact seed order: same initial order (node recursion order),
+			// same comparisons, same pdqsort — same permutation.
+			for k, id := range g.samples[start:end] {
+				pairs[k] = pair{fcol[id], id}
+			}
+			slices.SortFunc(pairs, byValue)
 		}
 
 		// Scan splits with running sums: left prefix vs right suffix.
 		var sumL, sqL float64
 		sumR, sqR := 0.0, 0.0
-		for _, id := range ord {
-			yi := b.y[id]
+		for _, s := range pairs {
+			yi := y[s.id]
 			sumR += yi
 			sqR += yi * yi
 		}
-		v := b.col[base+int(ord[0])]
 		for k := 0; k < n-1; k++ {
-			yi := b.y[ord[k]]
+			yi := y[pairs[k].id]
 			sumL += yi
 			sqL += yi * yi
 			sumR -= yi
 			sqR -= yi * yi
-			vNext := b.col[base+int(ord[k+1])]
+			v, vNext := pairs[k].v, pairs[k+1].v
 			// Cannot split between identical feature values.
 			if v != vNext {
 				nl, nr := float64(k+1), float64(n-k-1)
@@ -422,7 +483,6 @@ func (b *builder) bestSplit(start, end int, mean float64) (feat int, thresh, gai
 					ok = true
 				}
 			}
-			v = vNext
 		}
 	}
 	if !ok {
@@ -437,13 +497,12 @@ func (b *builder) bestSplit(start, end int, mean float64) (feat int, thresh, gai
 
 // candidateFeatures returns the feature indices to consider at this node:
 // all of them for plain CART, or MTry sampled without replacement for RF.
-// It reuses the per-builder cand buffer; the MTry path consumes the RNG
+// It reuses the Grower's cand buffer; the MTry path consumes the RNG
 // stream exactly as SampleWithoutReplacement (Perm then truncate) did.
-func (b *builder) candidateFeatures() []int {
-	nf := b.m.nf
-	if b.p.MTry == 0 || b.p.MTry >= nf {
-		return b.cand
+func (g *Grower) candidateFeatures() []int {
+	if g.p.MTry == 0 || g.p.MTry >= g.m.nf {
+		return g.cand
 	}
-	b.p.RNG.PermInto(b.cand)
-	return b.cand[:b.p.MTry]
+	g.p.RNG.PermInto(g.cand)
+	return g.cand[:g.p.MTry]
 }

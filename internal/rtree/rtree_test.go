@@ -156,6 +156,12 @@ func TestFitErrors(t *testing.T) {
 	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, []int{}, Params{}); err == nil {
 		t.Fatal("empty index set accepted")
 	}
+	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, []int{0, 2}, Params{}); err == nil {
+		t.Fatal("out-of-range sample index accepted")
+	}
+	if _, err := fitTree([][]float64{{1}, {math.NaN()}}, []float64{1, 2}, nil, Params{}); err == nil {
+		t.Fatal("NaN predictor accepted")
+	}
 	if _, err := fitTree([][]float64{{1}, {2}}, []float64{1, 2}, nil, Params{MTry: 1}); err == nil {
 		t.Fatal("MTry without RNG accepted")
 	}
@@ -168,11 +174,12 @@ func TestFitErrors(t *testing.T) {
 // error, importance and partial dependence, panics on a wrong-width row.
 func TestPredictPanicsOnWrongWidth(t *testing.T) {
 	x, y := stepData()
-	m, err := NewMatrix(x)
+	m, err := NewMatrix(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := FitMatrix(m, y, nil, Params{})
+	var g Grower
+	f, _, err := g.Fit(m, nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,13 @@ import (
 )
 
 // TestSortFuncMatchesSortSlice pins the assumption behind the unsafe-feature
-// fallback in bestSplit: slices.SortFunc and sort.Slice are the same
-// generated pdqsort, so given the same initial order and an equivalent
-// comparator they produce the same permutation — including the placement of
-// equal keys, which is what the bit-identity guarantee rides on. If a Go
-// release ever splits the two implementations, this fails before any golden
-// file can drift.
+// sort in bestSplit: slices.SortFunc and sort.Slice are the same generated
+// pdqsort, so given the same initial order and an equivalent comparator
+// they produce the same permutation — including the placement of equal
+// keys, which is what the bit-identity guarantee rides on — and sorting
+// (value, id) pairs by value permutes the ids exactly as sorting the ids
+// by their gathered values does. If a Go release ever splits the
+// implementations, this fails before any golden file can drift.
 func TestSortFuncMatchesSortSlice(t *testing.T) {
 	rng := stats.NewRNG(99)
 	for _, n := range []int{0, 1, 2, 7, 12, 13, 40, 100, 257, 1000, 5000} {
@@ -46,6 +47,21 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 
 			if !slices.Equal(a, b) {
 				t.Fatalf("n=%d distinct=%d: sort.Slice and slices.SortFunc placed ties differently", n, distinct)
+			}
+
+			// The split scan sorts (value, id) pairs with byValue instead
+			// of gathering the value per comparison: the same pdqsort
+			// making the same comparisons must leave the ids in the same
+			// permutation.
+			pairs := make([]pair, n)
+			for i, id := range init {
+				pairs[i] = pair{keys[id], id}
+			}
+			slices.SortFunc(pairs, byValue)
+			for i, s := range pairs {
+				if s.id != b[i] {
+					t.Fatalf("n=%d distinct=%d: pair sort put id %d at %d, id sort put %d", n, distinct, s.id, i, b[i])
+				}
 			}
 		}
 	}
