@@ -9,13 +9,17 @@
 package blackforest_test
 
 import (
+	"encoding/hex"
 	"io"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"blackforest"
 	"blackforest/internal/experiments"
 	"blackforest/internal/forest"
 	"blackforest/internal/profiler"
+	"blackforest/internal/runcache"
 	"blackforest/internal/stats"
 )
 
@@ -464,23 +468,26 @@ func BenchmarkForestFit(b *testing.B) {
 	}
 }
 
-// BenchmarkForestFitQuickFrames fits the 120-tree forests of a Quick-scale
-// analysis on the training splits of the reduce2, matmul and NW frames: a
-// few dozen rows whose counter columns carry many tied values with unequal
-// responses, the shape of the warm pass's fits, which BenchmarkForestFit's
-// continuous features never reach. The frames are collected once, through
-// one memory-only run cache; each iteration times one forest.Fit on one
-// worker.
-func BenchmarkForestFitQuickFrames(b *testing.B) {
+// quickFrame is one Quick-scale study frame on the GTX580, with the
+// analysis the study runs on it.
+type quickFrame struct {
+	name     string
+	analysis *blackforest.Analysis
+}
+
+// quickFrames collects the Quick reduce2, matmul and NW frames through
+// cache and analyzes each with the study's 120-tree forest on one worker.
+func quickFrames(b *testing.B, cache *runcache.Cache[*profiler.Profile]) []quickFrame {
+	b.Helper()
 	dev, err := blackforest.LookupDevice("GTX580")
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache, err := profiler.NewRunCache("", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	opt := blackforest.CollectOptions{MaxSimBlocks: 8, Cache: cache}
+	cfg := blackforest.DefaultConfig()
+	cfg.Forest.NTrees = 120
+	cfg.Forest.Workers = 1
+	var out []quickFrame
 	for _, c := range []struct {
 		name string
 		runs []blackforest.Workload
@@ -493,11 +500,30 @@ func BenchmarkForestFitQuickFrames(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Analyze draws the training split the study fits its forest on.
-		a, err := blackforest.Analyze(frame, blackforest.DefaultConfig())
+		a, err := blackforest.Analyze(frame, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		out = append(out, quickFrame{c.name, a})
+	}
+	return out
+}
+
+// BenchmarkForestFitQuickFrames fits the 120-tree forests of a Quick-scale
+// analysis on the training splits of the reduce2, matmul and NW frames: a
+// few dozen rows whose counter columns carry many tied values with unequal
+// responses, the shape of the warm pass's fits, which BenchmarkForestFit's
+// continuous features never reach. The frames are collected once, through
+// one memory-only run cache; each iteration times one forest.Fit on one
+// worker.
+func BenchmarkForestFitQuickFrames(b *testing.B) {
+	cache, err := profiler.NewRunCache("", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, qf := range quickFrames(b, cache) {
+		// Analyze drew the training split the study fits its forest on.
+		a := qf.analysis
 		x, err := a.Train.Matrix(a.Predictors)
 		if err != nil {
 			b.Fatal(err)
@@ -506,7 +532,7 @@ func BenchmarkForestFitQuickFrames(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(qf.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := forest.Config{NTrees: 120, Seed: uint64(i + 1), Workers: 1}
@@ -516,6 +542,76 @@ func BenchmarkForestFitQuickFrames(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBottlenecksQuickFrames runs the bottleneck stage of a Quick
+// analysis, Bottlenecks(8): the partial dependence of the eight most
+// important counters of the reduce2, matmul and NW frames, each over the
+// 120-tree forest on one worker.
+func BenchmarkBottlenecksQuickFrames(b *testing.B) {
+	cache, err := profiler.NewRunCache("", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, qf := range quickFrames(b, cache) {
+		b.Run(qf.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := qf.analysis.Bottlenecks(8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunCacheWarmRead reopens a warm run cache holding the Quick
+// reduce2, matmul and NW sweeps on the GTX580 and the matmul and NW sweeps
+// on the K20m, and reads every entry from disk, as a warm analysis pass
+// does: each iteration opens the cache afresh, so every Get decodes.
+func BenchmarkRunCacheWarmRead(b *testing.B) {
+	dir := b.TempDir()
+	cache, err := profiler.NewRunCache(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	quickFrames(b, cache)
+	k20, err := blackforest.LookupDevice("K20m")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := blackforest.CollectOptions{MaxSimBlocks: 8, Cache: cache}
+	for _, runs := range [][]blackforest.Workload{experiments.MatMulSweep(benchOpts(1)), experiments.NWSweep(benchOpts(1))} {
+		if _, err := blackforest.Collect(k20, runs, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.bfrc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]runcache.Key, len(entries))
+	for i, e := range entries {
+		raw, err := hex.DecodeString(strings.TrimSuffix(filepath.Base(e), ".bfrc"))
+		if err != nil || len(raw) != len(keys[i]) {
+			b.Fatalf("entry %s: not a run key", e)
+		}
+		copy(keys[i][:], raw)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm, err := profiler.NewRunCache(dir, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, ok := warm.Get(k); !ok {
+				b.Fatalf("entry %x missed", k)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(keys)), "entries")
 }
 
 // benchPredictForest fits the shared 500-tree forest the predict

@@ -52,8 +52,9 @@ func DefaultConfig() Config {
 // Its trees are one flat node array (rtree.FlatForest): Fit joins the trees
 // the CART builder grows straight into that layout, and Import decodes
 // either bundle form into it. Predict and PredictAll walk the whole forest
-// on it; out-of-bag error, permutation importance and partial dependence
-// walk it tree by tree (FlatForest.PredictTree).
+// on it; out-of-bag error and permutation importance walk it tree by tree
+// (FlatForest.PredictTree), and partial dependence walks each tree once per
+// row across its whole grid (FlatForest.AddTreeGrid).
 type Forest struct {
 	flat     *rtree.FlatForest
 	oobIdx   [][]int // per-tree out-of-bag sample indices
@@ -170,19 +171,22 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.FlatForest, ga
 	oobIdx = make([][]int, cfg.NTrees)
 	errs := make([]error, cfg.NTrees)
 	forEach(cfg.Workers, cfg.NTrees, func() func(int) {
-		// One Grower per goroutine: its scratch serves every tree the
-		// goroutine grows and is dropped with it when the fit returns.
+		// One Grower, RNG and bootstrap buffer per goroutine: they serve
+		// every tree the goroutine grows and are dropped with it when the
+		// fit returns. A tree keeps only its out-of-bag list.
 		var g rtree.Grower
+		var rng stats.RNG
+		inBag := make([]int, len(y))
+		seen := make([]bool, len(y))
 		return func(t int) {
-			rng := stats.NewRNG(seeds[t])
-			inBag, oob := rng.Bootstrap(len(y))
+			rng.Seed(seeds[t])
+			oobIdx[t] = rng.BootstrapInto(inBag, seen)
 			trees[t], gains[t], errs[t] = g.Fit(m, inBag, rtree.Params{
 				MinNodeSize: cfg.MinNodeSize,
 				MaxDepth:    cfg.MaxDepth,
 				MTry:        cfg.MTry,
-				RNG:         rng,
+				RNG:         &rng,
 			})
-			oobIdx[t] = oob
 		}
 	})
 	for _, err := range errs {
@@ -248,19 +252,6 @@ func copyRowsFlat(x [][]float64) [][]float64 {
 	return out
 }
 
-// forEachGridPoint evaluates fn for every partial-dependence grid point on
-// the forest's workers. Each worker receives its own mutable copy of the
-// training rows plus a per-tree scratch slice, and every grid point writes
-// only its own output index, so results are bit-identical for any worker
-// count.
-func (f *Forest) forEachGridPoint(grid []float64, fn func(g int, v float64, rows [][]float64, perTree []float64)) {
-	forEach(f.cfg.Workers, len(grid), func() func(int) {
-		rows := copyRowsFlat(f.x)
-		perTree := make([]float64, f.flat.NumTrees())
-		return func(g int) { fn(g, grid[g], rows, perTree) }
-	})
-}
-
 // computeOOB fills the out-of-bag error statistics.
 func (f *Forest) computeOOB() {
 	var sse float64
@@ -317,21 +308,23 @@ func (f *Forest) computeImportance(seeds []uint64, gains [][]float64) {
 	// in tree order: float addition is not associative, so summing in
 	// goroutine-completion order would make the low bits of the importance
 	// scores (and with them near-tied rankings) run-dependent.
-	incs := make([][]float64, len(seeds))
-	forEach(f.cfg.Workers, len(incs), func() func(int) {
+	incs := make([]float64, len(seeds)*p)
+	forEach(f.cfg.Workers, len(seeds), func() func(int) {
+		s := &permScratch{perm: make([]int, f.nSamples), rows: copyRowsFlat(f.x)}
 		return func(t int) {
 			if len(f.oobIdx[t]) > 0 {
-				incs[t] = f.treeImportance(t, stats.NewRNG(seeds[t]^0x5bf03635), gains[t])
+				s.rng.Seed(seeds[t] ^ 0x5bf03635)
+				f.treeImportance(t, s, gains[t], incs[t*p:(t+1)*p])
 			}
 		}
 	})
-	for _, inc := range incs {
-		if inc == nil {
+	for t := range seeds {
+		if len(f.oobIdx[t]) == 0 {
 			continue
 		}
-		for j := range inc {
-			sumInc[j] += inc[j]
-			sumIncSq[j] += inc[j] * inc[j]
+		for j, inc := range incs[t*p : (t+1)*p] {
+			sumInc[j] += inc
+			sumIncSq[j] += inc * inc
 		}
 		trees++
 	}
@@ -359,12 +352,22 @@ func (f *Forest) computeImportance(seeds []uint64, gains [][]float64) {
 	}
 }
 
-// treeImportance returns, for tree t, the increase in OOB MSE caused by
-// permuting each predictor in turn. used is the tree's per-feature purity
-// gain, zero exactly for the features the tree never splits on.
-func (f *Forest) treeImportance(t int, rng *stats.RNG, used []float64) []float64 {
+// permScratch is one importance worker's scratch: its generator, a
+// permutation buffer as long as the largest possible out-of-bag set (every
+// training row), and its own copy of the training rows, which
+// treeImportance overwrites one cell at a time and restores.
+type permScratch struct {
+	rng  stats.RNG
+	perm []int
+	rows [][]float64
+}
+
+// treeImportance writes to inc, for tree t, the increase in OOB MSE caused
+// by permuting each predictor in turn, drawing the permutations from s.rng.
+// used is the tree's per-feature purity gain, zero exactly for the features
+// the tree never splits on.
+func (f *Forest) treeImportance(t int, s *permScratch, used, inc []float64) {
 	oob := f.oobIdx[t]
-	p := len(f.names)
 
 	var baseSSE float64
 	for _, i := range oob {
@@ -373,22 +376,15 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG, used []float64) []float64
 	}
 	baseMSE := baseSSE / float64(len(oob))
 
-	// Copy the OOB rows once; for each predictor, overwrite just that
-	// column with permuted values and restore it afterwards. The buffer
-	// passed to PredictTree holds exactly the values the seed implementation
-	// assembled per row (original row with column j replaced), but the
-	// O(p²·n) per-feature row copies collapse to O(p·n) total.
-	inc := make([]float64, p)
-	perm := make([]int, len(oob))
-	flat := make([]float64, len(oob)*p)
-	rows := make([][]float64, len(oob))
-	for k, i := range oob {
-		rows[k] = flat[k*p : (k+1)*p]
-		copy(rows[k], f.x[i])
-	}
-	for j := 0; j < p; j++ {
+	// For each predictor, write each OOB row's permuted value into the
+	// worker's copy of that row and restore it after the prediction. The
+	// buffer passed to PredictTree holds exactly the values the seed
+	// implementation assembled per row (original row with column j
+	// replaced), without copying a row.
+	perm := s.perm[:len(oob)]
+	for j := range inc {
 		copy(perm, oob)
-		rng.ShuffleInts(perm)
+		s.rng.ShuffleInts(perm)
 		if used[j] == 0 {
 			// The tree never splits on j, so permuting it cannot change a
 			// single prediction: the full computation would reproduce
@@ -398,15 +394,14 @@ func (f *Forest) treeImportance(t int, rng *stats.RNG, used []float64) []float64
 		}
 		var sse float64
 		for k, i := range oob {
-			save := rows[k][j]
-			rows[k][j] = f.x[perm[k]][j]
-			d := f.flat.PredictTree(t, rows[k]) - f.y[i]
-			rows[k][j] = save
+			row := s.rows[i]
+			row[j] = f.x[perm[k]][j]
+			d := f.flat.PredictTree(t, row) - f.y[i]
+			row[j] = f.x[i][j]
 			sse += d * d
 		}
 		inc[j] = sse/float64(len(oob)) - baseMSE
 	}
-	return inc
 }
 
 // Predict returns the forest prediction (mean of tree predictions) for x.
@@ -557,34 +552,47 @@ func (f *Forest) pdGrid(name string, gridSize int) (j int, grid []float64, err e
 // the partial dependence plots would help interpretation"): at each grid
 // point, the per-tree partial-dependence values are summarized by their
 // (1−level)/2 and (1+level)/2 quantiles — the spread of the ensemble's
-// member opinions.
+// member opinions. A level outside (0, 1), or NaN, selects 0.9.
+//
+// The trees are spread over the forest's workers. Each walks every training
+// row once across the whole grid (FlatForest.AddTreeGrid), summing its
+// per-point responses in row order, so every result is bit-identical to
+// predicting each tree on each row with the predictor forced to each grid
+// value, for every worker count.
 func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (grid, response, lo, hi []float64, err error) {
-	if level <= 0 || level >= 1 {
+	if !(level > 0 && level < 1) {
 		level = 0.9
 	}
 	j, grid, err := f.pdGrid(name, gridSize)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	response = make([]float64, len(grid))
-	lo = make([]float64, len(grid))
-	hi = make([]float64, len(grid))
-
-	f.forEachGridPoint(grid, func(g int, v float64, rows [][]float64, perTree []float64) {
-		for i := range rows {
-			rows[i][j] = v
-		}
-		for t := range perTree {
-			var s float64
-			for _, row := range rows {
-				s += f.flat.PredictTree(t, row)
+	nt, ng := f.flat.NumTrees(), len(grid)
+	// perTree[t*ng+g] is tree t's partial dependence at grid point g.
+	perTree := make([]float64, nt*ng)
+	forEach(f.cfg.Workers, nt, func() func(int) {
+		return func(t int) {
+			acc := perTree[t*ng : (t+1)*ng]
+			for _, row := range f.x {
+				f.flat.AddTreeGrid(t, row, j, grid, acc)
 			}
-			perTree[t] = s / float64(f.nSamples)
+			for g := range acc {
+				acc[g] /= float64(f.nSamples)
+			}
 		}
-		response[g] = stats.Mean(perTree)
-		lo[g] = stats.Quantile(perTree, (1-level)/2)
-		hi[g] = stats.Quantile(perTree, (1+level)/2)
 	})
+	response = make([]float64, ng)
+	lo = make([]float64, ng)
+	hi = make([]float64, ng)
+	col := make([]float64, nt)
+	for g := range grid {
+		for t := range col {
+			col[t] = perTree[t*ng+g]
+		}
+		response[g] = stats.Mean(col)
+		lo[g] = stats.Quantile(col, (1-level)/2)
+		hi[g] = stats.Quantile(col, (1+level)/2)
+	}
 	return grid, response, lo, hi, nil
 }
 
@@ -592,19 +600,40 @@ func (f *Forest) PartialDependenceCI(name string, gridSize int, level float64) (
 // predictor: grid points spanning its observed range and, for each point v,
 // the forest prediction averaged over the training set with that predictor
 // forced to v (Friedman's partial dependence function).
+//
+// The training rows are spread over the forest's workers. Each row walks
+// every tree once across the whole grid (FlatForest.AddTreeGrid), summing
+// per point in tree order as Predict does; the rows' predictions are then
+// summed in row order. Every result is bit-identical to calling Predict on
+// each row with the predictor forced to each grid value, for every worker
+// count.
 func (f *Forest) PartialDependence(name string, gridSize int) (grid, response []float64, err error) {
 	j, grid, err := f.pdGrid(name, gridSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	response = make([]float64, len(grid))
-	f.forEachGridPoint(grid, func(g int, v float64, rows [][]float64, _ []float64) {
-		var s float64
-		for i := range rows {
-			rows[i][j] = v
-			s += f.Predict(rows[i])
+	nt, ng := f.flat.NumTrees(), len(grid)
+	// preds[i*ng+g] is the forest prediction for row i at grid point g.
+	preds := make([]float64, f.nSamples*ng)
+	forEach(f.cfg.Workers, f.nSamples, func() func(int) {
+		return func(i int) {
+			acc := preds[i*ng : (i+1)*ng]
+			for t := 0; t < nt; t++ {
+				f.flat.AddTreeGrid(t, f.x[i], j, grid, acc)
+			}
+			for g := range acc {
+				acc[g] /= float64(nt)
+			}
 		}
-		response[g] = s / float64(f.nSamples)
 	})
+	response = make([]float64, ng)
+	for i := 0; i < f.nSamples; i++ {
+		for g, v := range preds[i*ng : (i+1)*ng] {
+			response[g] += v
+		}
+	}
+	for g := range response {
+		response[g] /= float64(f.nSamples)
+	}
 	return grid, response, nil
 }

@@ -120,7 +120,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d] = %v, pointer oracle %v", what, i, got[i], want[i])
+			t.Fatalf("%s[%d] = %v, oracle %v", what, i, got[i], want[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"encoding/json"
 	"runtime"
 
 	"blackforest/internal/gpusim"
@@ -12,24 +11,17 @@ import (
 // semantics. Bump it whenever the Profile schema or the way metrics are
 // derived changes, so stale cache entries from older binaries can never
 // be mistaken for current results. (Simulator-model changes are covered
-// separately by gpusim.ModelVersion.)
-const profileCacheVersion = "profile-v3"
+// separately by gpusim.ModelVersion.) v4 moved entries from JSON to the
+// binary layout of codec.go, so no JSON entry is ever read as one.
+const profileCacheVersion = "profile-v4"
 
 // NewRunCache builds a content-addressed cache of profiles, keyed by
-// RunKey and serialized as JSON (Go's float64 JSON encoding is
-// shortest-exact, so disk round trips are bit-identical). dir "" keeps
-// the cache memory-only; maxMem bounds the in-memory LRU layer
+// RunKey and stored in the binary layout of codec.go (floats as their
+// bits, so disk round trips are bit-identical). dir "" keeps the cache
+// memory-only; maxMem bounds the in-memory LRU layer
 // (0 = runcache.DefaultMaxMemEntries).
 func NewRunCache(dir string, maxMem int) (*runcache.Cache[*Profile], error) {
-	return runcache.New(runcache.Config{Dir: dir, MaxMemEntries: maxMem},
-		func(p *Profile) ([]byte, error) { return json.Marshal(p) },
-		func(b []byte) (*Profile, error) {
-			var p Profile
-			if err := json.Unmarshal(b, &p); err != nil {
-				return nil, err
-			}
-			return &p, nil
-		})
+	return runcache.New(runcache.Config{Dir: dir, MaxMemEntries: maxMem}, encodeProfile, decodeProfile)
 }
 
 // RunKey derives the content address of one profiled run: a SHA-256 over

@@ -23,7 +23,7 @@ func (pr *Profile) WriteNvprofCSV(w io.Writer) error {
 	return nil
 }
 
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -9,8 +9,9 @@ package rtree
 // loop over four flat slices, which makes single predicts ns-scale and lets
 // batch prediction walk one tree's nodes across a whole row block before
 // moving to the next tree (cache locality; see forest.PredictAll). The same
-// loop walks single trees (PredictTree) for out-of-bag error, permutation
-// importance and partial-dependence bands.
+// loop walks single trees (PredictTree) for out-of-bag error and
+// permutation importance; partial dependence walks a tree once per row
+// across a whole grid (AddTreeGrid).
 //
 // Bit-identity: thresholds and leaf values are stored as the builder
 // computed them and the traversal sends x[feature] <= threshold left, the
@@ -116,6 +117,69 @@ func (f *FlatForest) PredictTree(t int, x []float64) float64 {
 		panic(fmt.Sprintf("rtree: predicting with %d features, forest has %d", len(x), f.nFeatures))
 	}
 	return f.predictTree(f.roots[t], x)
+}
+
+// AddTreeGrid walks tree t once for x with feature j swept over grid, and
+// adds to acc[g] the response PredictTree(t, x') gives for x' = x with
+// x'[j] = grid[g], for every g. grid must be non-decreasing (as
+// stats.Linspace returns it) and acc as long as grid; x is only read. The
+// walk carries a contiguous range of grid points: at a node splitting on j
+// the points with grid[g] > threshold, a suffix of the range, go right and
+// the rest left, the per-point walk's own test; any other node sends the
+// whole range where x sends it. It panics if x has the wrong length.
+func (f *FlatForest) AddTreeGrid(t int, x []float64, j int, grid, acc []float64) {
+	if len(x) != f.nFeatures {
+		panic(fmt.Sprintf("rtree: predicting with %d features, forest has %d", len(x), f.nFeatures))
+	}
+	if len(acc) != len(grid) {
+		panic(fmt.Sprintf("rtree: %d accumulators for %d grid points", len(acc), len(grid)))
+	}
+	f.addGrid(f.roots[t], x, int32(j), grid, acc, 0, len(grid))
+}
+
+// addGrid is AddTreeGrid's walk from node i over grid points [lo, hi). A
+// node splitting on j that sends points both ways recurses on the left
+// part and goes on with the right one, so the recursion depth is bounded by
+// the tree's.
+func (f *FlatForest) addGrid(i int32, x []float64, j int32, grid, acc []float64, lo, hi int) {
+	feature, thresh := f.feature, f.thresh
+	for {
+		ft := feature[i]
+		if ft < 0 {
+			v := thresh[i]
+			for g := lo; g < hi; g++ {
+				acc[g] += v
+			}
+			return
+		}
+		if ft != j {
+			if x[ft] > thresh[i] {
+				i = f.right[i]
+			} else {
+				i = f.left[i]
+			}
+			continue
+		}
+		// First point of [lo, hi) above the threshold: grid is
+		// non-decreasing, so every later point is above it too.
+		k, end := lo, hi
+		for k < end {
+			mid := int(uint(k+end) >> 1)
+			if grid[mid] > thresh[i] {
+				end = mid
+			} else {
+				k = mid + 1
+			}
+		}
+		if k > lo && k < hi {
+			f.addGrid(f.left[i], x, j, grid, acc, lo, k)
+			i, lo = f.right[i], k
+		} else if k == hi {
+			i = f.left[i]
+		} else {
+			i = f.right[i]
+		}
+	}
 }
 
 // Predict returns the forest prediction (mean of tree predictions, summed in

@@ -3,6 +3,7 @@ package rtree
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"blackforest/internal/stats"
@@ -342,5 +343,44 @@ func TestImportFlatNormalizesLeafChildren(t *testing.T) {
 	}
 	if got != 2 {
 		t.Fatalf("Predict = %v, want 2", got)
+	}
+}
+
+// TestAddTreeGridMatchesPredictTree: one grid walk per tree and row adds,
+// at every grid point, exactly what PredictTree returns for the row with
+// the feature forced to that point. The grids are sorted and hold the
+// feature's thresholds themselves, so points sit exactly on splits, plus
+// repeats and values past both ends.
+func TestAddTreeGridMatchesPredictTree(t *testing.T) {
+	flat, _, x := fitTestTrees(t, 3, 5, 80, 3)
+	for j := 0; j < flat.NumFeatures(); j++ {
+		grid := []float64{math.Inf(-1), -1e300, 0, 0, 1e300}
+		for i, ft := range flat.feature {
+			if int(ft) == j {
+				grid = append(grid, flat.thresh[i], flat.thresh[i])
+			}
+		}
+		slices.Sort(grid)
+		for ti := 0; ti < flat.NumTrees(); ti++ {
+			for _, row := range x[:20] {
+				acc := make([]float64, len(grid))
+				acc[0] = 0.5 // AddTreeGrid adds to what is there
+				probe := slices.Clone(row)
+				flat.AddTreeGrid(ti, row, j, grid, acc)
+				if !slices.Equal(probe, row) {
+					t.Fatal("AddTreeGrid wrote to its row")
+				}
+				for g, v := range grid {
+					probe[j] = v
+					want := flat.PredictTree(ti, probe)
+					if g == 0 {
+						want += 0.5
+					}
+					if math.Float64bits(acc[g]) != math.Float64bits(want) {
+						t.Fatalf("feature %d tree %d point %d (%v): grid walk %v, PredictTree %v", j, ti, g, v, acc[g], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,13 +13,19 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the state NewRNG(seed) starts from, so a hot path can
+// reuse one generator value across independent streams.
+func (r *RNG) Seed(seed uint64) {
 	// splitmix64 expansion of the seed into the xoshiro state.
 	x := seed
 	for i := 0; i < 4; i++ {
 		x += 0x9e3779b97f4a7c15
 		r.s[i] = splitmixFinalize(x)
 	}
-	return r
 }
 
 // SplitMix64 is the splitmix64 single-step mix: a cheap, high-quality
@@ -106,18 +112,38 @@ func (r *RNG) ShuffleInts(xs []int) {
 // plus the set of out-of-bag indices not drawn.
 func (r *RNG) Bootstrap(n int) (inBag []int, outOfBag []int) {
 	inBag = make([]int, n)
-	seen := make([]bool, n)
-	for i := 0; i < n; i++ {
+	return inBag, r.BootstrapInto(inBag, make([]bool, n))
+}
+
+// BootstrapInto is Bootstrap(len(inBag)) writing the draws into inBag, with
+// seen (as long as inBag, any contents) as scratch. It returns the
+// out-of-bag indices in a new slice of exactly their count, or nil when
+// every index was drawn, and consumes the same stream as Bootstrap.
+func (r *RNG) BootstrapInto(inBag []int, seen []bool) (outOfBag []int) {
+	n := len(inBag)
+	seen = seen[:n]
+	clear(seen)
+	for i := range inBag {
 		k := r.Intn(n)
 		inBag[i] = k
 		seen[k] = true
 	}
+	out := 0
+	for _, s := range seen {
+		if !s {
+			out++
+		}
+	}
+	if out == 0 {
+		return nil
+	}
+	outOfBag = make([]int, 0, out)
 	for i, s := range seen {
 		if !s {
 			outOfBag = append(outOfBag, i)
 		}
 	}
-	return inBag, outOfBag
+	return outOfBag
 }
 
 // SampleWithoutReplacement returns k distinct indices from [0, n).

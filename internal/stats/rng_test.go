@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -159,5 +160,37 @@ func TestTrainTestSplit(t *testing.T) {
 			t.Fatal("overlap between train and test")
 		}
 		seen[v] = true
+	}
+}
+
+// TestBootstrapIntoReusesScratch pins the scratch form the forest grows
+// its trees with: one reseeded generator and one pair of buffers, left
+// dirty from the previous draw, give every stream Bootstrap gives from a
+// fresh generator, and the out-of-bag list is exactly its length.
+func TestBootstrapIntoReusesScratch(t *testing.T) {
+	var r RNG
+	inBag := make([]int, 37)
+	seen := make([]bool, 37)
+	for i := range seen {
+		seen[i] = i%3 == 0
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		fresh := NewRNG(seed)
+		wantIn, wantOOB := fresh.Bootstrap(len(inBag))
+		r.Seed(seed)
+		oob := r.BootstrapInto(inBag, seen)
+		if !slices.Equal(inBag, wantIn) || !slices.Equal(oob, wantOOB) {
+			t.Fatalf("seed %d: BootstrapInto = %v, %v; Bootstrap = %v, %v", seed, inBag, oob, wantIn, wantOOB)
+		}
+		if cap(oob) != len(oob) {
+			t.Fatalf("seed %d: out-of-bag list has cap %d for %d indices", seed, cap(oob), len(oob))
+		}
+		if r.Uint64() != fresh.Uint64() {
+			t.Fatalf("seed %d: streams diverge after the draw", seed)
+		}
+	}
+	r.Seed(1)
+	if oob := r.BootstrapInto([]int{0}, []bool{true}); oob != nil {
+		t.Fatalf("a one-row bootstrap has no out-of-bag rows, got %v", oob)
 	}
 }
