@@ -20,8 +20,11 @@ type Block struct {
 	// segScratch is reused by the coalescer to avoid per-instruction
 	// allocation (a warp access touches at most 64 segments).
 	segScratch [64]uint64
-	// banks is the shared-memory conflict detector's working storage.
-	banks bankScratch
+	// banks is the shared-memory conflict detector's working storage,
+	// allocated by the block's first per-call shared access (see
+	// scratchBanks), so a recording block that uses only precomputed
+	// accesses never carries its 8 KB.
+	banks *bankScratch
 	// warp is the one Warp value ForEachWarp hands to every warp body, so
 	// running a warp allocates nothing. Its id is the warp running (or,
 	// between phases, the one that ran last), which is what a panic
@@ -68,10 +71,19 @@ func (b *Block) run(kernel KernelFunc) (err error) {
 // ForEachWarp runs body for warps 0..n-1 of the block, in index order, on
 // the calling goroutine: one barrier phase of the whole block.
 func (b *Block) ForEachWarp(body func(w *Warp)) {
-	for i := 0; i < b.cfg.WarpsPerBlock(); i++ {
+	n := b.cfg.WarpsPerBlock()
+	for i := 0; i < n; i++ {
 		b.warp.id = i
 		body(&b.warp)
 	}
+}
+
+// scratchBanks returns the block's bank-conflict working storage.
+func (b *Block) scratchBanks() *bankScratch {
+	if b.banks == nil {
+		b.banks = new(bankScratch)
+	}
+	return b.banks
 }
 
 // Sync executes a block-wide barrier (__syncthreads()) between two phases.
@@ -84,6 +96,41 @@ func (b *Block) Sync() {
 	c.InstIssued += n
 	c.ThreadInstExecuted += uint64(b.cfg.ThreadsPerBlock())
 	c.SyncCount += n
+}
+
+// Charge adds counters that Record returned to the block's.
+func (b *Block) Charge(c *Counters) { b.counters.Add(c) }
+
+// recording is the block Record runs a body on, with the counters it
+// charges: one allocation per Record.
+type recording struct {
+	blk      Block
+	counters Counters
+}
+
+// Record runs body on a block of cfg's shape on dev that is bound to no
+// simulator, and returns what it charged. It goes through the same Warp
+// and Block methods as a launched block, so a kernel can record once per
+// Plan the part of its instruction stream that is the same in every block
+// and add it to each block with Charge. That is exact: counters are
+// integer sums, so the order in which stateless charges are made cannot
+// change them, and the only charges that depend on state — global loads,
+// stores and atomics, which read and update the L1/L2 LRU state — cannot
+// be recorded. Such an access in body comes back as an error, as does a
+// panic. The body runs as block (0, 0); cfg is not validated, since the
+// launch it is charged in validates it. The counters hold for dev and
+// cfg's block shape only.
+func Record(dev *Device, cfg LaunchConfig, body KernelFunc) (c Counters, err error) {
+	r := new(recording)
+	r.blk.dev = dev
+	r.blk.reset(cfg, 0, 0, &r.counters, nil, nil)
+	defer func() {
+		if p := recover(); p != nil {
+			c, err = Counters{}, fmt.Errorf("gpusim: recording warp %d: %v", r.blk.warp.id, p)
+		}
+	}()
+	body(&r.blk)
+	return r.counters, nil
 }
 
 // BlockIdx returns the block's 2-D grid coordinates.

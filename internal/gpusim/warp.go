@@ -106,6 +106,7 @@ func (w *Warp) Branch(mask, taken Mask) {
 // reads accessBytes at its byte address. The coalescer and cache hierarchy
 // account the resulting transactions, hits, misses, and replays.
 func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32) {
+	w.needCaches("GlobalLoad")
 	segment := uint64(32)
 	if w.blk.dev.GlobalLoadsUseL1 {
 		segment = 128
@@ -118,6 +119,7 @@ func (w *Warp) GlobalLoad(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32
 // span (the paper's global_store_transaction: 32–128 bytes each) and per
 // 32-byte L2 segment.
 func (w *Warp) GlobalStore(mask Mask, addrs *[WarpSize]uint64, accessBytes uint32) {
+	w.needCaches("GlobalStore")
 	segs := coalesce(w.blk.segScratch[:0], mask, addrs, accessBytes, 32)
 	w.chargeStore(mask, accessBytes, 0, segs, spanCount(segs))
 }
@@ -186,6 +188,7 @@ func (a *GlobalAccess) at(base uint64) *globalPattern {
 // GlobalLoadAt records the load a at base, exactly as GlobalLoad would
 // for the addresses base+offset.
 func (w *Warp) GlobalLoadAt(a *GlobalAccess, base uint64) {
+	w.needCaches("GlobalLoadAt")
 	if a.mask == 0 {
 		return
 	}
@@ -200,11 +203,21 @@ func (w *Warp) GlobalLoadAt(a *GlobalAccess, base uint64) {
 // GlobalStoreAt records the store a at base, exactly as GlobalStore would
 // for the addresses base+offset.
 func (w *Warp) GlobalStoreAt(a *GlobalAccess, base uint64) {
+	w.needCaches("GlobalStoreAt")
 	if a.mask == 0 {
 		return
 	}
 	p := a.at(base)
 	w.chargeStore(a.mask, a.accessBytes, base&^127, p.segs, p.spans)
+}
+
+// needCaches panics when w's block is being recorded: the global access
+// op reads and updates cache state, so no recorded delta can stand for
+// it. Record turns the panic into its error.
+func (w *Warp) needCaches(op string) {
+	if w.blk.l2 == nil {
+		panic("gpusim: " + op + " reads cache state and cannot be recorded")
+	}
 }
 
 // chargeLoad is the one accounting path of a warp global load whose
@@ -297,13 +310,13 @@ func (w *Warp) chargeStore(mask Mask, accessBytes uint32, origin uint64, segs []
 // conflicts serialize the access into degree passes, each extra pass being
 // a replay.
 func (w *Warp) SharedLoad(mask Mask, offsets *[WarpSize]uint32) {
-	w.chargeShared(mask, bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks), false)
+	w.chargeShared(mask, bankConflictDegree(w.blk.scratchBanks(), mask, offsets, w.blk.dev.SharedBanks), false)
 }
 
 // SharedStore records one warp shared-memory store (4-byte words), with
 // the same bank-conflict serialization as SharedLoad.
 func (w *Warp) SharedStore(mask Mask, offsets *[WarpSize]uint32) {
-	w.chargeShared(mask, bankConflictDegree(&w.blk.banks, mask, offsets, w.blk.dev.SharedBanks), true)
+	w.chargeShared(mask, bankConflictDegree(w.blk.scratchBanks(), mask, offsets, w.blk.dev.SharedBanks), true)
 }
 
 // SharedAccess is a warp shared-memory access whose mask and offsets are
@@ -368,6 +381,7 @@ func (w *Warp) chargeShared(mask Mask, degree int, store bool) {
 // instruction replays once per extra same-address lane, and each unique
 // address costs an L2 read-modify-write.
 func (w *Warp) AtomicGlobalAdd(mask Mask, addrs *[WarpSize]uint64) {
+	w.needCaches("AtomicGlobalAdd")
 	if mask == 0 {
 		return
 	}
@@ -416,7 +430,7 @@ func (w *Warp) AtomicSharedAdd(mask Mask, offsets *[WarpSize]uint32) {
 		addrs[l] = uint64(offsets[l])
 	}
 	sameAddr, _ := addressContention(mask, &addrs)
-	banks := bankConflictDegree(&b.banks, mask, offsets, b.dev.SharedBanks)
+	banks := bankConflictDegree(b.scratchBanks(), mask, offsets, b.dev.SharedBanks)
 	degree := sameAddr
 	if banks > degree {
 		degree = banks

@@ -136,74 +136,101 @@ func (m *MatMul) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 		RegsPerThread:     regs,
 		SharedMemPerBlock: 2 * 4 * m.Tile * m.Tile,
 	}
+	stream, err := m.record(dev, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return []profiler.Launch{{
 		Label:  "matrixMul",
 		Config: cfg,
-		Kernel: m.kernel(m.planWarps(dev)),
+		Kernel: m.kernel(stream),
 	}}, nil
 }
 
-// matmulWarp is one warp's plan for the tiled multiply: everything that
-// depends only on the warp's index within the block, never on the block.
-type matmulWarp struct {
-	// rel[l] = ty·n + tx: lane l's element offset from the block's corner
-	// in A, B and C. tile[l] = ty·b + tx is its As/Bs word; rowBase[l] =
-	// ty·b starts its As row.
-	rel, tile, rowBase, tx [gpusim.WarpSize]int
-	off                    uint64                // 4·rel[0]: where warp 0's global pattern is charged from
-	store                  gpusim.SharedAccess   // As[ty][tx], Bs[ty][tx]
-	loadA, loadB           []gpusim.SharedAccess // per k: As[ty][k], Bs[k][tx]
-}
-
-// planWarps builds the per-warp plans of a b×b block on dev, and the one
-// global access every warp's A, B and C accesses share. With blockDim
-// (b, b), each warp covers 32/b consecutive tile rows; lane → (tx, ty) via
-// the linear thread index. b² is a multiple of 32, so every lane of every
-// warp is live. Warp w's lane offsets are warp 0's plus off =
-// 4·n·(32/b)·w bytes, a whole number of 128-byte lines because n is a
-// multiple of b ≥ 16; coalescing does not change under a whole-line
-// shift, so warp 0's pattern charged at base+off is warp w's access.
-func (m *MatMul) planWarps(dev *gpusim.Device) ([]matmulWarp, *gpusim.GlobalAccess) {
-	n, b := m.N, m.Tile
-	full := gpusim.FullMask()
-	warps := make([]matmulWarp, b*b/gpusim.WarpSize)
-	for id := range warps {
-		p := &warps[id]
-		var ty [gpusim.WarpSize]int
-		for l := range ty {
-			t := id*gpusim.WarpSize + l
-			p.tx[l], ty[l] = t%b, t/b
-			p.rel[l] = ty[l]*n + p.tx[l]
-			p.tile[l] = ty[l]*b + p.tx[l]
-			p.rowBase[l] = ty[l] * b
-		}
-		p.off = 4 * uint64(p.rel[0])
-		p.store = sharedAt(dev, full, func(l int) int { return p.tile[l] })
-		p.loadA = make([]gpusim.SharedAccess, b)
-		p.loadB = make([]gpusim.SharedAccess, b)
-		for k := 0; k < b; k++ {
-			p.loadA[k] = sharedAt(dev, full, func(l int) int { return p.rowBase[l] + k })
-			p.loadB[k] = sharedAt(dev, full, func(l int) int { return k*b + p.tx[l] })
-		}
-	}
-	var offs [gpusim.WarpSize]uint64
-	for l, r := range warps[0].rel {
-		offs[l] = 4 * uint64(r)
-	}
-	return warps, gpusim.NewGlobalAccess(full, &offs, 4)
-}
-
-// kernel is the tiled multiply. Only the global access's base (the
-// block's tile corner) and the arithmetic depend on the block.
-// Each thread's accumulator lives across barriers, so it is kept in an
-// array indexed by linear thread ID and cleared at block start; the As
-// and Bs tiles are stored whole before every read.
-func (m *MatMul) kernel(warps []matmulWarp, global *gpusim.GlobalAccess) gpusim.KernelFunc {
-	n := m.N
+// record returns a block's whole instruction stream but its global
+// accesses: per tile, the fill phase (index arithmetic and the As/Bs
+// stores) and the k-loop (the As/Bs loads, the multiply-adds and, for an
+// explicit unroll factor, a loop-control op per unroll group), with the
+// barriers after each; then the epilogue's index arithmetic. None of it
+// depends on the block. With blockDim (b, b), warp w covers tile rows
+// (32/b)·w onward and lane l is thread t = 32w + l, at (tx, ty) =
+// (t mod b, t / b); b² is a multiple of 32, so every lane is live.
+func (m *MatMul) record(dev *gpusim.Device, cfg gpusim.LaunchConfig) (gpusim.Counters, error) {
 	b := m.Tile
 	unroll := m.Unroll // 0 = fully unrolled: no loop-control overhead
+	full := gpusim.FullMask()
+	warps := b * b / gpusim.WarpSize
+	// store[w] is warp w's As[ty][tx] (and Bs[ty][tx]); load[2(wb+k)] and
+	// load[2(wb+k)+1] are its As[ty][k] and Bs[k][tx].
+	store := make([]gpusim.SharedAccess, warps)
+	load := make([]gpusim.SharedAccess, 2*warps*b)
+	for w := range warps {
+		t0 := w * gpusim.WarpSize
+		store[w] = sharedAt(dev, full, func(l int) int { return t0 + l })
+		for k := 0; k < b; k++ {
+			load[2*(w*b+k)] = sharedAt(dev, full, func(l int) int { return (t0+l)/b*b + k })
+			load[2*(w*b+k)+1] = sharedAt(dev, full, func(l int) int { return k*b + (t0+l)%b })
+		}
+	}
+	return gpusim.Record(dev, cfg, func(blk *gpusim.Block) {
+		for t := 0; t < m.N/b; t++ {
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				if t == 0 {
+					w.IntOps(full, 4) // index arithmetic for row/col
+				}
+				w.IntOps(full, 4)
+				w.SharedStoreAt(store[w.WarpID()]) // As[ty][tx]
+				w.SharedStoreAt(store[w.WarpID()]) // Bs[ty][tx]
+			})
+			blk.Sync()
+
+			blk.ForEachWarp(func(w *gpusim.Warp) {
+				kl := load[2*w.WarpID()*b:][:2*b]
+				for k := 0; k < b; k++ {
+					if unroll > 0 && unroll < b && k%unroll == 0 {
+						w.IntOps(full, 1) // loop counter + branch per unroll group
+					}
+					w.SharedLoadAt(kl[2*k])
+					w.SharedLoadAt(kl[2*k+1])
+					w.FloatOps(full, 1) // fused multiply-add
+				}
+			})
+			blk.Sync()
+		}
+		blk.ForEachWarp(func(w *gpusim.Warp) { w.IntOps(full, 2) })
+	})
+}
+
+// kernel is the tiled multiply: per tile, each warp loads its part of the
+// A and B tiles into As and Bs, then every thread (ty, tx) adds
+// As[ty][k]·Bs[k][tx] to its accumulator for k ascending — the float32
+// sequence of the CUDA loop. The loops run k outside tx, so Bs is read
+// along its rows; each accumulator still sees its k in order. The
+// accumulators sit in an array indexed by
+// linear thread ID, ty·b + tx, which is also the thread's word of the
+// output tile; they are cleared at block start, and As and Bs are stored
+// whole before every read. Only the global accesses are charged per
+// block, in program order; the rest of the instruction stream is the
+// recorded stream, added once per block.
+//
+// Warp w's lanes sit at ty·n + tx from the block's corner in A, B and C:
+// warp 0's offsets plus (32/b)·w rows. That shift is 4·n·(32/b)·w bytes, a
+// whole number of 128-byte lines because n is a multiple of b ≥ 16;
+// coalescing does not change under a whole-line shift, so warp 0's
+// pattern charged at base + shift is warp w's access, and one
+// GlobalAccess serves every warp.
+func (m *MatMul) kernel(stream gpusim.Counters) gpusim.KernelFunc {
+	n := m.N
+	b := m.Tile
 	c := m.c
-	full := gpusim.FullMask() // b² is a multiple of 32, so every lane is live
+	rowsPerWarp := gpusim.WarpSize / b
+	var rel [gpusim.WarpSize]int // warp 0's lane offsets, ty·n + tx
+	var offs [gpusim.WarpSize]uint64
+	for l := range rel {
+		rel[l] = l/b*n + l%b
+		offs[l] = 4 * uint64(rel[l])
+	}
+	global := gpusim.NewGlobalAccess(gpusim.FullMask(), &offs, 4)
 	as, bs, accs := make([]float32, b*b), make([]float32, b*b), make([]float32, b*b)
 	return func(blk *gpusim.Block) {
 		bx, by := blk.BlockIdx()
@@ -215,49 +242,31 @@ func (m *MatMul) kernel(warps []matmulWarp, global *gpusim.GlobalAccess) gpusim.
 			aStart := by*b*n + t*b // A[by*b][t*b]
 			bStart := t*b*n + bx*b // B[t*b][bx*b]
 			blk.ForEachWarp(func(w *gpusim.Warp) {
-				p := &warps[w.WarpID()]
-				if t == 0 {
-					w.IntOps(full, 4) // index arithmetic for row/col
+				shift := w.WarpID() * rowsPerWarp * n
+				w.GlobalLoadAt(global, baseA+4*uint64(aStart+shift))
+				w.GlobalLoadAt(global, baseB+4*uint64(bStart+shift))
+				t0 := w.WarpID() * gpusim.WarpSize
+				for l, r := range rel {
+					as[t0+l] = m.a(aStart + shift + r)
+					bs[t0+l] = m.b(bStart + shift + r)
 				}
-				w.IntOps(full, 4)
-				w.GlobalLoadAt(global, baseA+4*uint64(aStart)+p.off)
-				w.GlobalLoadAt(global, baseB+4*uint64(bStart)+p.off)
-				for l, s := range p.tile {
-					as[s] = m.a(aStart + p.rel[l])
-					bs[s] = m.b(bStart + p.rel[l])
-				}
-				w.SharedStoreAt(p.store)
-				w.SharedStoreAt(p.store)
 			})
-			blk.Sync()
 
-			blk.ForEachWarp(func(w *gpusim.Warp) {
-				p := &warps[w.WarpID()]
-				acc := accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize]
-				for k := 0; k < b; k++ {
-					if unroll > 0 && unroll < b && k%unroll == 0 {
-						w.IntOps(full, 1) // loop counter + branch per unroll group
-					}
-					w.SharedLoadAt(p.loadA[k])
-					w.SharedLoadAt(p.loadB[k])
-					w.FloatOps(full, 1) // fused multiply-add
-					for l := range acc {
-						acc[l] += as[p.rowBase[l]+k] * bs[k*b+p.tx[l]]
+			for ty := 0; ty < b; ty++ {
+				acc := accs[ty*b:][:b]
+				for k, a := range as[ty*b:][:b] {
+					for tx, v := range bs[k*b:][:b] {
+						acc[tx] += a * v
 					}
 				}
-			})
-			blk.Sync()
+			}
 		}
 
 		cStart := by*b*n + bx*b // C[by*b][bx*b]
-		out := c.writable(by*tiles + bx)
 		blk.ForEachWarp(func(w *gpusim.Warp) {
-			p := &warps[w.WarpID()]
-			w.IntOps(full, 2)
-			w.GlobalStoreAt(global, baseC+4*uint64(cStart)+p.off)
-			for l, v := range accs[w.WarpID()*gpusim.WarpSize:][:gpusim.WarpSize] {
-				out[p.tile[l]] = v
-			}
+			w.GlobalStoreAt(global, baseC+4*uint64(cStart+w.WarpID()*rowsPerWarp*n))
 		})
+		copy(c.writable(by*tiles+bx), accs)
+		blk.Charge(&stream)
 	}
 }

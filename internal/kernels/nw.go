@@ -88,21 +88,23 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	nw.score = newPaged[int32](nwBlock * nwBlock)
 
 	blockWidth := n / nwBlock
-	plan := newNWPlan(dev, cols)
+	cfg := gpusim.LaunchConfig{
+		GridDimX: 1, GridDimY: 1,
+		BlockDimX: nwBlock, BlockDimY: 1,
+		RegsPerThread: 24,
+		// temp[17][17] + ref[16][16] ints.
+		SharedMemPerBlock: 4 * ((nwBlock+1)*(nwBlock+1) + nwBlock*nwBlock),
+	}
+	plan, err := newNWPlan(dev, cfg, cols)
+	if err != nil {
+		return nil, err
+	}
 	shared := new(nwShared)
 	launches := make([]profiler.Launch, 0, 2*blockWidth-1)
 	mk := func(label string, strip int, blocks int, topLeft bool) profiler.Launch {
-		return profiler.Launch{
-			Label: label,
-			Config: gpusim.LaunchConfig{
-				GridDimX: blocks, GridDimY: 1,
-				BlockDimX: nwBlock, BlockDimY: 1,
-				RegsPerThread: 24,
-				// temp[17][17] + ref[16][16] ints.
-				SharedMemPerBlock: 4 * ((nwBlock+1)*(nwBlock+1) + nwBlock*nwBlock),
-			},
-			Kernel: nw.kernel(plan, shared, strip, blockWidth, topLeft),
-		}
+		c := cfg
+		c.GridDimX = blocks
+		return profiler.Launch{Label: label, Config: c, Kernel: nw.kernel(plan, shared, strip, blockWidth, topLeft)}
 	}
 	for i := 1; i <= blockWidth; i++ {
 		launches = append(launches, mk("needle_cuda_shared_1", i, i, true))
@@ -113,38 +115,28 @@ func (nw *NeedlemanWunsch) Plan(dev *gpusim.Device) ([]profiler.Launch, error) {
 	return launches, nil
 }
 
-// nwPlan holds everything in a needle tile's instruction stream that
-// depends only on the lane and the wavefront step, never on the block:
-// the shared-memory accesses, with their bank-conflict degrees computed
-// once per Plan, the wavefront's strides, and the lane patterns of the
-// global accesses. Every block is one 16-thread warp (lanes 0–15), so
-// every block runs the same plan.
+// nwPlan holds everything in a needle tile's simulation that depends
+// only on the lane and the wavefront step, never on the block. Every
+// block is one 16-thread warp (lanes 0–15) and runs the same plan.
 type nwPlan struct {
-	active, lane0 gpusim.Mask
+	// stream is the tile's whole instruction stream but its global
+	// accesses, recorded once per Plan: the index arithmetic, the fill
+	// stores, the 31 wavefront steps, the write-back loads and the
+	// barriers between them.
+	stream gpusim.Counters
 	// The global accesses, charged at the byte address of a block's first
 	// cell: row is lanes 0–15 along a matrix row (the ref_s rows, the north
 	// row and the write-back), column lanes 0–15 down a column (the west
 	// column) and corner lane 0 alone (temp[0][0]).
 	row, column, corner *gpusim.GlobalAccess
-
-	cornerFill gpusim.SharedAccess          // temp[0][0] = input[index_nw]
-	refFill    [nwBlock]gpusim.SharedAccess // ref_s[ty][tid] = reference[…]
-	westFill   gpusim.SharedAccess          // temp[tid+1][0] = input[…]
-	northFill  gpusim.SharedAccess          // temp[0][tid+1] = input[index_n]
-	steps      [2*nwBlock - 1]nwStep        // forward, then backward wavefront
-	writeBack  [nwBlock]gpusim.SharedAccess // input[…] = temp[ty+1][tid+1]
+	steps               [2*nwBlock - 1]nwStep // forward, then backward wavefront
 }
 
 // nwStep is one anti-diagonal step of the tile's wavefront. Lanes
 // 0..lanes−1 are on it, and lane l updates temp word self0−16l from ref_s
 // word ref0−15l and its diagonal, west and north neighbours, temp words
-// self−18, self−1 and self−17; the five shared accesses of the update
-// are planned from the same strides.
-type nwStep struct {
-	mask                         gpusim.Mask
-	lanes, self0, ref0           int
-	diag, ref, west, north, self gpusim.SharedAccess
-}
+// self−18, self−1 and self−17.
+type nwStep struct{ lanes, self0, ref0 int }
 
 // nwShared is a tile's __shared__ memory, temp[17][17] and ref_s[16][16],
 // one per Plan for every block of every launch. A block stores each word
@@ -154,60 +146,89 @@ type nwShared struct {
 	ref  [nwBlock * nwBlock]int32
 }
 
-func newNWPlan(dev *gpusim.Device, cols int) *nwPlan {
+// newNWPlan plans a tile of cfg's block shape on dev for a score matrix
+// cols cells wide.
+func newNWPlan(dev *gpusim.Device, cfg gpusim.LaunchConfig, cols int) (*nwPlan, error) {
 	const tw = nwBlock + 1
-	p := &nwPlan{active: gpusim.MaskFirstN(nwBlock)}
-	p.lane0 = p.active & gpusim.MaskFirstN(1)
+	active := gpusim.MaskFirstN(nwBlock)
+	lane0 := gpusim.MaskFirstN(1)
+	p := new(nwPlan)
 	var row, column [gpusim.WarpSize]uint64
 	for l := range row {
 		row[l] = 4 * uint64(l)
 		column[l] = 4 * uint64(cols*l)
 	}
-	p.row = gpusim.NewGlobalAccess(p.active, &row, 4)
-	p.column = gpusim.NewGlobalAccess(p.active, &column, 4)
-	p.corner = gpusim.NewGlobalAccess(p.lane0, &row, 4)
-	p.cornerFill = sharedAt(dev, p.lane0, func(int) int { return 0 })
-	for ty := 0; ty < nwBlock; ty++ {
-		p.refFill[ty] = sharedAt(dev, p.active, func(l int) int { return ty*nwBlock + l })
-		p.writeBack[ty] = sharedAt(dev, p.active, func(l int) int { return (ty+1)*tw + l + 1 })
-	}
-	p.westFill = sharedAt(dev, p.active, func(l int) int { return (l + 1) * tw })
-	p.northFill = sharedAt(dev, p.active, func(l int) int { return l + 1 })
+	p.row = gpusim.NewGlobalAccess(active, &row, 4)
+	p.column = gpusim.NewGlobalAccess(active, &column, 4)
+	p.corner = gpusim.NewGlobalAccess(lane0, &row, 4)
 	// Forward diagonal m: lane l updates temp[m−l+1][l+1] from
 	// ref_s[m−l][l]. Backward diagonal m: temp[16−l][l+16−m] from
-	// ref_s[15−l][l+15−m].
+	// ref_s[15−l][l+15−m]. Lane 0 is on every diagonal, so no step is
+	// empty.
 	for m := 0; m < nwBlock; m++ {
-		p.steps[m] = newNWStep(dev, p.active, m, (m+1)*tw+1, m*nwBlock)
+		p.steps[m] = nwStep{lanes: m + 1, self0: (m+1)*tw + 1, ref0: m * nwBlock}
 	}
 	for m := nwBlock - 2; m >= 0; m-- {
-		p.steps[2*nwBlock-2-m] = newNWStep(dev, p.active, m, nwBlock*tw+nwBlock-m, nwBlock*nwBlock-1-m)
+		p.steps[2*nwBlock-2-m] = nwStep{lanes: m + 1, self0: nwBlock*tw + nwBlock - m, ref0: nwBlock*nwBlock - 1 - m}
 	}
-	return p
-}
 
-// newNWStep plans the step of diagonal m, whose lanes 0..m update temp
-// words self0−16l from ref_s words ref0−15l. Lane 0 is on every diagonal,
-// so no step is empty.
-func newNWStep(dev *gpusim.Device, active gpusim.Mask, m, self0, ref0 int) nwStep {
-	const tw = nwBlock + 1
-	s := nwStep{mask: active & gpusim.MaskFirstN(m+1), lanes: m + 1, self0: self0, ref0: ref0}
-	from := func(d int) gpusim.SharedAccess {
-		return sharedAt(dev, s.mask, func(l int) int { return self0 - (tw-1)*l - d })
-	}
-	s.diag, s.west, s.north, s.self = from(tw+1), from(1), from(tw), from(0)
-	s.ref = sharedAt(dev, s.mask, func(l int) int { return ref0 - (nwBlock-1)*l })
-	return s
+	var err error
+	p.stream, err = gpusim.Record(dev, cfg, func(b *gpusim.Block) {
+		b.ForEachWarp(func(w *gpusim.Warp) {
+			w.IntOps(active, 6)     // index arithmetic
+			w.Branch(active, lane0) // temp[0][0] is lane 0's
+			w.SharedStoreAt(sharedAt(dev, lane0, func(int) int { return 0 }))
+			for ty := 0; ty < nwBlock; ty++ { // ref_s[ty][tid]
+				w.SharedStoreAt(sharedAt(dev, active, func(l int) int { return ty*nwBlock + l }))
+			}
+		})
+		b.Sync()
+		b.ForEachWarp(func(w *gpusim.Warp) { // temp[tid+1][0]
+			w.SharedStoreAt(sharedAt(dev, active, func(l int) int { return (l + 1) * tw }))
+		})
+		b.Sync()
+		b.ForEachWarp(func(w *gpusim.Warp) { // temp[0][tid+1]
+			w.SharedStoreAt(sharedAt(dev, active, func(l int) int { return l + 1 }))
+		})
+		b.Sync()
+		for _, s := range p.steps {
+			mask := gpusim.MaskFirstN(s.lanes)
+			from := func(d int) gpusim.SharedAccess {
+				return sharedAt(dev, mask, func(l int) int { return s.self0 - (tw-1)*l - d })
+			}
+			b.ForEachWarp(func(w *gpusim.Warp) {
+				w.IntOps(active, 2) // diagonal index arithmetic
+				w.Branch(active, mask)
+				w.SharedLoadAt(from(tw + 1)) // diagonal
+				w.SharedLoadAt(sharedAt(dev, mask, func(l int) int { return s.ref0 - (nwBlock-1)*l }))
+				w.SharedLoadAt(from(1))  // west
+				w.SharedLoadAt(from(tw)) // north
+				w.IntOps(mask, 4)        // two subtractions, two max ops
+				w.SharedStoreAt(from(0))
+			})
+			b.Sync()
+		}
+		b.ForEachWarp(func(w *gpusim.Warp) { // temp[ty+1][tid+1]
+			for ty := 0; ty < nwBlock; ty++ {
+				w.SharedLoadAt(sharedAt(dev, active, func(l int) int { return (ty+1)*tw + l + 1 }))
+			}
+		})
+	})
+	return p, err
 }
 
 // kernel processes one 16×16 tile per block along anti-diagonal strip i.
-// Each block runs a single 16-thread (half-empty) warp; only its global
-// addresses and the functional DP depend on the block.
+// Each block is a single 16-thread (half-empty) warp, and everything but
+// its global accesses is the plan's recorded stream. So the warp issues
+// the global accesses in program order — the corner, the 16 ref_s rows,
+// the west column, the north row and, after the wavefront, the 16
+// write-back rows — the DP runs as plain loops, and the block charges
+// the stream once.
 func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int, topLeft bool) gpusim.KernelFunc {
 	const tw = nwBlock + 1
 	cols := nw.SeqLen + 1
 	penalty := nw.Penalty
 	score := nw.score
-	active := p.active
 	temp, refS := sh.temp[:], sh.ref[:]
 	return func(b *gpusim.Block) {
 		bx, _ := b.BlockIdx()
@@ -232,10 +253,7 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 		addrOf := func(region uint64, i int) uint64 { return region + 4*uint64(i) }
 
 		b.ForEachWarp(func(w *gpusim.Warp) {
-			w.IntOps(active, 6) // index arithmetic
-
 			// temp[0][0] = input[index_nw] (lane 0 only).
-			w.Branch(active, p.lane0)
 			w.GlobalLoadAt(p.corner, addrOf(baseScore, base))
 			switch {
 			case bIdxY == 0:
@@ -245,7 +263,6 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 			default:
 				temp[0] = cellOf(score.page(key-blockWidth-1), nwBlock*nwBlock-1)
 			}
-			w.SharedStoreAt(p.cornerFill)
 
 			// ref_s[ty][tid] = reference[index + cols*ty]: 16 coalesced rows.
 			var colRes [nwBlock]int32 // seq2 residues of the tile's columns
@@ -258,13 +275,9 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 				for l, r := range colRes {
 					refS[ty*nwBlock+l] = similarity[r]
 				}
-				w.SharedStoreAt(p.refFill[ty])
 			}
-		})
-		b.Sync()
 
-		// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
-		b.ForEachWarp(func(w *gpusim.Warp) {
+			// temp[tid+1][0] = input[index_w + cols*tid]: strided, uncoalesced.
 			w.GlobalLoadAt(p.column, addrOf(baseScore, base+cols))
 			if bIdxX == 0 {
 				for l := 0; l < nwBlock; l++ {
@@ -276,12 +289,8 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 					temp[(l+1)*tw] = cellOf(west, l*nwBlock+nwBlock-1)
 				}
 			}
-			w.SharedStoreAt(p.westFill)
-		})
-		b.Sync()
 
-		// temp[0][tid+1] = input[index_n]: coalesced north row.
-		b.ForEachWarp(func(w *gpusim.Warp) {
+			// temp[0][tid+1] = input[index_n]: coalesced north row.
 			w.GlobalLoadAt(p.row, addrOf(baseScore, base+1))
 			north := temp[1 : nwBlock+1]
 			if bIdxY == 0 {
@@ -293,22 +302,11 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 			} else {
 				clear(north)
 			}
-			w.SharedStoreAt(p.northFill)
-		})
-		b.Sync()
 
-		// Forward, then backward wavefront over the tile's anti-diagonals:
-		// cell (t_y, t_x) gets max(diag+ref, west−penalty, north−penalty).
-		for i := range p.steps {
-			s := &p.steps[i]
-			b.ForEachWarp(func(w *gpusim.Warp) {
-				w.IntOps(active, 2) // diagonal index arithmetic
-				w.Branch(active, s.mask)
-				w.SharedLoadAt(s.diag)
-				w.SharedLoadAt(s.ref)
-				w.SharedLoadAt(s.west)
-				w.SharedLoadAt(s.north)
-				w.IntOps(s.mask, 4) // two subtractions, two max ops
+			// Forward, then backward wavefront over the tile's
+			// anti-diagonals: cell (t_y, t_x) gets max(diag+ref,
+			// west−penalty, north−penalty).
+			for _, s := range p.steps {
 				self, ref := s.self0, s.ref0
 				for range s.lanes {
 					temp[self] = max(
@@ -318,19 +316,15 @@ func (nw *NeedlemanWunsch) kernel(p *nwPlan, sh *nwShared, strip, blockWidth int
 					)
 					self, ref = self-(tw-1), ref-(nwBlock-1)
 				}
-				w.SharedStoreAt(s.self)
-			})
-			b.Sync()
-		}
+			}
 
-		// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
-		out := score.writable(key)
-		b.ForEachWarp(func(w *gpusim.Warp) {
+			// Write the tile back: input[index + cols*ty] = temp[ty+1][tid+1].
+			out := score.writable(key)
 			for ty := 0; ty < nwBlock; ty++ {
-				w.SharedLoadAt(p.writeBack[ty])
 				w.GlobalStoreAt(p.row, addrOf(baseScore, index+cols*ty))
 				copy(out[ty*nwBlock:][:nwBlock], temp[(ty+1)*tw+1:])
 			}
 		})
+		b.Charge(&p.stream)
 	}
 }

@@ -3,15 +3,17 @@ package kernels
 import "blackforest/internal/gpusim"
 
 // The needle and matmul kernel bodies below are the differential oracles
-// for the access hoisting in nw.go and matmul.go: they build every
-// shared-memory offset and global address per block and charge it through
-// the per-call SharedLoad/SharedStore and GlobalLoad/GlobalStore paths,
-// where the kernels charge precomputed SharedAccess and GlobalAccess
-// handles. Their wavefront walks per-cell indices, not strides. They also read the materialized input
-// arrays and write the full-size output arrays that Plan built before
-// inputs became index-derived and outputs paged. oracle_test.go requires
-// the current kernels to produce equal counters, cycles, breakdowns and
-// outputs.
+// for the access hoisting and the recorded charges in nw.go and
+// matmul.go: they build every shared-memory offset and global address per
+// block and charge every instruction through the per-call
+// SharedLoad/SharedStore and GlobalLoad/GlobalStore paths in every block,
+// where the kernels charge GlobalAccess handles and add a stream recorded
+// once per Plan. Their wavefront walks per-cell indices, not strides, and
+// matmul's product runs lane by lane inside its warp phases. They also
+// read the materialized input arrays and write the full-size output
+// arrays that Plan built before inputs became index-derived and outputs
+// paged. oracle_test.go requires the current kernels to produce equal
+// counters, cycles, breakdowns and outputs.
 
 // oracleKernel is needle's per-block kernel as it was before its
 // lane-only shared accesses moved into Plan: every block rebuilds its

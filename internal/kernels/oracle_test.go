@@ -134,16 +134,18 @@ func TestNeedleMatchesOracle(t *testing.T) {
 }
 
 // TestMatMulMatchesOracle covers tile × unroll × n × device × sampling.
-// Fully simulating n=256 costs 16× n=64 (far more under -race) and the
-// unroll factor only adds loop-control ops that every n=64 case already
-// checks, so n=256 is fully simulated at the default unroll only.
+// Every unroll factor runs at n=64, since the recorded loop-control ops
+// depend on k mod unroll. Fully simulating n=256 costs 16× n=64 (far more
+// under -race: restoring unroll 1 and 4 there doubled this test's -race
+// time) and the unroll factor changes no global access, so n=256 is fully
+// simulated at the default unroll only and sampled at unroll 1 and 4.
 func TestMatMulMatchesOracle(t *testing.T) {
 	forDevices(t, func(dev *gpusim.Device) {
 		for _, tile := range []int{16, 32} {
-			for _, unroll := range []int{0, 1, 4} {
+			for _, unroll := range []int{0, 1, 2, 4, 8} {
 				for _, n := range []int{64, 256} {
 					for _, maxSim := range []int{0, 8} {
-						if n == 256 && maxSim == 0 && unroll != 0 {
+						if n == 256 && (maxSim == 0 && unroll != 0 || unroll == 2 || unroll == 8) {
 							continue
 						}
 						name := fmt.Sprintf("matmul n=%d tile %d unroll %d on %s, maxSim %d", n, tile, unroll, dev.Name, maxSim)
