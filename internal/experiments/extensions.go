@@ -71,7 +71,7 @@ func RunPowerPrediction(o Options) (*PowerPrediction, error) {
 		n := sizes[i]
 		eff[i] = 2 * n * n * n / (times[i] * 1e-3 * powers[i]) / 1e9 // GFLOP/J
 	}
-	res.PerfPerWattSizes, res.PerfPerWattValues = report.SortedByY(sizes, eff)
+	res.PerfPerWattSizes, res.PerfPerWattValues = report.SortedByX(sizes, eff)
 	return res, nil
 }
 
@@ -100,8 +100,8 @@ func (r *PowerPrediction) Render(w io.Writer) error {
 	for i, c := range r.Eval.Chars {
 		sizes[i] = c["size"]
 	}
-	sx, sMeas := report.SortedByY(sizes, r.Eval.Actual)
-	_, sPred := report.SortedByY(sizes, r.Eval.Predicted)
+	sx, sMeas := report.SortedByX(sizes, r.Eval.Actual)
+	_, sPred := report.SortedByX(sizes, r.Eval.Predicted)
 	if err := report.XYChart(w, "", sx, []report.Series{
 		{Name: "measured_W", Y: sMeas},
 		{Name: "predicted_W", Y: sPred},

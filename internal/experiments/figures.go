@@ -260,8 +260,8 @@ func runProblemScaling(name string, runs []profiler.Workload, kind core.ModelKin
 			}
 			modeled[i] = cm.Predict(chars)
 		}
-		sx, sm := report.SortedByY(sizes, measured)
-		_, sp := report.SortedByY(sizes, modeled)
+		sx, sm := report.SortedByX(sizes, measured)
+		_, sp := report.SortedByX(sizes, modeled)
 		res.CounterSeries = append(res.CounterSeries, CounterSeries{
 			Counter: cname, Kind: cm.Kind, R2: cm.TrainR2, Deviance: cm.ResidualDeviance,
 			Sizes: sx, Measured: sm, Modeled: sp,
@@ -297,8 +297,8 @@ func (r *ProblemScaling) Render(w io.Writer) error {
 	for i, c := range r.Eval.Chars {
 		sizes[i] = c["size"]
 	}
-	sx, sMeas := report.SortedByY(sizes, r.Eval.Actual)
-	_, sPred := report.SortedByY(sizes, r.Eval.Predicted)
+	sx, sMeas := report.SortedByX(sizes, r.Eval.Actual)
+	_, sPred := report.SortedByX(sizes, r.Eval.Predicted)
 	if err := report.XYChart(w, "", sx, []report.Series{
 		{Name: "measured", Y: sMeas},
 		{Name: "predicted", Y: sPred},
@@ -376,8 +376,8 @@ func (r *HWScaling) Render(w io.Writer) error {
 		for i, c := range ev.Chars {
 			sizes[i] = c["size"]
 		}
-		sx, sMeas := report.SortedByY(sizes, ev.Actual)
-		_, sPred := report.SortedByY(sizes, ev.Predicted)
+		sx, sMeas := report.SortedByX(sizes, ev.Actual)
+		_, sPred := report.SortedByX(sizes, ev.Predicted)
 		return report.XYChart(w, "", sx, []report.Series{
 			{Name: "measured", Y: sMeas},
 			{Name: "predicted", Y: sPred},

@@ -158,9 +158,9 @@ func grow(x [][]float64, y []float64, cfg Config) (trees []*rtree.FlatForest, ga
 		seeds[i] = master.Uint64()
 	}
 
-	// Preprocess the training set once (column-major copy, per-feature
-	// sorted orderings and tie conflict runs); every tree shares it, so
-	// growing the forest does no per-tree sorting on presortable features.
+	// Preprocess the training set once (column-major copy and per-feature
+	// (value, id) orderings); every tree shares it, so growing the forest
+	// does no per-tree sorting.
 	m, err := rtree.NewMatrix(x, y)
 	if err != nil {
 		return nil, nil, nil, nil, err

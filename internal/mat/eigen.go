@@ -80,7 +80,8 @@ func SymEigen(a *Matrix) (*Eigen, error) {
 		}
 	}
 
-	// Extract and sort eigenpairs by descending eigenvalue.
+	// Extract and sort eigenpairs by descending eigenvalue. The sort is
+	// stable, so equal eigenvalues keep their diagonal order.
 	type pair struct {
 		val float64
 		idx int
@@ -89,7 +90,7 @@ func SymEigen(a *Matrix) (*Eigen, error) {
 	for i := 0; i < n; i++ {
 		pairs[i] = pair{w.At(i, i), i}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
+	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
 
 	e := &Eigen{Values: make([]float64, n), Vectors: New(n, n)}
 	for out, p := range pairs {

@@ -17,6 +17,34 @@ func TestSymEigenDiagonal(t *testing.T) {
 	}
 }
 
+// TestSymEigenTiesKeepDiagonalOrder: equal eigenvalues come out in the
+// order of their diagonal positions. The matrix is diagonal, so Jacobi
+// leaves it alone and eigenpair j is (d[j], e_j). It has more than 12
+// entries, past the size below which the standard library's sort is an
+// insertion sort and would keep ties in place without a tie-break.
+func TestSymEigenTiesKeepDiagonalOrder(t *testing.T) {
+	const n = 30
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, n)
+		rows[i][i] = float64(i % 3)
+	}
+	d, _ := FromRows(rows)
+	e, err := SymEigen(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := 0
+	for v := 2; v >= 0; v-- {
+		for i := v; i < n; i += 3 {
+			if e.Values[out] != float64(v) || e.Vectors.At(i, out) != 1 {
+				t.Fatalf("eigenpair %d: value %v, want %d with e_%d", out, e.Values[out], v, i)
+			}
+			out++
+		}
+	}
+}
+
 func TestSymEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1 with vectors (1,1)/√2, (1,−1)/√2.
 	m, _ := FromRows([][]float64{{2, 1}, {1, 2}})

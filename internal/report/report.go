@@ -202,15 +202,16 @@ func WriteSeriesCSV(w io.Writer, xName string, xs []float64, series []Series) er
 	return nil
 }
 
-// SortedByY returns copies of xs and ys sorted by ascending x — chart
-// helpers expect ordered series.
-func SortedByY(xs, ys []float64) (sx, sy []float64) {
+// SortedByX returns copies of xs and ys sorted by ascending x — chart
+// helpers expect ordered series. Equal x values keep their input order, so
+// two calls on the same xs apply the same permutation to their ys.
+func SortedByX(xs, ys []float64) (sx, sy []float64) {
 	type pt struct{ x, y float64 }
 	pts := make([]pt, len(xs))
 	for i := range xs {
 		pts[i] = pt{xs[i], ys[i]}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	sort.SliceStable(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
 	sx = make([]float64, len(pts))
 	sy = make([]float64, len(pts))
 	for i, p := range pts {

@@ -108,9 +108,30 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestSortedByY(t *testing.T) {
-	xs, ys := SortedByY([]float64{3, 1, 2}, []float64{30, 10, 20})
+func TestSortedByX(t *testing.T) {
+	xs, ys := SortedByX([]float64{3, 1, 2}, []float64{30, 10, 20})
 	if xs[0] != 1 || ys[0] != 10 || xs[2] != 3 || ys[2] != 30 {
 		t.Fatalf("sorted %v %v", xs, ys)
+	}
+}
+
+// TestSortedByXTiesKeepInputOrder: points with equal x keep their input
+// order, so series sorted in separate calls over one xs stay paired. The
+// input has 40 points on 4 distinct x values: with 12 or fewer the standard
+// library's sort is an insertion sort and keeps ties in place anyway.
+func TestSortedByXTiesKeepInputOrder(t *testing.T) {
+	const n = 40
+	xs := make([]float64, n)
+	ids := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64((n - i) % 4)
+		ids[i] = float64(i)
+	}
+	sx, sid := SortedByX(xs, ids)
+	for k := 1; k < n; k++ {
+		if sx[k-1] > sx[k] || sx[k-1] == sx[k] && sid[k-1] >= sid[k] {
+			t.Fatalf("positions %d, %d: (x %v, input %v) before (x %v, input %v)",
+				k-1, k, sx[k-1], sid[k-1], sx[k], sid[k])
+		}
 	}
 }

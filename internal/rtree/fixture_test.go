@@ -2,11 +2,12 @@ package rtree
 
 // Tree-identity regression tests: the fig2 golden-file pattern applied to
 // the learner itself. testdata/tree_fixture.json holds trees fitted by the
-// pre-optimization implementation (legacyFit, frozen in legacy_test.go);
-// the production builder (Grower.Fit, rebuilt into node-list form by
-// fitTree) must reproduce them byte for byte. Any change to split
-// finding that alters even one threshold ULP or one purity-gain bit fails
-// here before it can silently shift every figure downstream.
+// reference builder (legacyFit in legacy_test.go: a per-node sort by
+// (value, id) of shuffled ids); the production builder (Grower.Fit,
+// rebuilt into node-list form by fitTree) must reproduce them byte for
+// byte. Any change to split finding that alters even one threshold ULP or
+// one purity-gain bit fails here before it can silently shift every figure
+// downstream.
 
 import (
 	"encoding/json"
@@ -30,7 +31,7 @@ type fixtureCase struct {
 	Bootstrap bool // idx drawn with replacement (duplicated rows)
 	StepY     bool // quantized response: exercises pure-node early exit
 	QuantX    bool // quantize even-indexed features: cross-row value ties
-	// with unequal y, forcing the exact per-node sort fallback
+	// with unequal y, whose sums depend on the (value, id) tie order
 	RNGSeed uint64 // seeds Params.RNG when MTry > 0
 	Params  Params // RNG field filled in at fit time
 }
@@ -47,8 +48,7 @@ func fixtureCases() []fixtureCase {
 	}
 }
 
-// fixtureData builds a continuous design matrix (no cross-row value
-// collisions, so presorted and per-node orderings agree exactly) plus a
+// fixtureData builds a design matrix, continuous unless QuantX, plus a
 // response with signal and noise.
 func fixtureData(c fixtureCase) (x [][]float64, y []float64, idx []int) {
 	rng := stats.NewRNG(c.DataSeed)
@@ -106,9 +106,9 @@ func marshalFixture(entries []fixtureEntry) []byte {
 	return append(out, '\n')
 }
 
-// TestUpdateTreeFixture regenerates the pinned fixture from the FROZEN
-// legacy implementation. It never runs the production builder, so the fixture
-// always encodes pre-optimization behavior:
+// TestUpdateTreeFixture regenerates the pinned fixture from the reference
+// builder. It never runs the production builder, so the fixture always
+// encodes the reference behavior:
 //
 //	UPDATE_TREE_FIXTURE=1 go test ./internal/rtree -run TestUpdateTreeFixture
 func TestUpdateTreeFixture(t *testing.T) {
@@ -129,7 +129,7 @@ func TestUpdateTreeFixture(t *testing.T) {
 
 // TestFitMatchesPinnedFixture is the learner-level golden test: trees grown
 // by the current Grower.Fit must serialize byte-identically to the committed
-// pre-optimization fixture.
+// reference fixture.
 func TestFitMatchesPinnedFixture(t *testing.T) {
 	golden, err := os.ReadFile(treeFixturePath)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestFitMatchesPinnedFixture(t *testing.T) {
 			g, _ := json.Marshal(entries[i])
 			w, _ := json.Marshal(want[i])
 			if string(g) != string(w) {
-				t.Fatalf("case %q drifted from the pre-optimization fixture.\ngot:  %s\nwant: %s",
+				t.Fatalf("case %q drifted from the reference fixture.\ngot:  %s\nwant: %s",
 					entries[i].Name, g, w)
 			}
 		}
@@ -162,7 +162,7 @@ func TestFitMatchesPinnedFixture(t *testing.T) {
 }
 
 // TestFitMatchesLegacyReference differentially checks the presorted builder
-// against the frozen per-node-sort reference on freshly generated data —
+// against the per-node-sort reference on freshly generated data —
 // wider coverage than the static fixture, same bit-identity bar.
 func TestFitMatchesLegacyReference(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {

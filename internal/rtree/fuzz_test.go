@@ -171,11 +171,11 @@ func FuzzImportFlat(f *testing.F) {
 }
 
 // FuzzFitMatchesLegacy: every tree a reused Grower grows must export
-// byte-identically to the frozen legacy builder's tree on the same data.
-// The data is heavy in ties: each feature takes a few levels, and the
-// responses are a few values whose sums depend on their order, so a wrong
-// conflict rule (presorting a feature whose in-bag ties carry unequal
-// responses) shows as a changed threshold, leaf or purity bit. Three trees
+// byte-identically to the reference builder's tree on the same data. The
+// data is heavy in ties: each feature takes a few levels, and the responses
+// are a few values whose sums depend on their order, so a scan that visits
+// tied rows in any order but (value, id) shows as a changed threshold, leaf
+// or purity bit. Three trees
 // of different shapes are grown in a row with one Grower, so scratch
 // state a previous tree left behind shows too.
 func FuzzFitMatchesLegacy(f *testing.F) {

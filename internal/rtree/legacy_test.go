@@ -1,24 +1,31 @@
 package rtree
 
-// This file freezes the pre-optimization CART implementation (per-node
-// sort.Slice split finding) as a reference oracle. The production builder was
-// rewritten around presorted columnar feature orderings; the determinism
-// guarantee of that rewrite is "same trees as this reference, bit for bit"
-// on any training set whose tied feature values carry tied responses
-// (bootstrap-duplicated rows qualify; distinct rows colliding on a raw
-// counter value are the only case where the two orderings may diverge in
-// final-ULP sums). testdata/tree_fixture.json is generated from THIS code
-// (UPDATE_TREE_FIXTURE=1), so the pinned fixture can always be rebuilt from
-// the pre-optimization behavior even after further rewrites.
+// This file keeps the straightforward CART implementation as a reference
+// oracle: every node copies its ids, shuffles them with a seeded RNG and
+// sorts them by (feature value, row id) for each candidate feature. The
+// production builder presorts each feature once and partitions the
+// orderings down the recursion; its guarantee is "same trees as this
+// reference, bit for bit". (value, id) is a total order, so the shuffle
+// cannot change what the sort returns: a builder whose scan order depended
+// on the initial order or on the sort algorithm would diverge from this
+// oracle. testdata/tree_fixture.json is generated from THIS code
+// (UPDATE_TREE_FIXTURE=1), never from the production builder.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+
+	"blackforest/internal/stats"
 )
 
-// legacyFit is the seed implementation of the builder, kept verbatim.
+// legacyShuffleSeed seeds the oracle's per-node shuffles. It is independent
+// of Params.RNG, whose stream the candidate sampling must consume exactly
+// as the production builder does.
+const legacyShuffleSeed = 0x5eed
+
+// legacyFit is the reference builder: a per-node sort for every split scan.
 func legacyFit(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
 	if len(x) == 0 {
 		return nil, errors.New("rtree: empty training set")
@@ -65,7 +72,7 @@ func legacyFit(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
 		}
 	}
 
-	b := &legacyBuilder{x: x, y: y, p: p, tree: t}
+	b := &legacyBuilder{x: x, y: y, p: p, tree: t, shuffle: stats.NewRNG(legacyShuffleSeed)}
 	work := make([]int, len(idx))
 	copy(work, idx)
 	b.grow(work, 0)
@@ -74,10 +81,11 @@ func legacyFit(x [][]float64, y []float64, idx []int, p Params) (*Tree, error) {
 
 // legacyBuilder carries shared state during recursive growth.
 type legacyBuilder struct {
-	x    [][]float64
-	y    []float64
-	p    Params
-	tree *Tree
+	x       [][]float64
+	y       []float64
+	p       Params
+	tree    *Tree
+	shuffle *stats.RNG // scrambles each sort's input order
 }
 
 func (b *legacyBuilder) grow(idx []int, depth int) int32 {
@@ -140,7 +148,11 @@ func (b *legacyBuilder) bestSplit(idx []int, mean float64) (feat int, thresh, ga
 	bestSSE := math.Inf(1)
 	for _, f := range candidates {
 		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
+		b.shuffle.ShuffleInts(order)
+		sort.Slice(order, func(a, c int) bool {
+			va, vc := b.x[order[a]][f], b.x[order[c]][f]
+			return va < vc || va == vc && order[a] < order[c]
+		})
 
 		// Scan splits with running sums: left prefix vs right suffix.
 		var sumL, sqL float64

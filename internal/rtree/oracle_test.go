@@ -6,7 +6,7 @@ import (
 )
 
 // Tree is a grown tree in node-list form, the form of the pinned fixture
-// (Export) and of the frozen legacy builder (legacyFit), and the oracle the
+// (Export) and of the reference builder (legacyFit), and the oracle the
 // flat engine is differentially tested against. Every node carries its mean
 // response and sample count, and the tree its in-bag response range.
 // Production code keeps none of this: Grower.Fit emits flat arrays, and

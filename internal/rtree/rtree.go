@@ -30,12 +30,10 @@ type Params struct {
 }
 
 // Matrix is a training set preprocessed for fast tree growth: a
-// column-major copy of the rows, the responses, per feature all row ids
-// sorted by (feature value, id), and per feature its conflict runs — the
-// runs of equal values whose rows do not all share one response. Building
-// it costs one sort per feature; every tree grown against it (Grower.Fit)
-// then derives its in-bag orderings with a zero-comparison counting walk
-// and checks only the conflict rows for tie safety (see Grower.presort). A
+// column-major copy of the rows, the responses, and per feature all row ids
+// sorted by (feature value, id). Building it costs one sort per feature;
+// every tree grown against it (Grower.Fit) then derives its in-bag
+// orderings with a zero-comparison counting walk (see Grower.presort). A
 // Matrix is immutable after construction and safe for concurrent use by
 // any number of Growers.
 type Matrix struct {
@@ -43,16 +41,11 @@ type Matrix struct {
 	col       []float64 // col[f*nrows+row] = x[row][f]
 	y         []float64 // response per row
 	ord       []int32   // nf blocks of nrows ids, sorted by (value, id)
-	runs      []run     // conflict runs, feature by feature, as spans of ord
-	featRuns  []int     // feature f's conflict runs are runs[featRuns[f]:featRuns[f+1]]
 }
 
-// run is the span ord[lo:hi] of one conflict run.
-type run struct{ lo, hi int }
-
 // NewMatrix validates rows x and responses y and preprocesses them for
-// Grower.Fit. A NaN predictor is rejected: the presorted orderings and
-// the conflict runs need feature values to be totally ordered.
+// Grower.Fit. A NaN predictor is rejected: the presorted orderings need
+// feature values to be totally ordered.
 func NewMatrix(x [][]float64, y []float64) (*Matrix, error) {
 	if len(x) == 0 {
 		return nil, errors.New("rtree: empty training set")
@@ -76,12 +69,11 @@ func NewMatrix(x [][]float64, y []float64) (*Matrix, error) {
 	}
 	nrows := len(x)
 	m := &Matrix{
-		nrows:    nrows,
-		nf:       nf,
-		col:      make([]float64, nf*nrows),
-		y:        slices.Clone(y),
-		ord:      make([]int32, nf*nrows),
-		featRuns: make([]int, nf+1),
+		nrows: nrows,
+		nf:    nf,
+		col:   make([]float64, nf*nrows),
+		y:     slices.Clone(y),
+		ord:   make([]int32, nf*nrows),
 	}
 	// Column-major copy of the design matrix: split scans read one
 	// contiguous column instead of chasing a pointer per row.
@@ -95,34 +87,16 @@ func NewMatrix(x [][]float64, y []float64) (*Matrix, error) {
 		for i := range block {
 			block[i] = int32(i)
 		}
-		base := f * nrows
-		// (value, id) is a strict total order over distinct ids, so the
-		// result is independent of the sorting algorithm — stable across
-		// Go releases by construction.
+		fcol := m.col[f*nrows : (f+1)*nrows]
 		slices.SortFunc(block, func(a, c int32) int {
-			va, vc := m.col[base+int(a)], m.col[base+int(c)]
-			if va < vc {
+			if fcol[a] < fcol[c] {
 				return -1
 			}
-			if va > vc {
+			if fcol[a] > fcol[c] {
 				return 1
 			}
 			return int(a - c)
 		})
-		// Equal values are adjacent in the ordering; keep each run whose
-		// responses are not all equal to its first row's.
-		for lo := 0; lo < nrows; {
-			v, y0 := m.col[base+int(block[lo])], m.y[block[lo]]
-			hi, conflict := lo+1, false
-			for ; hi < nrows && m.col[base+int(block[hi])] == v; hi++ {
-				conflict = conflict || m.y[block[hi]] != y0
-			}
-			if conflict {
-				m.runs = append(m.runs, run{base + lo, base + hi})
-			}
-			lo = hi
-		}
-		m.featRuns[f+1] = len(m.runs)
 	}
 	return m, nil
 }
@@ -140,21 +114,18 @@ func (m *Matrix) NumFeatures() int { return m.nf }
 //
 // The hot-path layout follows the sklearn/ranger presort-and-partition
 // scheme: samples holds the in-bag row ids in recursion order, and ford
-// holds, per safe feature, the same ids sorted by that feature's value.
-// Both are indexed by the same [start, end) node ranges; grow re-partitions
-// them in place as it recurses, so split scans on safe features never sort.
-// Features whose tied values carry unequal in-bag responses sort per node
-// instead (see presort for why). Growing a node allocates nothing.
+// holds, per feature, the same ids sorted by (feature value, id). Both are
+// indexed by the same [start, end) node ranges; grow re-partitions them in
+// place as it recurses, so split scans never sort. Growing a node
+// allocates nothing.
 type Grower struct {
 	m *Matrix
 	p Params
 	n int // in-bag sample count (len(idx), with multiplicity)
 
 	samples []int32   // row ids in recursion order; partitioned in place
-	ford    []int32   // safe features' sorted orderings: nf blocks of n ids
+	ford    []int32   // per-feature sorted orderings: nf blocks of n ids
 	count   []int32   // per row id: in-bag multiplicity (zero between trees)
-	safe    []bool    // per feature: presorted path is bit-exact (see presort)
-	pairs   []pair    // per-node (value, id) buffer a candidate scan reads
 	tmp     []int32   // stable-partition scratch for right-side ids
 	side    []uint8   // per row id: 1 if the current split sends it left
 	cand    []int     // candidate-feature scratch (identity for plain CART)
@@ -166,25 +137,6 @@ type Grower struct {
 	feature     []int32
 	thresh      []float64
 	left, right []int32
-}
-
-// pair is one sample of a node in a feature's scan order: the sample's
-// feature value beside its row id.
-type pair struct {
-	v  float64
-	id int32
-}
-
-// byValue is the seed's split-sort comparator: feature value only,
-// ascending, so tied values stay wherever pdqsort leaves them.
-func byValue(a, c pair) int {
-	if a.v < c.v {
-		return -1
-	}
-	if a.v > c.v {
-		return 1
-	}
-	return 0
 }
 
 // resize returns s with length n, reallocating only when its capacity is
@@ -229,8 +181,6 @@ func (g *Grower) Fit(m *Matrix, idx []int, p Params) (*FlatForest, []float64, er
 	g.samples = resize(g.samples, n)
 	g.ford = resize(g.ford, nf*n)
 	g.count = resize(g.count, m.nrows)
-	g.safe = resize(g.safe, nf)
-	g.pairs = resize(g.pairs, n)
 	g.tmp = resize(g.tmp, n)
 	g.side = resize(g.side, m.nrows)
 	g.cand = resize(g.cand, nf)
@@ -267,37 +217,15 @@ func (g *Grower) Fit(m *Matrix, idx []int, p Params) (*FlatForest, []float64, er
 	}, g.purity, nil
 }
 
-// presort classifies each feature as safe or unsafe for the presorted path
-// and builds, for every safe feature, the in-bag ids sorted by feature
-// value (ties broken by row id for a deterministic total order).
-//
-// Bit-identity argument. The seed implementation re-sorted each node's ids
-// with sort.Slice (value-only comparator), so the order of ids *within a
-// run of equal values* was whatever pdqsort produced at that node; the split
-// scan's running sums add y in that order, and float addition is not
-// associative. The presorted ordering has a different (stable) tie order,
-// which is harmless exactly when every run of equal feature values carries
-// equal in-bag responses: then the scan's y sequence is identical position
-// by position regardless of tie order, and every sum, SSE, threshold, and
-// comparison reproduces the seed bit for bit. Bootstrap-duplicated rows
-// always satisfy this (same row, same y), and so does every run the Matrix
-// did not record as a conflict run, so only the conflict runs' rows are
-// checked. Features that violate it (distinct in-bag rows colliding on a
-// value with different y — common in raw GPU counter columns) are unsafe,
-// and bestSplit sorts their (value, id) pairs per node with the exact seed
-// pdqsort permutation (slices.SortFunc — same generated algorithm as
-// sort.Slice, on the same initial order with an equivalent comparator), so
-// those scans are bit-identical too, just without the presort savings.
+// presort builds, for every feature, the in-bag ids sorted by (feature
+// value, id). That is a total order, so the split scans' order, and with
+// it every running sum, does not depend on any sort algorithm.
 func (g *Grower) presort() {
 	m := g.m
 	for _, id := range g.samples {
 		g.count[id]++
 	}
 	for f := 0; f < m.nf; f++ {
-		g.safe[f] = g.inBagTiesAgree(m.runs[m.featRuns[f]:m.featRuns[f+1]])
-		if !g.safe[f] {
-			continue
-		}
 		// Derive the in-bag ordering from the Matrix's full-row ordering
 		// by multiplicity expansion: walking all rows in (value, id) order
 		// and emitting each id count[id] times yields exactly the in-bag
@@ -314,25 +242,6 @@ func (g *Grower) presort() {
 	for _, id := range g.samples {
 		g.count[id] = 0
 	}
-}
-
-// inBagTiesAgree reports whether, in every one of a feature's conflict
-// runs, the in-bag rows all share one response.
-func (g *Grower) inBagTiesAgree(runs []run) bool {
-	for _, r := range runs {
-		seen, y0 := false, 0.0
-		for _, id := range g.m.ord[r.lo:r.hi] {
-			if g.count[id] == 0 {
-				continue
-			}
-			if !seen {
-				seen, y0 = true, g.m.y[id]
-			} else if g.m.y[id] != y0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // grow builds the subtree over samples[start:end] at the given depth and
@@ -375,16 +284,13 @@ func (g *Grower) grow(start, end, depth int) int32 {
 		return me // degenerate split; keep as leaf
 	}
 
-	// Stable partition: recursion order and every safe feature's sorted
-	// order survive the split, so child nodes need no re-sorting. Unsafe
-	// features sort per node anyway, so they keep no ordering, and no
-	// ordering is kept for children that are leaves by size or depth.
+	// Stable partition: recursion order and every feature's sorted order
+	// survive the split, so child nodes need no re-sorting. No ordering is
+	// kept for children that are leaves by size or depth.
 	g.partition(g.samples[start:end], nl)
 	if g.splittable(nl, depth+1) || g.splittable(n-nl, depth+1) {
-		for f, safe := range g.safe {
-			if safe {
-				g.partition(g.ford[f*g.n+start:f*g.n+end], nl)
-			}
+		for f := 0; f < g.m.nf; f++ {
+			g.partition(g.ford[f*g.n+start:f*g.n+end], nl)
 		}
 	}
 
@@ -424,9 +330,7 @@ func (g *Grower) partition(seg []int32, nl int) {
 // bestSplit scans candidate features for the split minimizing the summed
 // within-child SSE. It returns the feature, threshold, the SSE decrease
 // relative to the unsplit node, and whether any valid split was found.
-// Each candidate fills the node's (value, id) pairs in scan order — from
-// the presorted ford range for a safe feature, by a per-node sort for an
-// unsafe one — and scans them with running sums.
+// Each candidate scans its presorted ford range with running sums.
 func (g *Grower) bestSplit(start, end int, mean float64) (feat int, thresh, gain float64, ok bool) {
 	y := g.m.y
 	n := end - start
@@ -440,38 +344,27 @@ func (g *Grower) bestSplit(start, end int, mean float64) (feat int, thresh, gain
 	}
 
 	candidates := g.candidateFeatures()
-	pairs := g.pairs[:n]
 	bestSSE := math.Inf(1)
 	for _, f := range candidates {
 		fcol := g.m.col[f*g.m.nrows:]
-		if g.safe[f] {
-			for k, id := range g.ford[f*g.n+start : f*g.n+end] {
-				pairs[k] = pair{fcol[id], id}
-			}
-		} else {
-			// Exact seed order: same initial order (node recursion order),
-			// same comparisons, same pdqsort — same permutation.
-			for k, id := range g.samples[start:end] {
-				pairs[k] = pair{fcol[id], id}
-			}
-			slices.SortFunc(pairs, byValue)
-		}
+		ids := g.ford[f*g.n+start : f*g.n+end]
 
 		// Scan splits with running sums: left prefix vs right suffix.
 		var sumL, sqL float64
 		sumR, sqR := 0.0, 0.0
-		for _, s := range pairs {
-			yi := y[s.id]
+		for _, id := range ids {
+			yi := y[id]
 			sumR += yi
 			sqR += yi * yi
 		}
+		v := fcol[ids[0]]
 		for k := 0; k < n-1; k++ {
-			yi := y[pairs[k].id]
+			yi := y[ids[k]]
 			sumL += yi
 			sqL += yi * yi
 			sumR -= yi
 			sqR -= yi * yi
-			v, vNext := pairs[k].v, pairs[k+1].v
+			vNext := fcol[ids[k+1]]
 			// Cannot split between identical feature values.
 			if v != vNext {
 				nl, nr := float64(k+1), float64(n-k-1)
@@ -483,6 +376,7 @@ func (g *Grower) bestSplit(start, end int, mean float64) (feat int, thresh, gain
 					ok = true
 				}
 			}
+			v = vNext
 		}
 	}
 	if !ok {
